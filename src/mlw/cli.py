@@ -25,9 +25,11 @@ from .trees import (FiniteTree, PairTree, build_tree, node_name, parse_node,
 from .values import show_rational
 
 
-def _load_model(spec: str, cap=None):
+def _load_model(spec: str, cap=None, validate=True):
+    """A .model file (rejected when invalid, unless validate is False, for
+    verbs that report the violations themselves) or a constructor spec."""
     if spec.endswith(".model"):
-        return load_structure(spec)
+        return load_structure(spec, validate=validate)
     return build_model(spec, cap=cap)
 
 
@@ -63,7 +65,7 @@ def _truncated(args) -> FiniteTree:
 # Verbs
 
 def _cmd_model(args) -> int:
-    M = _load_model(args.ctor, cap=args.cap)
+    M = _load_model(args.ctor, cap=args.cap, validate=args.sub == "build")
     if args.sub == "build":
         print(f"built {M.meta.get('label', args.ctor)} "
               f"[build_model({args.ctor})]")
@@ -272,7 +274,7 @@ def _cmd_forge(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    M = _load_model(args.model, cap=args.cap)
+    M = _load_model(args.model, cap=args.cap, validate=False)
     label = M.meta.get("label", args.model)
     print(f"report for {label}")
     rows = [("sort-points", s, sd.size) for s, sd in M.sorts.items()]

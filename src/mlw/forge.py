@@ -182,11 +182,13 @@ def cond_check(p: ForcingCondition, B: WitnessBank,
             den, tab = _scan(M, p.formula, free, fixed)
         except KeyError:
             continue  # formula mentions symbols this model lacks
-        hit = np.argwhere(tab * p.eps.denominator < p.eps.numerator * den)
-        if len(hit):
+        sat = tab * p.eps.denominator < p.eps.numerator * den
+        first = int(np.argmax(sat))  # the first hit in C order
+        if sat.flat[first]:
+            hit = np.unravel_index(first, sat.shape)
             pts = M.sorts[M.only_sort()].points
             assign = dict(fixed or {})
-            assign.update({i: pts[j] for i, j in zip(free, hit[0])})
+            assign.update({i: pts[j] for i, j in zip(free, hit)})
             return Witness(name, {i: assign[i] for i in p.F})
     return BankRefusal("bank-relative inconsistency",
                        "no assignment in any bank model satisfies the demand")

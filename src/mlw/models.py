@@ -60,23 +60,36 @@ def _fk(s: tuple, k: int) -> tuple:
     return s[:k] if k <= len(s) else s
 
 
+def _agreement(levels) -> np.ndarray:
+    """delta[i, j] = the number of leading levels on which items i and j
+    agree, given one id vector per level (a running AND over the levels)."""
+    levels = list(levels)
+    n = len(levels[0])
+    same = np.ones((n, n), dtype=bool)
+    delta = np.zeros((n, n), dtype=np.intp)
+    for ids in levels:
+        same &= ids[:, None] == ids[None, :]
+        delta += same
+    return delta
+
+
 def _prefix_table(nodes) -> tuple[int, np.ndarray]:
     """Scaled distance matrix for the longest-common-prefix metric
     1/(shared+1); identical sequences are at distance 0."""
     nodes = list(nodes)
     depth = max((len(s) for s in nodes), default=0)
+    width = max(depth, 1)
     ids: dict = {}
-    arr = np.full((len(nodes), max(depth, 1)), -1, dtype=np.int64)
+    arr = np.full((len(nodes), width), -1, dtype=np.int64)
     for i, s in enumerate(nodes):
         for j, letter in enumerate(s):
             arr[i, j] = ids.setdefault(letter, len(ids))
-    eq = arr[:, None, :] == arr[None, :, :]
-    delta = np.cumprod(eq, axis=2).sum(axis=2)
     den = _lcm_upto(depth + 1)
-    dmat = den // (delta + 1)
-    dmat[delta == arr.shape[1]] = 0
+    dist = den // np.arange(1, width + 2)  # by shared prefix length
+    dist[width] = 0  # the same sequence
+    dmat = dist[_agreement(arr.T)]
     np.fill_diagonal(dmat, 0)
-    return den, dmat.astype(np.int64)
+    return den, dmat
 
 
 def _level_maps(nodes, names, depth: int, sort: str):
@@ -208,23 +221,37 @@ def _tree_table(trees) -> tuple[int, np.ndarray]:
         sig_ids.append(np.array(
             [seen.setdefault(_cut_key(t.nodes, k), len(seen)) for t in trees],
             dtype=np.int64))
-    eq = np.stack([ids[:, None] == ids[None, :] for ids in sig_ids])
-    delta = np.cumprod(eq, axis=0).sum(axis=0)
+    delta = _agreement(sig_ids)
     den = _lcm_upto(kmax + 2)
     dmat = np.where(delta > kmax, 0, den // (delta + 1)).astype(np.int64)
     np.fill_diagonal(dmat, 0)
     return den, dmat
 
 
-def build_N2(depth: int, branch: int, treedepth: int = 2, treebranch: int = 2,
-             extra_trees=(), cap: int = POINT_CAP) -> FiniteStructure:
-    """Two-sort box: D1 as in build_N, D2 the enumerated subtrees of the
-    (treedepth, treebranch) box (constants S_n) plus any extra trees
-    (points E_j), with the membership predicate ee."""
+def _membership_table(nodes, trees) -> tuple[int, np.ndarray]:
+    """ee as a (den, table) pair over nodes x trees: 0 where the node lies
+    in the tree, 1/(ell(node)+2) elsewhere; den is the lcm of the
+    denominators that occur."""
+    ells = np.array([ell(s) for s in nodes], dtype=np.int64)
+    member = np.zeros((len(nodes), len(trees)), dtype=bool)
+    node_idx = {s: i for i, s in enumerate(nodes)}
+    for j, t in enumerate(trees):
+        for s in t.nodes:
+            i = node_idx.get(s)
+            if i is not None:
+                member[i, j] = True
+    den = math.lcm(*(int(e) + 2 for e in ells[~member.all(axis=1)]))
+    return den, np.where(member, 0, den // (ells + 2)[:, None])
+
+
+def _node_tree_sorts(depth: int, branch: int, treedepth: int, treebranch: int,
+                     extra_trees, cap: int):
+    """Node sort D1, tree sort D2 (constants S_n, extra points E_j) and the
+    membership table ee, as N2 and N3 share them.  Returns (nodes, names,
+    number of S_n, points, metric, ee)."""
     nodes = box_nodes(depth, branch)
     _cap_check(len(nodes), cap, "N2 node sort")
     names = [node_name(s) for s in nodes]
-    den1, dmat1 = _prefix_table(nodes)
     trees = enumerate_trees(treedepth, treebranch)
     n_s = len(trees)
     seen = {t.nodes for t in trees}
@@ -237,20 +264,22 @@ def build_N2(depth: int, branch: int, treedepth: int = 2, treebranch: int = 2,
     all_trees = trees + extras
     _cap_check(len(all_trees), cap, "N2 tree sort")
     tnames = [f"S{i}" for i in range(n_s)] + [f"E{j}" for j in range(len(extras))]
-    den2, dmat2 = _tree_table(all_trees)
-    tree_of = dict(zip(tnames, all_trees))
-    node_of = dict(zip(names, nodes))
+    return (nodes, names, n_s, {"D1": names, "D2": tnames},
+            {"D1": _prefix_table(nodes), "D2": _tree_table(all_trees)},
+            _membership_table(nodes, all_trees))
 
-    def ee(a, b):
-        t, S = node_of[a], tree_of[b]
-        return ZERO if t in S else Fraction(1, ell(t) + 2)
 
+def build_N2(depth: int, branch: int, treedepth: int = 2, treebranch: int = 2,
+             extra_trees=(), cap: int = POINT_CAP) -> FiniteStructure:
+    """Two-sort box: D1 as in build_N, D2 the enumerated subtrees of the
+    (treedepth, treebranch) box (constants S_n) plus any extra trees
+    (points E_j), with the membership predicate ee."""
+    nodes, names, n_s, points, metric, ee = _node_tree_sorts(
+        depth, branch, treedepth, treebranch, extra_trees, cap)
     fns, mods = _level_maps(nodes, names, depth, "D1")
     mods["ee"] = Modulus.lipschitz(1)
     return FiniteStructure.build(
-        {"D1": names, "D2": tnames},
-        {"D1": (den1, dmat1), "D2": (den2, dmat2)},
-        fns, {"ee": (("D1", "D2"), ee)}, mods,
+        points, metric, fns, {"ee": (("D1", "D2"), ee)}, mods,
         {"label": f"N2(depth={depth},branch={branch},treedepth={treedepth},"
                   f"treebranch={treebranch})",
          "depth": depth, "branch": branch, "treedepth": treedepth,
@@ -325,8 +354,7 @@ def _pair_table(ptrees) -> tuple[int, np.ndarray]:
         sig_ids.append(np.array(
             [seen.setdefault(_pair_cut_key(R.pairs, k), len(seen))
              for R in ptrees], dtype=np.int64))
-    eq = np.stack([ids[:, None] == ids[None, :] for ids in sig_ids])
-    delta = np.cumprod(eq, axis=0).sum(axis=0)
+    delta = _agreement(sig_ids)
     den = _lcm_upto(kmax + 1)
     with np.errstate(divide="ignore"):
         dmat = np.where(delta > kmax + 1, 0,
@@ -342,9 +370,12 @@ def build_N3(depth: int, branch: int, treedepth: int = 2, treebranch: int = 2,
     points Q_j), the ternary membership predicate ee3, and a distinguished
     node constant c (None leaves it out).
 
-    The default cap is lower than elsewhere: validating the ternary
-    predicate's modulus scales with |D1|^2 * |D1| * |D3|."""
-    base = build_N2(depth, branch, treedepth, treebranch, cap=cap)
+    The default cap is lower than elsewhere: the ternary predicate's table
+    holds |D1|^2 * |D3| entries, and validating its modulus at the first
+    argument scans each row of |D1| * |D3| values against every other
+    point of D1 whenever the ball-by-ball check cannot decide."""
+    nodes, names, n_s, points, metric, ee = _node_tree_sorts(
+        depth, branch, treedepth, treebranch, (), cap)
     ptrees = enumerate_pair_trees(pairdepth, pairbranch)
     n_r = len(ptrees)
     seen = {R.pairs for R in ptrees}
@@ -358,18 +389,6 @@ def build_N3(depth: int, branch: int, treedepth: int = 2, treebranch: int = 2,
     _cap_check(len(all_pts), cap, "N3 pair sort")
     pnames = [f"R{i}" for i in range(n_r)] + [f"Q{j}" for j in range(len(extras))]
     den3, dmat3 = _pair_table(all_pts)
-    pair_of = dict(zip(pnames, all_pts))
-    nodes = box_nodes(depth, branch)
-    names = [node_name(s) for s in nodes]
-    node_of = dict(zip(names, nodes))
-    tnames = list(base.sorts["D2"].points)
-    tree_of = {nm: t for nm, t in zip(
-        tnames, enumerate_trees(treedepth, treebranch))}
-
-    def ee(a, b):
-        t, S = node_of[a], tree_of[b]
-        return ZERO if t in S else Fraction(1, ell(t) + 2)
-
     # ee3 materialized directly: base value 1/(max(ell(s),ell(t))+2),
     # zeroed on the membership pairs of each pair tree.
     ells = np.array([ell(s) for s in nodes], dtype=np.int64)
@@ -387,21 +406,19 @@ def build_N3(depth: int, branch: int, treedepth: int = 2, treebranch: int = 2,
     mods["ee"] = Modulus.lipschitz(1)
     mods["ee3"] = Modulus.lipschitz(1)
     if c is not None:
-        if c not in node_of:
+        if c not in names:
             raise ValueError(f"constant c must name a node, got {c!r}")
         fns["c"] = ((), "D1", lambda: c)
-    s1 = base.sorts["D1"]
-    s2 = base.sorts["D2"]
+    points["D3"] = pnames
+    metric["D3"] = (den3, dmat3)
     return FiniteStructure.build(
-        {"D1": names, "D2": tnames, "D3": pnames},
-        {"D1": (s1.den, s1.dmat.copy()), "D2": (s2.den, s2.dmat.copy()),
-         "D3": (den3, dmat3)},
+        points, metric,
         fns, {"ee": (("D1", "D2"), ee),
               "ee3": (("D1", "D1", "D3"), (den_e, ee3_tab))},
         mods,
         {"label": f"N3(depth={depth},branch={branch},pairdepth={pairdepth},"
                   f"pairbranch={pairbranch},c={c})",
-         "depth": depth, "branch": branch, "nS": base.meta["nS"], "nR": n_r,
+         "depth": depth, "branch": branch, "nS": n_s, "nR": n_r,
          "density": {"D1": None, "D2": None, "D3": None}})
 
 
@@ -438,10 +455,13 @@ def build_Projection(depth: int, branch: int, pairs: PairTree | None = None,
     dent, dt = _prefix_table([p[1] for p in pts])
     den = dens * dent // math.gcd(dens, dent)
     dmat = np.maximum(ds * (den // dens), dt * (den // dent))
-    vals = dict(zip(names, (enc_value(s) for s, _ in pts)))
+    enc = {s: enc_value(s) for s in dict.fromkeys(s for s, _ in pts)}
+    fden = math.lcm(*(q.denominator for q in enc.values()))
+    ftab = np.array([enc[s].numerator * (fden // enc[s].denominator)
+                     for s, _ in pts], dtype=np.int64)
     return FiniteStructure.build(
         {"D1": names}, {"D1": (den, dmat)}, {},
-        {"f": (("D1",), lambda a: vals[a])},
+        {"f": (("D1",), (fden, ftab))},
         {"f": Modulus.lipschitz(1)},
         {"label": f"Projection(depth={depth},branch={branch})",
          "depth": depth, "branch": branch, "density": {"D1": None}})
@@ -614,18 +634,17 @@ def build_M(depth: int, branch: int, pair_branch: int = 2, top_depth: int = 2,
         if not s:
             return (0, 0)
         if s not in bottom_set:
-            return None
+            return (-1, -1)  # uncoloured
         i = len(s)
         kv = kfn.value(_bottom_identity(s[:-1]), K.base)
         return (i, kv + s[-1][2])
 
-    colour = {node_name(s): colour_of(s) for s in nodes}
+    ci, cj = np.array([colour_of(s) for s in nodes], dtype=np.int64).T
     preds = {}
     for i in range(depth + 1):
         for j in range(jmax + 1):
-            preds[f"P{i}_{j}"] = (
-                ("D1",),
-                lambda a, ij=(i, j): ZERO if colour[a] == ij else ONE)
+            off = (ci != i) | (cj != j)  # 0 exactly on colour (i, j)
+            preds[f"P{i}_{j}"] = (("D1",), (1, off.astype(np.int64)))
             mods[f"P{i}_{j}"] = Modulus.lipschitz(i + 1)
 
     points = {"D1": names}

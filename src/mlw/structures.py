@@ -13,7 +13,9 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import compress, product, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -181,95 +183,251 @@ def _pair_name(sd: SortData, i, j) -> str:
     return f"({sd.points[i]}, {sd.points[j]})"
 
 
-def _check_symbol_modulus(M: FiniteStructure, name: str, arg_sorts, mod: Modulus,
-                          kind: str, table, outdat, report: list[str]):
-    """Exhaustive per-argument modulus check, blockwise: for each argument
-    position, flatten the remaining axes and bound the worst table change
-    over them against the modulus of the input distance.  kind "fn" takes
-    the output SortData, kind "pred" the value denominator."""
-    for pos, s in enumerate(arg_sorts):
-        sd = M.sorts[s]
-        n = sd.size
-        V = np.moveaxis(table, pos, 0).reshape(n, -1)
-        if kind == "fn":
-            out, dden = outdat.dmat, outdat.den
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _allowed(mod: Modulus, u, den: int) -> Fraction:
+    """omega at the distance u / den; a negative distance (itself a metric
+    violation) allows no change."""
+    return mod.omega(Fraction(max(int(u), 0), den))
+
+
+def _thresholds(mod: Modulus, levels, den: int, dden: int) -> list[int]:
+    """floor(omega(u / den) * dden) for each distance level u: the largest
+    table change (scaled by dden) the modulus allows at that distance.
+    Exact; table changes are integers, so `change > threshold` is exactly
+    `change / dden > omega`.  Capped at the int64 range, which no table
+    change exceeds."""
+    out = []
+    for u in levels:
+        w = _allowed(mod, u, den)
+        out.append(min(w.numerator * dden // w.denominator, _INT64_MAX))
+    return out
+
+
+def _ultrametric_order(D: np.ndarray):
+    """Certificate that D (symmetric, zero diagonal) is an ultrametric, in
+    O(n^2); None when it is not.  An ultrametric with a zero diagonal is
+    nonnegative (d(i, i) <= max(d(i, k), d(k, i))), so it satisfies the
+    triangle inequality.
+
+    A Prim pass adds the points one at a time, each new point v attached
+    to its nearest earlier point p.  D is an ultrametric exactly when
+    D[v, w] == max(D[p, w], D[v, p]) for every v and every earlier w: then
+    D equals its subdominant ultrametric, the single-linkage (minimum
+    spanning tree) distance of Gower & Ross (1969).
+
+    Returns (order, join): the points in Prim order and the distance at
+    which each joined (join[0] = 0).  In this order every closed ball is a
+    contiguous run, and the u-balls start exactly at position 0 and at the
+    positions whose join distance exceeds u."""
+    n = len(D)
+    order = np.zeros(n, dtype=np.intp)
+    join = np.zeros(n, dtype=np.int64)
+    parent = np.zeros(n, dtype=np.intp)
+    rest = np.arange(1, n)            # points not yet added ...
+    best = D[0, 1:].copy()            # ... their distance to the added ones
+    near = np.zeros(n - 1, dtype=np.intp)  # ... and the nearest added one
+    for k in range(1, n):
+        m = int(best.argmin())
+        v = order[k] = rest[m]
+        join[k], parent[k] = best[m], near[m]
+        rest[m], best[m], near[m] = rest[-1], best[-1], near[-1]
+        rest, best, near = rest[:-1], best[:-1], near[:-1]
+        row = D[v, rest]
+        closer = row < best
+        best[closer] = row[closer]
+        near[closer] = v
+    # by point: its place in the order and the point it attached to
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    attach = np.empty(n, dtype=np.intp)
+    attach[order] = parent
+    want = D[attach]  # row v: max(D[p, w], D[v, p]) for every w
+    np.maximum(want, D[np.arange(n), attach][:, None], out=want)
+    bad = want != D
+    bad &= pos[None, :] < pos[:, None]  # only earlier w count
+    return None if bad.any() else (order, join)
+
+
+def _ball_merges(join: np.ndarray):
+    """Closed-ball partitions of an ultrametric sort in its Prim order,
+    finest first.  For each distance level u (ascending) yields u and the
+    positions, among the previous level's balls (at first the single
+    points), where each u-ball starts: the offsets `reduceat` needs to
+    merge the children of every u-ball."""
+    starts = np.arange(len(join))
+    for u in np.unique(join[1:]):
+        cur = np.concatenate(([0], np.flatnonzero(join[1:] > u) + 1))
+        yield int(u), np.searchsorted(starts, cur)
+        starts = cur
+
+
+def _balls_respect(V: np.ndarray, merges, thr, out) -> bool:
+    """Ball-by-ball modulus check on an ultrametric argument sort.
+
+    V holds the table with the argument's axis first, rows in Prim order.
+    Pairs at distance <= u are exactly the pairs inside a closed u-ball and
+    omega is nondecreasing, so the modulus holds iff at every level u the
+    worst change inside each u-ball is at most thr(u).  Works bottom-up
+    over the nested balls, stopping at the first failure.  For a predicate
+    (out None) the worst change is max - min over the ball.  For a
+    function whose output sort is an ultrametric `out`, each ball is
+    represented by the output at its first point; the children of a u-ball
+    passed at smaller radii, and in an ultrametric every pair across two
+    children is within the largest of their diameters and of the distances
+    between their representatives, so those distances decide the u-ball."""
+    hi = lo = rep = V
+    for (_, idx), t in zip(merges, thr):
+        if out is None:
+            hi = np.maximum.reduceat(hi, idx, axis=0)
+            lo = np.minimum.reduceat(lo, idx, axis=0)
+            worst = int((hi - lo).max())
         else:
-            dden = outdat
-        bounds = {int(u): mod.omega(Fraction(int(u), sd.den))
-                  for u in np.unique(sd.dmat)}
-        done = False
-        for i in range(n - 1):
-            rest = V[i + 1:]
-            if kind == "fn":
-                dout = out[rest, V[i]]
-            else:
-                dout = np.abs(rest - V[i])
-            dmax = dout.max(axis=1)
-            dv = sd.dmat[i, i + 1:]
-            for u, bound in bounds.items():
-                mask = dv == u
-                if not mask.any():
-                    continue
-                bad = dmax[mask] * bound.denominator > bound.numerator * dden
-                if bad.any():
-                    j = i + 1 + int(np.flatnonzero(mask)[np.flatnonzero(bad)[0]])
-                    report.append(
-                        f"modulus violation: {name} argument {pos} at pair "
-                        f"{_pair_name(sd, i, j)}: input distance "
-                        f"{show_rational(Fraction(u, sd.den))} allows change "
-                        f"{show_rational(bound)}, table changes by "
-                        f"{show_rational(Fraction(int(dmax[j - i - 1]), dden))}")
-                    done = True  # one offending pair per (symbol, argument)
-                    break
-            if done:
-                break
+            top = rep[idx]
+            sizes = np.diff(idx, append=len(rep))
+            worst = int(out[rep, np.repeat(top, sizes, axis=0)].max())
+            rep = top
+        if worst > t:
+            return False
+    return True
+
+
+_BLOCK = 1 << 20  # table changes compared at once by the exhaustive scan
+
+
+def _modulus_violation(sd: SortData, levels, inverse, name: str, pos: int,
+                       mod: Modulus, V: np.ndarray, out, dden: int):
+    """Exhaustive reference check of one argument position: every pair of
+    points (i < j) of the argument sort, the worst change over the other
+    axes against the modulus of their distance.  Returns the report line
+    for the first offending pair (rows in order; within a row the smallest
+    distance level, then the smallest j), or None.  out is the output
+    distance table of a function, None for a predicate.  Rows go in
+    blocks of about _BLOCK table changes."""
+    n = sd.size
+    thr = np.array(_thresholds(mod, levels, sd.den, dden), dtype=np.int64)
+    step = max(1, _BLOCK // (n * V.shape[1] or 1))
+    for i0 in range(0, n - 1, step):
+        i1 = min(i0 + step, n - 1)
+        first, rest = V[i0:i1, None], V[None, i0 + 1:]
+        dout = out[rest, first] if out is not None else np.abs(rest - first)
+        dmax = dout.max(axis=2)  # [i - i0, j - i0 - 1]
+        inv = inverse[i0:i1, i0 + 1:]
+        bad = dmax > thr[inv]
+        bad &= np.arange(i0 + 1, n) > np.arange(i0, i1)[:, None]  # i < j
+        hit = np.flatnonzero(bad.any(axis=1))
+        if len(hit):
+            r = int(hit[0])
+            ks = np.flatnonzero(bad[r])
+            k = int(ks[np.argmin(inv[r, ks])])
+            u = levels[inv[r, k]]
+            return (f"modulus violation: {name} argument {pos} at pair "
+                    f"{_pair_name(sd, i0 + r, i0 + 1 + k)}: input distance "
+                    f"{show_rational(Fraction(int(u), sd.den))} allows change "
+                    f"{show_rational(_allowed(mod, u, sd.den))}, "
+                    f"table changes by "
+                    f"{show_rational(Fraction(int(dmax[r, k]), dden))}")
+    return None
+
+
+def _metric_report(s: str, sd: SortData, report: list[str], certify: bool):
+    """Metric axioms of one sort; returns the sort's ultrametric
+    certificate (see _ultrametric_order), or None when the exhaustive
+    O(n^3) triangle scan ran instead."""
+    D = sd.dmat
+    n = sd.size
+    clean = True
+    if (np.diag(D) != 0).any():
+        i = int(np.flatnonzero(np.diag(D))[0])
+        report.append(f"metric: nonzero diagonal at {sd.points[i]} in sort {s}")
+        clean = False
+    if (D != D.T).any():
+        i, j = np.argwhere(D != D.T)[0]
+        report.append(f"metric: asymmetry at {_pair_name(sd, i, j)} in sort {s}")
+        clean = False
+    if (D < 0).any() or (D > sd.den).any():
+        report.append(f"metric: entry outside [0,1] in sort {s}")
+    off = D + np.eye(n, dtype=np.int64) * (sd.den + 1)
+    zero = np.argwhere(off == 0)
+    if len(zero):
+        i, j = zero[0]
+        report.append(
+            f"metric: identity of indiscernibles fails at "
+            f"{_pair_name(sd, i, j)} in sort {s}")
+    cert = _ultrametric_order(D) if certify and clean and n else None
+    if cert is not None:
+        return cert  # an ultrametric: the triangle inequality holds
+    if D.size and -2**30 < D.min() and D.max() < 2**30:
+        D = D.astype(np.int32)  # sums still fit; half the memory traffic
+    for k in range(n):
+        viol = D > D[:, k:k + 1] + D[k:k + 1, :]
+        if viol.any():
+            i, j = np.argwhere(viol)[0]
+            report.append(
+                f"metric: triangle inequality fails for "
+                f"{_pair_name(sd, i, j)} via {sd.points[k]} in sort {s}")
+            break
+    return None
 
 
 def check_structure(M: FiniteStructure) -> list[str]:
-    """Exhaustive validation; returns one line per violation (empty = valid)."""
+    """Validate M; returns one line per violation (empty = valid).
+
+    Checks that every sort's distance is a metric with values in [0, 1]
+    (zero diagonal, symmetry, identity of indiscernibles, triangle
+    inequality) and that every function and predicate respects its
+    declared modulus in each argument.
+
+    Certificate first: a sort whose distance is an ultrametric, which an
+    O(n^2) Prim pass certifies, needs no triangle scan, and the moduli on
+    its arguments are checked ball by ball over its nested closed balls
+    (functions also need an ultrametric output sort).  A certificate or
+    ball check only ever answers "valid".  Whenever one fails, the
+    exhaustive checks (the O(n^3) triangle scan, the pairwise modulus
+    scan) run and write the report, so the lines are exactly those of the
+    exhaustive check."""
+    return _check(M, certify=True)
+
+
+def _check(M: FiniteStructure, certify: bool) -> list[str]:
+    """check_structure; certify=False runs only the exhaustive checks, the
+    reference that the certificates are tested against."""
     report: list[str] = []
-    for s, sd in M.sorts.items():
-        D = sd.dmat
-        n = sd.size
-        if (np.diag(D) != 0).any():
-            i = int(np.flatnonzero(np.diag(D))[0])
-            report.append(f"metric: nonzero diagonal at {sd.points[i]} in sort {s}")
-        if (D != D.T).any():
-            i, j = np.argwhere(D != D.T)[0]
-            report.append(f"metric: asymmetry at {_pair_name(sd, i, j)} in sort {s}")
-        if (D < 0).any() or (D > sd.den).any():
-            report.append(f"metric: entry outside [0,1] in sort {s}")
-        off = D + np.eye(n, dtype=np.int64) * (sd.den + 1)
-        zero = np.argwhere(off == 0)
-        if len(zero):
-            i, j = zero[0]
-            report.append(
-                f"metric: identity of indiscernibles fails at "
-                f"{_pair_name(sd, i, j)} in sort {s}")
-        for k in range(n):
-            viol = D > D[:, k:k + 1] + D[k:k + 1, :]
-            if viol.any():
-                i, j = np.argwhere(viol)[0]
-                report.append(
-                    f"metric: triangle inequality fails for "
-                    f"{_pair_name(sd, i, j)} via {sd.points[k]} in sort {s}")
-                break
-    for name, fn in M.functions.items():
-        if not fn.arg_sorts:
-            continue
+    certs = {s: _metric_report(s, sd, report, certify)
+             for s, sd in M.sorts.items()}
+    merges = {s: list(_ball_merges(c[1])) for s, c in certs.items()
+              if c is not None}
+    unique: dict = {}  # distance levels of a sort, for the exhaustive scan
+    symbols = [("function", name, fn.arg_sorts, fn.table, fn.out_sort)
+               for name, fn in M.functions.items() if fn.arg_sorts]
+    symbols += [("predicate", name, pr.arg_sorts, pr.table, None)
+                for name, pr in M.predicates.items()]
+    for kind, name, arg_sorts, table, out_sort in symbols:
         mod = M.moduli.get(name)
         if mod is None:
-            report.append(f"function {name} has no declared modulus")
+            report.append(f"{kind} {name} has no declared modulus")
             continue
-        _check_symbol_modulus(M, name, fn.arg_sorts, mod, "fn", fn.table,
-                              M.sorts[fn.out_sort], report)
-    for name, pr in M.predicates.items():
-        mod = M.moduli.get(name)
-        if mod is None:
-            report.append(f"predicate {name} has no declared modulus")
-            continue
-        _check_symbol_modulus(M, name, pr.arg_sorts, mod, "pred", pr.table,
-                              pr.den, report)
+        if out_sort is None:  # a predicate: changes are value differences
+            out, dden = None, M.predicates[name].den
+        else:  # a function: changes are distances in the output sort
+            out, dden = M.sorts[out_sort].dmat, M.sorts[out_sort].den
+        # a function's ball check needs an ultrametric output sort
+        fast = out_sort is None or out_sort in merges
+        for pos, s in enumerate(arg_sorts):
+            sd = M.sorts[s]
+            V = np.moveaxis(table, pos, 0).reshape(sd.size, -1)
+            if fast and s in merges:
+                thr = _thresholds(mod, (u for u, _ in merges[s]), sd.den, dden)
+                if _balls_respect(V[certs[s][0]], merges[s], thr, out):
+                    continue
+            if s not in unique:
+                levels, inverse = np.unique(sd.dmat, return_inverse=True)
+                unique[s] = levels, inverse.reshape(sd.dmat.shape)
+            line = _modulus_violation(sd, *unique[s], name, pos, mod, V, out,
+                                      dden)
+            if line:
+                report.append(line)
     return report
 
 
@@ -599,19 +757,21 @@ def load_structure(path: str, validate: bool = True) -> FiniteStructure:
     header: tuple = ()
     sort_names: list[str] = []
     points: dict[str, list[str]] = {}
-    metric_entries: dict[str, dict[tuple[str, str], Fraction]] = {}
+    metric_entries: dict[str, dict[tuple[str, str], str]] = {}
     fn_specs: dict[str, tuple] = {}
     pred_specs: dict[str, tuple] = {}
     moduli: dict[str, Modulus] = {}
     meta: dict = {}
     density: dict[str, Fraction | None] = {}
+    # tables repeat few distinct values: parse each text once
+    parse_value = lru_cache(maxsize=None)(parse_rational)
 
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            m = _SECTION.match(line)
+            m = _SECTION.match(line) if line[0] == "[" else None
             if m:
                 section = m.group(1)
                 header = (m.group(2) or "", m.group(3) or "")
@@ -625,15 +785,16 @@ def load_structure(path: str, validate: bool = True) -> FiniteStructure:
                 continue
             toks = line.split()
             try:
-                if section == "sorts":
+                if section == "metric":  # the bulk of a file
+                    s, a, b, q = toks
+                    parse_value(q)  # a malformed value fails on its line
+                    metric_entries[s][(a, b)] = q
+                elif section == "sorts":
                     sort_names.append(toks[0])
                     points.setdefault(toks[0], [])
                     metric_entries.setdefault(toks[0], {})
                 elif section == "points":
                     points[toks[0]].append(toks[1])
-                elif section == "metric":
-                    s, a, b, q = toks
-                    metric_entries[s][(a, b)] = parse_rational(q)
                 elif section == "fn":
                     name = header[0].strip()
                     arg_sorts, out, table = fn_specs[name]
@@ -641,7 +802,7 @@ def load_structure(path: str, validate: bool = True) -> FiniteStructure:
                 elif section == "pred":
                     name = header[0].strip()
                     arg_sorts, table = pred_specs[name]
-                    table[tuple(toks[:-1])] = parse_rational(toks[-1])
+                    table[tuple(toks[:-1])] = parse_value(toks[-1])
                 elif section == "moduli":
                     name, kind = toks[0], toks[1]
                     if kind == "lipschitz":
@@ -668,18 +829,35 @@ def load_structure(path: str, validate: bool = True) -> FiniteStructure:
     if density:
         meta["density"] = density
 
-    def metric_fn(s):
+    def metric_table(s):
+        names = points[s]
+        idx = {a: i for i, a in enumerate(names)}
+        if len(idx) != len(names):
+            raise ValueError(f"duplicate point names in sort {s}")
         entries = metric_entries[s]
-
-        def d(a, b):
-            if a == b:
-                return ZERO
-            if (a, b) in entries:
-                return entries[(a, b)]
-            if (b, a) in entries:
-                return entries[(b, a)]
-            raise ValueError(f"missing metric entry for {a}, {b} in sort {s}")
-        return d
+        n, m = len(names), len(entries)
+        # entries naming unknown points, or a point and itself, go unused
+        rows, cols = (np.fromiter(map(idx.get, map(itemgetter(k), entries),
+                                      repeat(-1)), np.intp, m) for k in (0, 1))
+        used = (rows >= 0) & (cols >= 0) & (rows != cols)
+        texts = entries.values()
+        values = {q: parse_value(q) for q in set(compress(texts, used))}
+        den = math.lcm(*(v.denominator for v in values.values()))
+        scaled = {q: v.numerator * (den // v.denominator)
+                  for q, v in values.items()}
+        vals = np.fromiter(map(scaled.get, texts, repeat(0)), np.int64, m)
+        rows, cols, vals = rows[used], cols[used], vals[used]
+        dmat = np.zeros((n, n), dtype=np.int64)
+        given = np.eye(n, dtype=bool)
+        # d(a, b) is the (a, b) entry, else the (b, a) entry
+        for a, b in ((cols, rows), (rows, cols)):
+            dmat[a, b] = vals
+            given[a, b] = True
+        if not given.all():
+            i, j = np.argwhere(~given)[0]
+            raise ValueError(f"missing metric entry for {names[i]}, "
+                             f"{names[j]} in sort {s}")
+        return den, dmat
 
     functions = {
         name: (arg_sorts, out, (lambda t: (lambda *a: t[a]))(table))
@@ -688,7 +866,7 @@ def load_structure(path: str, validate: bool = True) -> FiniteStructure:
         name: (arg_sorts, (lambda t: (lambda *a: t[a]))(table))
         for name, (arg_sorts, table) in pred_specs.items()}
     M = FiniteStructure.build({s: points[s] for s in sort_names},
-                              {s: metric_fn(s) for s in sort_names},
+                              {s: metric_table(s) for s in sort_names},
                               functions, predicates, moduli, meta)
     if validate:
         report = check_structure(M)

@@ -1,9 +1,15 @@
 """Shared fixtures: small structures reused across test modules."""
 
 import pytest
+from hypothesis import settings
 
 from mlw.models import (KFamily, KFunction, build_M, build_N, build_N2,
                         build_N3, build_Projection)
+
+# No per-example deadline: on a small shared host one example's wall time
+# drifts too much for a deadline to separate slow code from a busy machine.
+settings.register_profile("mlw", deadline=None)
+settings.load_profile("mlw")
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,11 @@
 """Command-line surface: exit codes, worked examples, determinism."""
 
+from fractions import Fraction
+
 import pytest
 
 from mlw.cli import main
+from mlw.structures import FiniteStructure, save_structure
 
 
 def run(capsys, *argv):
@@ -41,6 +44,32 @@ def test_model_check_exit_codes(capsys):
     assert code == 0
     code, _ = run(capsys, "model", "check", "--ctor", "bogus(depth=2)")
     assert code == 2
+
+
+def test_invalid_model_file_exit_codes(tmp_path, capsys):
+    # a and c are 1 apart but 1/4 from b: the triangle inequality fails
+    bad = str(tmp_path / "bad.model")
+    save_structure(FiniteStructure.build(
+        {"A": ["a", "b", "c"]},
+        {"A": lambda x, y: Fraction(0) if x == y else
+            (Fraction(1) if {x, y} == {"a", "c"} else Fraction(1, 4))}), bad)
+    # the verbs that report violations themselves: negative verdict
+    code, out = run(capsys, "model", "check", "--ctor", bad)
+    assert code == 1
+    assert out.splitlines() == [
+        f"violation: metric: triangle inequality fails for (a, c) via b in "
+        f"sort A [check_structure({bad})]",
+        f"1 violations [check_structure({bad})]"]
+    code, out = run(capsys, "report", "--model", bad)
+    assert code == 1 and "validity: 1 violation(s)" in out
+    # every other verb refuses the file as a data error
+    for argv in (("model", "build", "--ctor", bad),
+                 ("eval", "--model", bad, "--formula", "d(x0,x0)",
+                  "--assign", "x0=a"),
+                 ("type", "check", "--model", bad, "--type", "s0_branch"),
+                 ("iso", "--a", bad, "--b", bad)):
+        code, _ = run(capsys, *argv)
+        assert code == 2, argv
 
 
 def test_wf_negative_verdict(capsys):

@@ -44,7 +44,10 @@ def test_cond_check_finds_first_witness(bank):
     w = cond_check(p, bank)
     assert isinstance(w, Witness)
     assert w.model == "a"  # declaration order
-    assert set(w.assignment) == {0, 1}
+    assert w.assignment == {0: "<0>", 1: "<0,0>"}  # first in point order
+    p = ForcingCondition(parse_formula("absdiff(d(d2, d0), 1/3)"),
+                         (0, 2), Fraction(1, 12))
+    assert cond_check(p, bank).assignment == {0: "<0,0>", 2: "<0,0,0>"}
 
 
 def test_cond_check_refuses_impossible(bank):

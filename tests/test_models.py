@@ -1,19 +1,66 @@
 """Concrete structure builders: worked values, pruning, gap predicates,
 coloured families, constructor specs."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from mlw.formulas import parse_formula
-from mlw.models import (KFamily, KFunction, box_nodes, build_M, build_M_l,
-                        build_model, build_N, build_N2, build_N3, build_type,
-                        canonical_truncation, default_kfamily,
-                        enumerate_pair_trees, enumerate_trees,
-                        is_bottom_terminal, kfamily_check, load_kfamily,
-                        parse_ctor, pred_gap, save_kfamily, shadow_report)
-from mlw.structures import check_structure, eval_formula
-from mlw.trees import parse_node
+from mlw.models import (KFamily, KFunction, box_nodes, build_M, build_M4,
+                        build_M_l, build_model, build_N, build_N2, build_N3,
+                        build_Projection, build_type, canonical_truncation,
+                        default_kfamily, enumerate_pair_trees,
+                        enumerate_trees, is_bottom_terminal, kfamily_check,
+                        load_kfamily, parse_ctor, pred_gap, save_kfamily,
+                        shadow_report)
+from mlw.structures import check_structure, eval_formula, save_structure
+from mlw.trees import PairTree, parse_node
+
+
+# --------------------------------------------------------------------------
+# golden files: the constructors' tables, byte for byte
+
+GOLDEN = {  # sha256 of the save_structure text
+    "N(3,3)": (lambda: build_N(3, 3),
+               "0b03f2c258e57d5f62a80520b88a296fa975179f21b9ece318a5ba674a9d66ea"),
+    "N(2,2,shadow)": (
+        lambda: build_N(2, 2, shadow=True),
+        "5bfcb5f4164cd1461d2aa8b14257ef5bb63397408c7dfeb9d3ff02db5d430fdd"),
+    "N2(3,2)": (lambda: build_N2(3, 2),
+                "2d05e4f41b5bf2cd7efa2cd8a9e2c1dfb4824e62fcc6464a3b0feca35633dd13"),
+    "N2(2,3,extra)": (
+        lambda: build_N2(2, 3, extra_trees=[[(), (0,), (0, 1), (0, 1, 2)]]),
+        "10e051c044e80c1827c81fa16653e3626b3e40486a815a272ed911af13de4804"),
+    "N3(2,2)": (lambda: build_N3(2, 2),
+                "b1143030d4e4a0e68d92fd074d30d142f931d0d9c78864fb70ac1c63fc80495f"),
+    "N3(3,2,extra)": (
+        lambda: build_N3(3, 2, c=None, extra_pairs=[
+            [((), ()), ((0,), (1,)), ((0, 1), (1, 0))]]),
+        "0dd0d222b6cf0454b14fd0873c0b768258e3539ce2fd78b817f4feacedca587d"),
+    "Projection(3,2)": (
+        lambda: build_Projection(3, 2),
+        "9b2cd1799ade8e64c6a9e34db6195f21fee17b846c255b934254e70497d9071d"),
+    "Projection(pairs)": (
+        lambda: build_Projection(3, 3, pairs=PairTree.of([
+            ((), ()), ((0,), (1,)), ((2,), (0,)), ((2, 1), (0, 0))])),
+        "5e5e5335fb716642f21c15855c0e102d9d544a462b17b37ced32bc92e75910b2"),
+    "M(4,3)": (lambda: build_M(4, 3),
+               "570dd3b199af6cbd641bfb43969b4975fcb8cab5d2c2326e7127f4312330345e"),
+    "M_l(2,4,3)": (
+        lambda: build_M_l(2, 4, 3),
+        "b9944d53b71fea93250b130316905c7d2a4615924f228a73ad11ca598c41a6b6"),
+    "M4(3,3)": (lambda: build_M4(3, 3),
+                "47724c503e7054526ebeee0e3dbc9ce0120316449228d34c657a398c18061f91"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_constructor_files_are_unchanged(tmp_path, name):
+    build, digest = GOLDEN[name]
+    path = tmp_path / "m.model"
+    save_structure(build(), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # --------------------------------------------------------------------------

@@ -102,3 +102,32 @@ def test_predicate_range_enforced():
         FiniteStructure.build(
             {"A": ["a"]}, {"A": lambda x, y: Fraction(0)},
             None, {"P": (("A",), lambda x: Fraction(2))})
+
+
+def test_modulus_check_has_no_int64_wraparound():
+    # den * (1/omega) = 2^39 * 2^25 = 2^64 wraps to 0 in int64 arithmetic
+    M = FiniteStructure.build(
+        {"A": ["a", "b"]},
+        {"A": lambda x, y: Fraction(0) if x == y else Fraction(1)},
+        None,
+        {"P": (("A",), (2**39, np.array([0, 2**39])))},
+        {"P": Modulus.lipschitz(Fraction(1, 2**25))})
+    assert check_structure(M) == [
+        "modulus violation: P argument 0 at pair (a, b): input distance 1 "
+        "allows change 1/33554432, table changes by 1"]
+
+
+def test_modulus_report_names_the_smallest_offending_distance():
+    # in row a both (a, b) at 1 and (a, c) at 1/2 break the modulus; the
+    # report names the pair at the smaller distance
+    d = {frozenset("ab"): Fraction(1), frozenset("ac"): Fraction(1, 2),
+         frozenset("bc"): Fraction(1, 2)}
+    M = FiniteStructure.build(
+        {"A": ["a", "b", "c"]},
+        {"A": lambda x, y: Fraction(0) if x == y else d[frozenset(x + y)]},
+        None,
+        {"P": (("A",), lambda x: Fraction(0) if x == "a" else Fraction(1))},
+        {"P": Modulus.lipschitz(Fraction(1, 4))})
+    assert check_structure(M) == [
+        "modulus violation: P argument 0 at pair (a, c): input distance 1/2 "
+        "allows change 1/8, table changes by 1"]
