@@ -1,20 +1,17 @@
-"""Realization search, realization trees, theory tables, isomorphism
-search, and elementary-equivalence / omission / separation evidence over
-finite structures."""
+"""Realization search, realization trees, isomorphism search, and
+elementary-equivalence evidence over finite structures."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
 
 import numpy as np
 
-from .conditions import Condition, PartialType, UniformSequence, normalize_condition
-from .formulas import (Formula, Quant, _modulus_for_var, free_vars, is_prenex,
-                       show, var_sorts)
-from .structures import (EvalResult, FiniteStructure, eval_bounds, eval_formula,
-                         eval_table)
+from .conditions import Condition, PartialType, normalize_condition
+from .formulas import Formula, Quant, _modulus_for_var, summary
+from .structures import FiniteStructure, eval_table
 from .values import ONE, ZERO
 
 
@@ -120,39 +117,6 @@ def realization_tree(M: FiniteStructure, t: PartialType, depth: int,
     return TreeReport(tuple(counts), died, depth)
 
 
-def theory_fragment(M: FiniteStructure, sentences) -> list[dict]:
-    """Exact value of each closed formula on M, plus intended-model bounds
-    where the sentence is prenex."""
-    rows = []
-    for f in sentences:
-        if free_vars(f):
-            raise ValueError(f"open formula in theory fragment: {show(f)}")
-        row = {"sentence": show(f), "value": eval_formula(f, M)}
-        try:
-            row["bounds"] = eval_bounds(f, M)
-        except ValueError as e:
-            row["bounds"] = None
-            row["note"] = str(e)
-        rows.append(row)
-    return rows
-
-
-def sup_norm_lower(f: Formula, bank) -> Fraction:
-    """Certified lower bound of the sup-norm: max |value| over the bank."""
-    bank = list(bank)
-    if not bank:
-        raise ValueError("empty structure bank")
-    best = ZERO
-    for M in bank:
-        sorts = var_sorts(f)
-        variables = [(v, sorts.get(v) or M.only_sort())
-                     for v in sorted(free_vars(f))]
-        den, table = eval_table(f, M, variables)
-        if table.size:
-            best = max(best, Fraction(int(np.max(table)), den))
-    return best
-
-
 # --------------------------------------------------------------------------
 # Isomorphism witnesses
 
@@ -177,44 +141,86 @@ class Refusal:
     detail: str = ""
 
 
+def _unequal(a, da: int, b, db: int):
+    """Mask of a / da != b / db over integer tables, exact in int64: with
+    g = gcd(da, db), p = da / g and q = db / g, a / da == b / db exactly
+    when p | a, q | b and a / p == b / q."""
+    g = math.gcd(da, db)
+    p, q = da // g, db // g
+    return (a % p != 0) | (b % q != 0) | (a // p != b // q)
+
+
+def _mismatches(A, B, L0: Sublanguage, idx) -> list[tuple]:
+    """Where the partial map idx (sort -> {A index: B index}) fails to
+    preserve the metric or a table of L0, compared on its domain only.
+    Returns (kind, name, first A-side index tuple) per failing sort or
+    symbol: the metric of each sort of idx first (pairs in the map's
+    order), then the functions and the predicates of L0 by name (argument
+    tuples in increasing index order; a function counts only where its
+    value lies in the domain)."""
+    out = []
+    dom = {}
+    for s, sd in A.sorts.items():
+        m = idx.get(s, {})
+        keys = np.array(sorted(m), dtype=np.intp)
+        image = np.full(sd.size, -1, dtype=np.intp)
+        image[keys] = [m[i] for i in keys.tolist()]
+        dom[s] = keys, image
+    for s, m in idx.items():
+        sa, sb = A.sorts[s], B.sorts[s]
+        ia = np.fromiter(m, np.intp, len(m))
+        ib = np.fromiter(m.values(), np.intp, len(m))
+        bad = _unequal(sa.dmat[np.ix_(ia, ia)], sa.den,
+                       sb.dmat[np.ix_(ib, ib)], sb.den)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            out.append(("metric", s, (ia[i], ia[j])))
+    tables = [("function", name, A.functions[name], B.functions[name])
+              for name in sorted(L0.functions)]
+    tables += [("predicate", name, A.predicates[name], B.predicates[name])
+               for name in sorted(L0.predicates)]
+    for kind, name, ta, tb in tables:
+        keys = [dom[s][0] for s in ta.arg_sorts]
+        va = ta.table[np.ix_(*keys)]
+        vb = tb.table[np.ix_(*(dom[s][1][k]
+                               for s, k in zip(ta.arg_sorts, keys)))]
+        if kind == "function":
+            image = dom[ta.out_sort][1][va]
+            bad = (image >= 0) & (image != vb)
+        else:
+            bad = _unequal(va, ta.den, vb, tb.den)
+        if bad.any():
+            hit = np.argwhere(bad)[0]
+            out.append((kind, name, tuple(k[c] for k, c in zip(keys, hit))))
+    return out
+
+
+def _metric_line(A, s, where) -> str:
+    i, j = where
+    return (f"metric not preserved at ({A.sorts[s].points[i]}, "
+            f"{A.sorts[s].points[j]})")
+
+
 def verify_iso(A: FiniteStructure, B: FiniteStructure, L0: Sublanguage,
                w: IsoWitness) -> list[str]:
     """Exactness check of a witness, table by table."""
-    out: list[str] = []
     idx: dict[str, dict[int, int]] = {}
-    for s in A.sorts:
+    for s, sd in A.sorts.items():
         m = w.mapping.get(s, {})
-        if set(m) != set(A.sorts[s].points) or \
+        if set(m) != set(sd.points) or \
                 set(m.values()) != set(B.sorts[s].points):
-            out.append(f"mapping is not a bijection on sort {s}")
-            return out
-        idx[s] = {A.sorts[s].index[a]: B.sorts[s].index[b] for a, b in m.items()}
-    for s, sa in A.sorts.items():
-        sb = B.sorts[s]
-        perm = np.array([idx[s][i] for i in range(sa.size)])
-        da = sa.dmat * sb.den
-        db = sb.dmat[np.ix_(perm, perm)] * sa.den
-        if (da != db).any():
-            i, j = np.argwhere(da != db)[0]
-            out.append(f"metric not preserved at ({sa.points[i]}, {sa.points[j]})")
-    for name in sorted(L0.functions):
-        fa, fb = A.functions[name], B.functions[name]
-        for combo in product(*(range(A.sorts[s].size) for s in fa.arg_sorts)):
-            mapped = tuple(idx[s][i] for s, i in zip(fa.arg_sorts, combo))
-            if idx[fa.out_sort][int(fa.table[combo])] != int(fb.table[mapped]):
-                args = ", ".join(A.sorts[s].points[i]
-                                 for s, i in zip(fa.arg_sorts, combo))
-                out.append(f"function {name} not preserved at ({args})")
-                break
-    for name in sorted(L0.predicates):
-        pa, pb = A.predicates[name], B.predicates[name]
-        for combo in product(*(range(A.sorts[s].size) for s in pa.arg_sorts)):
-            mapped = tuple(idx[s][i] for s, i in zip(pa.arg_sorts, combo))
-            if int(pa.table[combo]) * pb.den != int(pb.table[mapped]) * pa.den:
-                args = ", ".join(A.sorts[s].points[i]
-                                 for s, i in zip(pa.arg_sorts, combo))
-                out.append(f"predicate {name} not preserved at ({args})")
-                break
+            return [f"mapping is not a bijection on sort {s}"]
+        idx[s] = dict(sorted((sd.index[a], B.sorts[s].index[b])
+                             for a, b in m.items()))
+    out = []
+    for kind, name, where in _mismatches(A, B, L0, idx):
+        if kind == "metric":
+            out.append(_metric_line(A, name, where))
+            continue
+        table = (A.functions if kind == "function" else A.predicates)[name]
+        args = ", ".join(A.sorts[s].points[i]
+                         for s, i in zip(table.arg_sorts, where))
+        out.append(f"{kind} {name} not preserved at ({args})")
     return out
 
 
@@ -391,13 +397,16 @@ def eq_evidence(A: FiniteStructure, B: FiniteStructure, L0: Sublanguage,
     bad = verify_iso_on_domain(A, B, L0, w)
     if bad:
         raise ValueError("witness fails exactness: " + "; ".join(bad))
-    _check_symbols(f, L0)
-    if not is_prenex(f):
+    info = summary(f)
+    for kind, name in info.symbols:
+        if name not in (L0.functions if kind == "function" else L0.predicates):
+            raise ValueError(f"symbol {name} outside the sublanguage")
+    if not info.prenex:
         raise ValueError("eq_evidence requires a prenex formula")
     sym = A.symbol_moduli()
-    allv = _all_variable_names(f)
     total = ZERO
-    for v in sorted(allv):
+    # prenex: every bound variable is in the prefix
+    for v in sorted(set(info.free) | info.bound):
         total += _modulus_for_var(_matrix(f), v, sym).omega(eps)
     return min(ONE, 2 * total)
 
@@ -408,46 +417,9 @@ def _matrix(f: Formula) -> Formula:
     return f
 
 
-def _all_variable_names(f: Formula) -> set[str]:
-    out = set(free_vars(f))
-    g = f
-    while isinstance(g, Quant):
-        out.add(g.var)
-        g = g.body
-    return out
-
-
-def _check_symbols(f: Formula, L0: Sublanguage):
-    from .formulas import App, Conn, Const, Dist, Pred, Rat
-
-    def visit_term(t):
-        if isinstance(t, App):
-            if t.fn not in L0.functions:
-                raise ValueError(f"symbol {t.fn} outside the sublanguage")
-            for a in t.args:
-                visit_term(a)
-
-    def visit(g):
-        if isinstance(g, Dist):
-            visit_term(g.left)
-            visit_term(g.right)
-        elif isinstance(g, Pred):
-            if g.name not in L0.predicates:
-                raise ValueError(f"symbol {g.name} outside the sublanguage")
-            for a in g.args:
-                visit_term(a)
-        elif isinstance(g, Conn):
-            for a in g.args:
-                visit(a)
-        elif isinstance(g, Quant):
-            visit(g.body)
-    visit(f)
-
-
 def verify_iso_on_domain(A, B, L0, w: IsoWitness) -> list[str]:
     """Exactness of w on its (possibly partial) domain: metric, and symbol
     tables whenever all arguments and values stay inside the domain."""
-    out: list[str] = []
     idx = {}
     for s, m in w.mapping.items():
         try:
@@ -457,180 +429,8 @@ def verify_iso_on_domain(A, B, L0, w: IsoWitness) -> list[str]:
             return [f"unknown point {e} in mapping for sort {s}"]
         if len(set(idx[s].values())) != len(idx[s]):
             return [f"mapping not injective on sort {s}"]
-    for s, m in idx.items():
-        sa, sb = A.sorts[s], B.sorts[s]
-        for i in m:
-            for j in m:
-                if int(sa.dmat[i, j]) * sb.den != int(sb.dmat[m[i], m[j]]) * sa.den:
-                    out.append(
-                        f"metric not preserved at ({sa.points[i]}, {sa.points[j]})")
-                    return out
-    for name in sorted(L0.functions):
-        fa, fb = A.functions[name], B.functions[name]
-        doms = [idx.get(s, {}) for s in fa.arg_sorts]
-        for combo in product(*(sorted(d) for d in doms)):
-            val = int(fa.table[combo])
-            if val in idx.get(fa.out_sort, {}):
-                mapped = tuple(idx[s][i] for s, i in zip(fa.arg_sorts, combo))
-                if idx[fa.out_sort][val] != int(fb.table[mapped]):
-                    out.append(f"function {name} not preserved on the domain")
-                    return out
-    for name in sorted(L0.predicates):
-        pa, pb = A.predicates[name], B.predicates[name]
-        doms = [idx.get(s, {}) for s in pa.arg_sorts]
-        for combo in product(*(sorted(d) for d in doms)):
-            mapped = tuple(idx[s][i] for s, i in zip(pa.arg_sorts, combo))
-            if int(pa.table[combo]) * pb.den != int(pb.table[mapped]) * pa.den:
-                out.append(f"predicate {name} not preserved on the domain")
-                return out
-    return out
-
-
-# --------------------------------------------------------------------------
-# Omission, separation, principality evidence
-
-@dataclass(frozen=True)
-class OmissionVerdict:
-    realizers: tuple  # tuples realizing t_n
-    zero_set: tuple | None  # {ā : inf_i φ_i(ā) = 0}, None when not computable
-    notes: tuple[str, ...] = ()
-
-    @property
-    def omitted(self) -> bool:
-        return not self.realizers
-
-
-def uniform_omission_check(M: FiniteStructure, u: UniformSequence,
-                           cutoff: int, n: int) -> OmissionVerdict:
-    """Per-tuple min of the first `cutoff` formulas (plus the declared tail
-    bound): t_n is realized exactly where that min is ≥ 2^{-n}."""
-    infinite = u.generator is not None
-    if infinite and u.tail_lower is None:
-        raise ValueError("infinite presentation without a declared tail bound")
-    variables = None
-    den = 1
-    minval = None
-    for i in range(cutoff):
-        phi = u.formula(i)
-        if variables is None:
-            sorts = var_sorts(phi)
-            variables = [(v, sorts.get(v) or M.only_sort())
-                         for v in sorted(free_vars(phi))]
-        d, tab = eval_table(phi, M, variables)
-        if minval is None:
-            den, minval = d, tab
-        else:
-            L = den * d // np.gcd(den, d)
-            minval = np.minimum(minval * (L // den), tab * (L // d))
-            den = int(L)
-    if minval is None:
-        raise ValueError("empty uniform sequence")
-    thr = Fraction(1, 2 ** n)
-    ok = minval * thr.denominator >= thr.numerator * den
-    notes = []
-    if infinite:
-        if u.tail_lower < thr:
-            ok = np.zeros_like(ok)
-            notes.append("tail bound below the threshold: nothing certified realized")
-    realizers = tuple(
-        tuple(M.sorts[s].points[i] for (_, s), i in zip(variables, combo))
-        for combo in np.argwhere(ok))
-    if not infinite or u.tail_lower > 0:
-        zero = tuple(
-            tuple(M.sorts[s].points[i] for (_, s), i in zip(variables, combo))
-            for combo in np.argwhere(minval == 0))
-    else:
-        zero = None
-        notes.append("zero set not computable: tail bound is 0")
-    return OmissionVerdict(realizers, zero, tuple(notes))
-
-
-@dataclass(frozen=True)
-class SeparationEvidence:
-    value: Fraction
-    model_label: str
-    left: tuple
-    right: tuple
-
-
-def type_distance_lower(t: PartialType, s: PartialType, bank,
-                        tol: Fraction = ZERO) -> SeparationEvidence:
-    """Best separation achieved inside the bank: min over bank models and
-    realizing pairs of max_i d(a_i, b_i).  This is an upper bound for the
-    infimum distance between the (complete) types; no lower bound on
-    cross-model separation is claimed."""
-    if len(t.variables) != len(s.variables):
-        raise ValueError("types must have equal arity")
-    best: SeparationEvidence | None = None
-    for M in bank:
-        ra = realizes(M, t, tol=tol)
-        rb = realizes(M, s, tol=tol)
-        if not ra or not rb:
-            continue
-        label = str(M.meta.get("label", ""))
-        sorts = [sr or M.only_sort() for _, sr in t.variables]
-        for a in ra:
-            for b in rb:
-                val = max((M.sorts[sr].dist(M.point(sr, x), M.point(sr, y))
-                           for sr, x, y in zip(sorts, a, b)), default=ZERO)
-                if best is None or val < best.value:
-                    best = SeparationEvidence(val, label, a, b)
-    if best is None:
-        raise ValueError("no bank model realizes both types")
-    return best
-
-
-@dataclass(frozen=True)
-class ProbeVerdict:
-    refuted: bool
-    witness: tuple | None = None  # (model label, point tuple, formula index)
-
-
-def uniform_principality_probe(bank, u: UniformSequence, cond: Condition,
-                               delta: Fraction) -> ProbeVerdict:
-    """Search the bank for ā satisfying the open condition with some
-    φ_j(ā) < δ.  Finding one refutes the everywhere-≥-δ clause for this
-    bank; finding none proves nothing."""
-    if cond.kind != "open":
-        raise ValueError("probe requires an open condition")
-    norm = normalize_condition(cond)
-    for M in bank:
-        sorts = var_sorts(norm.formula)
-        variables = [(v, sorts.get(v) or M.only_sort())
-                     for v in sorted(free_vars(norm.formula))]
-        cden, ctab = eval_table(norm.formula, M, variables)
-        sat = ctab * norm.bound.denominator < norm.bound.numerator * cden
-        if not sat.any():
-            continue
-        for j in range(len(u.formulas)):
-            den, tab = eval_table(u.formula(j), M, variables)
-            hit = sat & (tab * delta.denominator < delta.numerator * den)
-            if hit.any():
-                combo = np.argwhere(hit)[0]
-                names = tuple(M.sorts[s].points[i]
-                              for (_, s), i in zip(variables, combo))
-                return ProbeVerdict(True, (str(M.meta.get("label", "")), names, j))
-    return ProbeVerdict(False)
-
-
-def exhaustive_iso(A: FiniteStructure, B: FiniteStructure,
-                   L0: Sublanguage | None = None):
-    """Brute-force oracle over all per-sort bijections (tiny structures)."""
-    if L0 is None:
-        L0 = Sublanguage(frozenset(A.functions) & frozenset(B.functions),
-                         frozenset(A.predicates) & frozenset(B.predicates))
-    if set(A.sorts) != set(B.sorts):
-        return None
-    sorts = sorted(A.sorts)
-    if any(A.sorts[s].size != B.sorts[s].size for s in sorts):
-        return None
-    pools = [permutations(range(B.sorts[s].size)) for s in sorts]
-    for choice in product(*pools):
-        mapping = {
-            s: {A.sorts[s].points[i]: B.sorts[s].points[p[i]]
-                for i in range(A.sorts[s].size)}
-            for s, p in zip(sorts, choice)}
-        w = IsoWitness(mapping)
-        if not verify_iso(A, B, L0, w):
-            return w
-    return None
+    for kind, name, where in _mismatches(A, B, L0, idx)[:1]:
+        if kind == "metric":
+            return [_metric_line(A, name, where)]
+        return [f"{kind} {name} not preserved on the domain"]
+    return []

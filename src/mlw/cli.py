@@ -12,9 +12,9 @@ import csv as _csv
 import sys
 from fractions import Fraction
 
-from .analysis import IsoWitness, Refusal, find_iso, realizes
+from .analysis import IsoWitness, find_iso, realizes
 from .conditions import PartialType, omega_type, type_and, type_or
-from .formulas import parse_formula, show
+from .formulas import parse_formula
 from .models import (build_model, build_type, canonical_truncation,
                      kfamily_check, load_kfamily, relabel)
 from .structures import (check_structure, eval_bounds, eval_formula,
@@ -299,8 +299,6 @@ def _cmd_report(args) -> int:
 def _build_parser():
     ap = argparse.ArgumentParser(prog="mlw", description=__doc__)
     ap.add_argument("--csv", default=None, help="write machine-readable CSV")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized generation")
     ap.add_argument("--cap", type=int, default=None, help="point cap override")
     sub = ap.add_subparsers(dest="verb", required=True)
 

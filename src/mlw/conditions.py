@@ -3,12 +3,13 @@ uniform sequences of formulas."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
-from .formulas import (Dist, Formula, Rat, Var, affine, fmax, fmin, fmonus,
-                       formula_modulus, free_vars, show, subst, var_sorts)
+from .formulas import (Dist, Formula, Rat, Var, _max_var_index, affine, fmax,
+                       fmin, fmonus, formula_modulus, free_vars, show, subst,
+                       var_sorts)
 from .moduli import Modulus
 from .values import ONE, ZERO, as_value
 
@@ -108,20 +109,12 @@ class PartialType:
         return tuple(v for v, _ in self.variables)
 
 
-def _max_index(names) -> int:
-    out = -1
-    for v in names:
-        if v.startswith("x") and v[1:].isdigit():
-            out = max(out, int(v[1:]))
-    return out
-
-
 def _rename_apart(t: PartialType, s: PartialType) -> PartialType:
     """Rename s's variables past t's highest index."""
     clash = set(t.var_names()) & set(s.var_names())
     if not clash:
         return s
-    base = max(_max_index(t.var_names()), _max_index(s.var_names())) + 1
+    base = _max_var_index(t.var_names() + s.var_names()) + 1
     mapping = {v: f"x{base + i}" for i, (v, _) in enumerate(s.variables)}
     new_vars = tuple((mapping[v], srt) for v, srt in s.variables)
 
@@ -225,9 +218,6 @@ class UniformSequence:
     formulas: tuple[Formula, ...]
     arity: int
     generator: Callable[[int], Formula] | None = None
-    # pointwise lower bound promised for every generated formula past the
-    # explicit list; None when the sequence is finite-explicit
-    tail_lower: Fraction | None = None
 
     def formula(self, i: int) -> Formula:
         if self.generator is not None and i >= len(self.formulas):
@@ -238,22 +228,18 @@ class UniformSequence:
         """Type t_n = { φ_i ≥ 2^{-n} } rendered as 2^{-n} ∸ φ_i = 0."""
         k = len(self.formulas) if count is None else count
         thr = Rat(Fraction(1, 2**n))
-        names: set[str] = set()
+        sorts: dict[str, str | None] = {}  # a later formula's sort wins
         conds = []
         for i in range(k):
             phi = self.formula(i)
-            names |= free_vars(phi)
+            sorts.update(var_sorts(phi))
             conds.append(closed(fmonus(thr, phi)))
-        sorts = {}
-        for i in range(k):
-            sorts.update(var_sorts(self.formula(i)))
-        variables = tuple((v, sorts.get(v)) for v in sorted(names))
+        variables = tuple((v, sorts[v]) for v in sorted(sorts))
         return PartialType(variables, tuple(conds), None, f"uniform-member({n})")
 
 
 def make_uniform(formulas, modulus: Modulus, sym=None,
-                 generator=None, arity: int | None = None,
-                 tail_lower: Fraction | None = None) -> UniformSequence:
+                 generator=None, arity: int | None = None) -> UniformSequence:
     """Bundle formulas under a shared modulus; rejects (naming the offender)
     any formula whose derived modulus fails to dominate the shared one."""
     formulas = tuple(formulas)
@@ -266,4 +252,4 @@ def make_uniform(formulas, modulus: Modulus, sym=None,
         for phi in formulas:
             names |= free_vars(phi)
         arity = len(names)
-    return UniformSequence(modulus, formulas, arity, generator, tail_lower)
+    return UniformSequence(modulus, formulas, arity, generator)

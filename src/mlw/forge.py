@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .conditions import PartialType
-from .formulas import (App, Conn, Const, Dist, Formula, Pred, Quant, Rat,
-                       Var, absdiff, affine, fmax, fmonus, free_vars, show)
+from .formulas import (Const, Dist, Formula, Quant, Rat, Var, absdiff, affine,
+                       fmax, fmonus, free_vars, map_terms, show, subst)
 from .structures import FiniteStructure, check_structure, eval_formula, eval_table
-from .values import ONE, ZERO, clamp01
+from .values import ONE, ZERO
 
 _SCAN_CAP = 5_000_000  # largest exhaustive assignment scan
 
@@ -33,35 +33,13 @@ _SCAN_CAP = 5_000_000  # largest exhaustive assignment scan
 _DCONST = re.compile(r"^d(\d+)$")
 
 
-def _map_term(t, fn):
-    if isinstance(t, Const):
-        return fn(t)
-    if isinstance(t, App):
-        return App(t.fn, tuple(_map_term(a, fn) for a in t.args))
-    return t
-
-
-def _map_formula(f, fn):
-    if isinstance(f, (Rat,)):
-        return f
-    if isinstance(f, Dist):
-        return Dist(_map_term(f.left, fn), _map_term(f.right, fn))
-    if isinstance(f, Pred):
-        return Pred(f.name, tuple(_map_term(a, fn) for a in f.args))
-    if isinstance(f, Conn):
-        return Conn(f.op, tuple(_map_formula(a, fn) for a in f.args), f.params)
-    if isinstance(f, Quant):
-        return Quant(f.kind, f.var, f.sort, _map_formula(f.body, fn))
-    return f
-
-
 def bind_constants(f: Formula) -> Formula:
     """Turn the named Henkin constants d<k> into the variables x<k> used
     for bank evaluation."""
     def fn(c):
-        m = _DCONST.match(c.name)
+        m = isinstance(c, Const) and _DCONST.match(c.name)
         return Var(f"x{m.group(1)}") if m else c
-    return _map_formula(f, fn)
+    return map_terms(f, fn)
 
 
 def constant_indices(f: Formula) -> tuple[int, ...]:
@@ -71,9 +49,9 @@ def constant_indices(f: Formula) -> tuple[int, ...]:
 def rename_constants(f: Formula, mapping) -> Formula:
     """Simultaneously rename d<i> -> d<mapping(i)>."""
     def fn(c):
-        m = _DCONST.match(c.name)
+        m = isinstance(c, Const) and _DCONST.match(c.name)
         return Const(f"d{mapping(int(m.group(1)))}") if m else c
-    return _map_formula(f, fn)
+    return map_terms(f, fn)
 
 
 # --------------------------------------------------------------------------
@@ -460,7 +438,7 @@ class _Engine:
         slack = Fraction(1, 2 ** (1 + visit))
         j = self.fresh()
         demand = min(best + slack, ONE)
-        inst = _subst_var(spec.formula, w, Const(f"d{j}"))
+        inst = subst(spec.formula, w, Const(f"d{j}"))
         cond = conjoin(self.cond, inst, demand)
         delta, ok, why = self.adopt(cond, inst, (j,))
         new.update(delta)
@@ -484,13 +462,13 @@ class _Engine:
         conj = []
         ok = True
         for i in spec.F:
-            inst_u = _subst_var(f, u, Const(f"d{i}"))
+            inst_u = subst(f, u, Const(f"d{i}"))
             den, tab = eval_table(bind_constants(inst_u), self.M,
                                   [(w, self.M.only_sort())],
                                   {f"x{a}": p for a, p in self.assign.items()})
             best = Fraction(int(tab.min()), den)
             j = self.fresh()
-            inst = _subst_var(inst_u, w, Const(f"d{j}"))
+            inst = subst(inst_u, w, Const(f"d{j}"))
             demand = min(best + Fraction(1, spec.k), ONE)
             cond = conjoin(self.cond, inst, demand)
             delta, got, why = self.adopt(cond, inst, (j,))
@@ -515,7 +493,7 @@ class _Engine:
         for j in range(spec.n):
             phi = t.condition(j).formula
             for name, c in sub.items():
-                phi = _subst_var(phi, name, c)
+                phi = subst(phi, name, c)
             blocked = self._try_block(phi, spec)
             if blocked is not None:
                 delta, detail = blocked
@@ -550,14 +528,6 @@ class _Engine:
             self.assign[i] = pts[j]
         self.cond = probe
         return delta, "pushed to >= " + str(spec.eps)
-
-
-_DCONST_VAR = re.compile(r"^x\d+$")
-
-
-def _subst_var(f: Formula, name: str, term) -> Formula:
-    from .formulas import subst
-    return subst(f, name, term)
 
 
 def build_generic(schedule, B: WitnessBank, max_constants: int = 64) -> GenericRun:

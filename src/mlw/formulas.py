@@ -9,11 +9,12 @@ monus (u,v -> u ∸ v), cut_m (u -> u ∸ 1/m), and clamp-affine
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .moduli import Modulus
-from .values import ONE, ZERO, as_value, parse_rational, show_rational
+from .values import as_value, parse_rational, show_rational
 
 
 # --------------------------------------------------------------------------
@@ -131,95 +132,125 @@ def inf(var, body, sort=None) -> Formula:
 
 
 # --------------------------------------------------------------------------
-# Structural helpers
+# Structural helpers: one traversal that reads a formula, one that rebuilds it
+
+class Summary(NamedTuple):
+    """What the library reads off a formula's syntax, from one traversal."""
+    free: dict  # free variable -> its first sort annotation (None if none)
+    bound: set  # names of the quantified variables
+    depth: int  # quantifier nesting depth
+    prenex: bool  # every quantifier sits in the leading prefix
+    symbols: dict  # keys ("function" | "predicate", name), first use first
+
+
+def _visit_term(t: Term, scope, free: dict, symbols: dict):
+    if type(t) is Var:
+        # the first annotation wins; an unannotated occurrence waits for one
+        if t.name not in scope and free.get(t.name) is None:
+            free[t.name] = t.sort
+    elif type(t) is App:
+        symbols["function", t.fn] = None
+        for a in t.args:
+            _visit_term(a, scope, free, symbols)
+
+
+def summary(f: Formula) -> Summary:
+    """Free variables (in order of first occurrence) with their sorts,
+    bound names, quantifier depth, prenexness and symbols of f."""
+    free: dict[str, str | None] = {}
+    bound: set[str] = set()
+    symbols: dict[tuple[str, str], None] = {}
+    mixed = False  # a connective with a quantifier below it
+
+    def go(g, scope) -> int:  # the quantifier depth of g
+        nonlocal mixed
+        kind = type(g)  # exact types: this runs on every evaluation
+        if kind is Conn:
+            depth = 0
+            for a in g.args:
+                d = go(a, scope)
+                if d > depth:
+                    depth = d
+            if depth:
+                mixed = True
+            return depth
+        if kind is Dist:
+            _visit_term(g.left, scope, free, symbols)
+            _visit_term(g.right, scope, free, symbols)
+            return 0
+        if kind is Quant:
+            bound.add(g.var)
+            return go(g.body, scope | {g.var}) + 1
+        if kind is Pred:
+            symbols["predicate", g.name] = None
+            for a in g.args:
+                _visit_term(a, scope, free, symbols)
+            return 0
+        if kind is Rat:
+            return 0
+        raise TypeError(g)
+
+    depth = go(f, frozenset())
+    return Summary(free, bound, depth, not mixed, symbols)
+
 
 def term_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, App):
-        out: set[str] = set()
-        for a in t.args:
-            out |= term_vars(a)
-        return out
-    return set()
+    free: dict[str, str | None] = {}
+    _visit_term(t, (), free, {})
+    return set(free)
 
 
 def free_vars(f: Formula) -> set[str]:
-    if isinstance(f, Rat):
-        return set()
-    if isinstance(f, Dist):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, Pred):
-        out: set[str] = set()
-        for a in f.args:
-            out |= term_vars(a)
-        return out
-    if isinstance(f, Conn):
-        out = set()
-        for a in f.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(f, Quant):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f)
+    return set(summary(f).free)
 
 
-def var_sorts(f: Formula, default: str | None = None) -> dict[str, str | None]:
+def var_sorts(f: Formula) -> dict[str, str | None]:
     """Sort annotation of every free variable (first annotation wins)."""
-    out: dict[str, str | None] = {}
+    return summary(f).free
 
-    def visit_term(t, bound):
-        if isinstance(t, Var) and t.name not in bound:
-            if t.name not in out or out[t.name] is None:
-                out[t.name] = t.sort if t.sort is not None else default
-        elif isinstance(t, App):
-            for a in t.args:
-                visit_term(a, bound)
 
-    def visit(g, bound):
+def is_prenex(f: Formula) -> bool:
+    return summary(f).prenex
+
+
+def map_terms(f: Formula, leaf, quant=None) -> Formula:
+    """f rebuilt with every variable and constant of its terms replaced by
+    leaf(t).  A quantifier q becomes quant(q) when quant is given;
+    otherwise its body is rebuilt the same way."""
+    def term(t):
+        if isinstance(t, App):
+            return App(t.fn, tuple(term(a) for a in t.args))
+        return leaf(t)
+
+    def go(g):
         if isinstance(g, Dist):
-            visit_term(g.left, bound)
-            visit_term(g.right, bound)
-        elif isinstance(g, Pred):
-            for a in g.args:
-                visit_term(a, bound)
-        elif isinstance(g, Conn):
-            for a in g.args:
-                visit(a, bound)
-        elif isinstance(g, Quant):
-            visit(g.body, bound | {g.var})
-
-    visit(f, set())
-    return out
-
-
-def subst_term(t: Term, name: str, repl: Term) -> Term:
-    if isinstance(t, Var):
-        return repl if t.name == name else t
-    if isinstance(t, App):
-        return App(t.fn, tuple(subst_term(a, name, repl) for a in t.args))
-    return t
+            return Dist(term(g.left), term(g.right))
+        if isinstance(g, Pred):
+            return Pred(g.name, tuple(term(a) for a in g.args))
+        if isinstance(g, Conn):
+            return Conn(g.op, tuple(go(a) for a in g.args), g.params)
+        if isinstance(g, Quant):
+            return quant(g) if quant else Quant(g.kind, g.var, g.sort,
+                                                go(g.body))
+        return g
+    return go(f)
 
 
 def subst(f: Formula, name: str, repl: Term) -> Formula:
     """Capture-avoiding substitution of a term for a free variable."""
-    if isinstance(f, (Rat,)):
-        return f
-    if isinstance(f, Dist):
-        return Dist(subst_term(f.left, name, repl), subst_term(f.right, name, repl))
-    if isinstance(f, Pred):
-        return Pred(f.name, tuple(subst_term(a, name, repl) for a in f.args))
-    if isinstance(f, Conn):
-        return Conn(f.op, tuple(subst(a, name, repl) for a in f.args), f.params)
-    if isinstance(f, Quant):
-        if f.var == name:
-            return f
-        if f.var in term_vars(repl):
-            fresh = _fresh(f.var, free_vars(f.body) | term_vars(repl) | {name})
-            body = subst(f.body, f.var, Var(fresh, f.sort))
-            return Quant(f.kind, fresh, f.sort, subst(body, name, repl))
-        return Quant(f.kind, f.var, f.sort, subst(f.body, name, repl))
-    raise TypeError(f)
+    def leaf(t):
+        return repl if isinstance(t, Var) and t.name == name else t
+
+    def quant(q):
+        if q.var == name:
+            return q
+        names = term_vars(repl)
+        if q.var in names:
+            fresh = _fresh(q.var, free_vars(q.body) | names | {name})
+            body = subst(q.body, q.var, Var(fresh, q.sort))
+            return Quant(q.kind, fresh, q.sort, subst(body, name, repl))
+        return Quant(q.kind, q.var, q.sort, subst(q.body, name, repl))
+    return map_terms(f, leaf, quant)
 
 
 def rename_var(f: Formula, old: str, new: str) -> Formula:
@@ -425,15 +456,6 @@ def parse_formula(text: str) -> Formula:
     return f
 
 
-def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    t = p.term()
-    kind, val, pos = p.peek()
-    if kind != "eof":
-        raise SyntaxErrorAt(f"trailing input {val!r}", pos, text)
-    return t
-
-
 # --------------------------------------------------------------------------
 # Moduli
 
@@ -530,8 +552,9 @@ def prenex(f: Formula) -> Formula:
     """Pull all quantifiers to the front.  Exact for the lattice fragment:
     max/min, neg, monus with quantifier-free second argument, cut, and
     clamp-affine with nonnegative slope.  Requires nonempty sorts."""
-    used = set(free_vars(f))
-    counter = [_max_var_index(_all_vars(f) | used) + 1]
+    info = summary(f)
+    used = set(info.free)
+    counter = [_max_var_index(info.bound | used) + 1]
 
     def claim(v: str) -> str:
         """Register a prefix variable, renaming on clash (grammar-conforming)."""
@@ -593,28 +616,3 @@ def _max_var_index(names) -> int:
         if v.startswith("x") and v[1:].isdigit():
             out = max(out, int(v[1:]))
     return out
-
-
-def _all_vars(f: Formula) -> set[str]:
-    if isinstance(f, Quant):
-        return {f.var} | _all_vars(f.body)
-    if isinstance(f, Conn):
-        out: set[str] = set()
-        for a in f.args:
-            out |= _all_vars(a)
-        return out
-    return free_vars(f)
-
-
-def is_prenex(f: Formula) -> bool:
-    while isinstance(f, Quant):
-        f = f.body
-    return not _has_quant(f)
-
-
-def _has_quant(f: Formula) -> bool:
-    if isinstance(f, Quant):
-        return True
-    if isinstance(f, Conn):
-        return any(_has_quant(a) for a in f.args)
-    return False

@@ -19,13 +19,13 @@ from itertools import product
 
 import numpy as np
 
-from .conditions import Condition, PartialType, closed
+from .conditions import PartialType, closed
 from .formulas import (App, Const, Dist, Formula, Pred, Rat, Var, absdiff,
                        affine, fmax, fmin, fmonus, ftsum, inf, neg, sup)
 from .moduli import Modulus
 from .structures import FiniteStructure
-from .trees import (FiniteTree, PairTree, _letter_ints, ell, node_key,
-                    node_name, parse_node)
+from .trees import (FiniteTree, PairTree, _alphabet_cut, _letter_ints,
+                    _pair_cut, ell, node_key, node_name, parse_node)
 from .values import ONE, ZERO
 
 POINT_CAP = 1500  # per-sort default cap keeping exact validation feasible
@@ -35,13 +35,6 @@ def _cap_check(n: int, cap: int, what: str):
     if n > cap:
         raise ValueError(f"parameter cap exceeded: {what} needs {n} points, "
                          f"cap is {cap}")
-
-
-def _lcm_upto(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out = out * k // math.gcd(out, k)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -84,7 +77,7 @@ def _prefix_table(nodes) -> tuple[int, np.ndarray]:
     for i, s in enumerate(nodes):
         for j, letter in enumerate(s):
             arr[i, j] = ids.setdefault(letter, len(ids))
-    den = _lcm_upto(depth + 1)
+    den = math.lcm(*range(1, depth + 2))
     dist = den // np.arange(1, width + 2)  # by shared prefix length
     dist[width] = 0  # the same sequence
     dmat = dist[_agreement(arr.T)]
@@ -136,10 +129,6 @@ def shadow_body() -> Formula:
     x0, x1 = Var("x0", "D1"), Var("x1", "D1")
     return ftsum(Dist(x0, App("h", (x1,))),
                  Dist(App("f1", (x1,)), x1))
-
-
-def shadow_sentence() -> Formula:
-    return sup(Var("x0", "D1"), inf(Var("x1", "D1"), shadow_body()))
 
 
 @dataclass(frozen=True)
@@ -201,12 +190,6 @@ def enumerate_trees(depth: int, branch: int) -> list[FiniteTree]:
     return trees
 
 
-def _cut_key(nodes, k):
-    return frozenset(s for s in nodes
-                     if len(s) <= k
-                     and all(v < k for letter in s for v in _letter_ints(letter)))
-
-
 def _tree_table(trees) -> tuple[int, np.ndarray]:
     """Scaled distance matrix for the agreement metric on trees: 1/(j+1)
     with j the first alphabet cut where the trees differ."""
@@ -219,10 +202,10 @@ def _tree_table(trees) -> tuple[int, np.ndarray]:
     for k in range(kmax + 1):
         seen: dict = {}
         sig_ids.append(np.array(
-            [seen.setdefault(_cut_key(t.nodes, k), len(seen)) for t in trees],
-            dtype=np.int64))
+            [seen.setdefault(_alphabet_cut(t.nodes, k), len(seen))
+             for t in trees], dtype=np.int64))
     delta = _agreement(sig_ids)
-    den = _lcm_upto(kmax + 2)
+    den = math.lcm(*range(1, kmax + 3))
     dmat = np.where(delta > kmax, 0, den // (delta + 1)).astype(np.int64)
     np.fill_diagonal(dmat, 0)
     return den, dmat
@@ -333,13 +316,6 @@ def enumerate_pair_trees(depth: int, branch: int) -> list[PairTree]:
     return pts
 
 
-def _pair_cut_key(pairs, k):
-    return frozenset((s, t) for s, t in pairs
-                     if len(s) <= k and len(t) <= k
-                     and all(v < k for letter in s + t
-                             for v in _letter_ints(letter)))
-
-
 def _pair_table(ptrees) -> tuple[int, np.ndarray]:
     """Distance 1/max(j-1, 1) with j the first cut where the pair trees
     differ (cut 0 never differs: every pair tree holds the root pair)."""
@@ -352,10 +328,10 @@ def _pair_table(ptrees) -> tuple[int, np.ndarray]:
     for k in range(kmax + 2):
         seen: dict = {}
         sig_ids.append(np.array(
-            [seen.setdefault(_pair_cut_key(R.pairs, k), len(seen))
+            [seen.setdefault(_pair_cut(R.pairs, k), len(seen))
              for R in ptrees], dtype=np.int64))
     delta = _agreement(sig_ids)
-    den = _lcm_upto(kmax + 1)
+    den = math.lcm(*range(1, kmax + 2))
     with np.errstate(divide="ignore"):
         dmat = np.where(delta > kmax + 1, 0,
                         den // np.maximum(delta - 1, 1)).astype(np.int64)
@@ -393,7 +369,7 @@ def build_N3(depth: int, branch: int, treedepth: int = 2, treebranch: int = 2,
     # zeroed on the membership pairs of each pair tree.
     ells = np.array([ell(s) for s in nodes], dtype=np.int64)
     pairmax = np.maximum.outer(ells, ells)
-    den_e = _lcm_upto(int(pairmax.max()) + 2)
+    den_e = math.lcm(*range(1, int(pairmax.max()) + 3))
     ee3_tab = np.repeat((den_e // (pairmax + 2))[:, :, None],
                         len(all_pts), axis=2)
     node_idx = {s: i for i, s in enumerate(nodes)}
@@ -1004,7 +980,7 @@ def type_terminal(m: int, n: int, sort: str | None = None) -> PartialType:
 def _delta_capped(A: FiniteTree, B, cap: int) -> int:
     nodes_b = B.nodes if isinstance(B, FiniteTree) else frozenset(B)
     for j in range(cap):
-        if _cut_key(A.nodes, j) != _cut_key(nodes_b, j):
+        if _alphabet_cut(A.nodes, j) != _alphabet_cut(nodes_b, j):
             return j
     return cap
 

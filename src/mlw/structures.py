@@ -20,7 +20,7 @@ from operator import itemgetter
 import numpy as np
 
 from .formulas import (App, Conn, Const, Dist, Formula, Pred, Quant, Rat,
-                       SymbolModuli, Var, free_vars, is_prenex, show)
+                       SymbolModuli, Var, _modulus_for_var, summary)
 from .moduli import Modulus
 from .values import ONE, ZERO, parse_rational, show_rational
 
@@ -121,7 +121,7 @@ class FiniteStructure:
                 table = np.asarray(table, dtype=np.int64)
                 if table.shape != shape:
                     raise ValueError(f"predicate {name} table shape mismatch")
-                if table.min() < 0 or table.max() > den:
+                if table.size and (table.min() < 0 or table.max() > den):
                     raise ValueError(
                         f"predicate {name} value outside [0,1]")
                 preds[name] = PredTable(arg_sorts, den, table)
@@ -416,7 +416,8 @@ def _check(M: FiniteStructure, certify: bool) -> list[str]:
         fast = out_sort is None or out_sort in merges
         for pos, s in enumerate(arg_sorts):
             sd = M.sorts[s]
-            V = np.moveaxis(table, pos, 0).reshape(sd.size, -1)
+            V = np.moveaxis(table, pos, 0)
+            V = V.reshape(sd.size, math.prod(V.shape[1:]))  # sizes may be 0
             if fast and s in merges:
                 thr = _thresholds(mod, (u for u, _ in merges[s]), sd.den, dden)
                 if _balls_respect(V[certs[s][0]], merges[s], thr, out):
@@ -434,21 +435,9 @@ def _check(M: FiniteStructure, certify: bool) -> list[str]:
 # --------------------------------------------------------------------------
 # Exact evaluation (vectorized over quantifier axes)
 
-def _qdepth(f: Formula) -> int:
-    if isinstance(f, Quant):
-        return 1 + _qdepth(f.body)
-    if isinstance(f, Conn):
-        return max((_qdepth(a) for a in f.args), default=0)
-    return 0
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 def _align(a, b):
     (da, va), (db, vb) = a, b
-    L = _lcm(da, db)
+    L = math.lcm(da, db)
     if L >= _MAX_DEN:
         raise ValueError("denominator overflow during evaluation")
     return L, va * (L // da), vb * (L // db)
@@ -552,8 +541,9 @@ def _ev(f: Formula, M: FiniteStructure, env, depth: int, total: int):
 def eval_formula(f: Formula, M: FiniteStructure, assignment=None) -> Fraction:
     """Exact value of f on M.  assignment maps free variable names to point
     names (sort resolved from annotations, or the unique sort)."""
-    env = _bind(f, M, assignment)
-    den, v = _ev(f, M, env, 0, max(_qdepth(f), 1))
+    info = summary(f)
+    env = _bind(info.free, M, assignment)
+    den, v = _ev(f, M, env, 0, max(info.depth, 1))
     if isinstance(v, np.ndarray):
         v = int(v.reshape(-1)[0])
     return Fraction(int(v), den)
@@ -566,20 +556,18 @@ def eval_table(f: Formula, M: FiniteStructure, variables,
     order; remaining free variables come from assignment.  Returns
     (den, table) with table integer-valued, scaled by den."""
     variables = [(v, s or M.only_sort()) for v, s in variables]
+    info = summary(f)
     fixed = {}
     listed = {v for v, _ in variables}
-    if assignment:
-        from .formulas import var_sorts
-        sorts = var_sorts(f)
-        for v, name in assignment.items():
-            if v not in listed:
-                s = sorts.get(v) or M.only_sort()
-                fixed[v] = (s, M.point(s, name))
-    missing = free_vars(f) - listed - set(fixed)
+    for v, name in (assignment or {}).items():
+        if v not in listed:
+            s = info.free.get(v) or M.only_sort()
+            fixed[v] = (s, M.point(s, name))
+    missing = set(info.free) - listed - set(fixed)
     if missing:
         raise ValueError(f"unbound variables {sorted(missing)}")
     r = len(variables)
-    total = max(r + _qdepth(f), 1)
+    total = max(r + info.depth, 1)
     env = dict(fixed)
     for j, (name, sort) in enumerate(variables):
         n = M.sorts[sort].size
@@ -591,15 +579,15 @@ def eval_table(f: Formula, M: FiniteStructure, variables,
     return den, out
 
 
-def _bind(f: Formula, M: FiniteStructure, assignment):
-    from .formulas import var_sorts
+def _bind(free: dict, M: FiniteStructure, assignment):
+    """Environment for the free variables (name -> sort annotation) from
+    an assignment of point names."""
     assignment = assignment or {}
-    sorts = var_sorts(f)
     env = {}
-    for v in free_vars(f):
+    for v, s in free.items():
         if v not in assignment:
             raise ValueError(f"unbound variable {v}")
-        s = sorts.get(v) or M.only_sort()
+        s = s or M.only_sort()
         env[v] = (s, M.point(s, assignment[v]))
     return env
 
@@ -641,7 +629,8 @@ def eval_bounds(f: Formula, M: FiniteStructure, assignment=None,
     becomes two-sided only when the quantified sort declares a density
     radius r: the true extremum then differs from the finite one by at most
     the formula's value change over radius r."""
-    if not is_prenex(f):
+    info = summary(f)
+    if not info.prenex:
         raise ValueError("eval_bounds requires a prenex formula")
     prefix = []
     g = f
@@ -650,7 +639,6 @@ def eval_bounds(f: Formula, M: FiniteStructure, assignment=None,
         g = g.body
     density = M.meta.get("density", {})
     sym = M.symbol_moduli()
-    from .formulas import _modulus_for_var
 
     def slack(q: Quant) -> tuple[Fraction | None, str]:
         sort = q.sort or M.only_sort()
@@ -665,7 +653,7 @@ def eval_bounds(f: Formula, M: FiniteStructure, assignment=None,
 
     def go(k: int, env: dict, names: dict) -> EvalResult:
         if k == len(prefix):
-            den, v = _ev(g, M, env, 0, max(_qdepth(g), 1))
+            den, v = _ev(g, M, env, 0, 1)  # g is quantifier-free
             if isinstance(v, np.ndarray):
                 v = int(v.reshape(-1)[0])
             q = Fraction(int(v), den)
@@ -700,7 +688,7 @@ def eval_bounds(f: Formula, M: FiniteStructure, assignment=None,
         lo = max(ZERO, best.lo - eps) if eps is not None else ZERO
         return EvalResult(lo, best.hi, best.lo_witness, best.hi_witness, notes)
 
-    env = _bind(f, M, assignment)
+    env = _bind(info.free, M, assignment)
     names = dict(assignment or {})
     return go(0, env, names)
 
@@ -836,10 +824,20 @@ def load_structure(path: str, validate: bool = True) -> FiniteStructure:
             raise ValueError(f"duplicate point names in sort {s}")
         entries = metric_entries[s]
         n, m = len(names), len(entries)
-        # entries naming unknown points, or a point and itself, go unused
         rows, cols = (np.fromiter(map(idx.get, map(itemgetter(k), entries),
                                       repeat(-1)), np.intp, m) for k in (0, 1))
-        used = (rows >= 0) & (cols >= 0) & (rows != cols)
+        odd = np.flatnonzero((rows < 0) | (cols < 0) | (rows == cols))
+        if len(odd):  # unknown points, or a point and itself
+            keys = list(entries)
+            for k in odd:
+                a, b = keys[k]
+                if a not in idx or b not in idx:
+                    raise ValueError(f"metric entry names an unknown point: "
+                                     f"{a}, {b} in sort {s}")
+                if parse_value(entries[a, b]):
+                    raise ValueError(f"nonzero metric entry for {a}, {b} "
+                                     f"in sort {s}")
+        used = rows != cols  # a zero self-entry adds nothing
         texts = entries.values()
         values = {q: parse_value(q) for q in set(compress(texts, used))}
         den = math.lcm(*(v.denominator for v in values.values()))

@@ -1,6 +1,5 @@
 """Trees over ω^<ω and ω^<ω × ω^<ω: DSL constructors, ordinal ranks,
-well-foundedness, truncation, the three tree metrics, ℓ, projections, and
-tree extraction from structures.
+well-foundedness, truncation, the three tree metrics, ℓ, and projections.
 
 Nodes are tuples of "letters".  A letter is a base natural, a pair letter
 ("p", a, b) for two-coordinate trees, a summand tag ("d", i, letter), or a
@@ -15,7 +14,7 @@ from fractions import Fraction
 from functools import total_ordering
 from itertools import product
 
-from .values import ONE, ZERO
+from .values import ZERO
 
 Node = tuple
 
@@ -538,18 +537,19 @@ class PairTree:
         return len(self.pairs)
 
 
+def _pair_cut(pairs, k: int):
+    """Restriction of a pair set to (k^{≤k})²."""
+    return frozenset((s, t) for s, t in pairs
+                     if len(s) <= k and len(t) <= k
+                     and all(v < k for l in s + t for v in _letter_ints(l)))
+
+
 def pair_tree_dist(R: PairTree, S: PairTree) -> Fraction:
     """1/k for the largest k with agreement on (k^{≤k})²; ≤ 1 by convention."""
     if R.pairs == S.pairs:
         return ZERO
-
-    def cut(P, k):
-        return frozenset((s, t) for s, t in P.pairs
-                         if len(s) <= k and len(t) <= k
-                         and all(v < k for l in s + t for v in _letter_ints(l)))
-
     k = 0
-    while cut(R, k + 1) == cut(S, k + 1):
+    while _pair_cut(R.pairs, k + 1) == _pair_cut(S.pairs, k + 1):
         k += 1
     return Fraction(1, max(k, 1))
 
@@ -569,87 +569,3 @@ def project(R: PairTree, x) -> FiniteTree:
         raise ValueError(f"projection point too short: need length {need}")
     nodes = {s for s, t in R.pairs if t == x[:len(s)]}
     return FiniteTree(frozenset(nodes))
-
-
-# --------------------------------------------------------------------------
-# Tree extraction from structures
-
-@dataclass(frozen=True)
-class ExtractedTree:
-    tree: FiniteTree
-    point_of: dict  # Node -> point name
-    node_of: dict  # point name -> Node
-    diagnostics: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.diagnostics
-
-
-def extract_tree(N, sort: str | None = None) -> ExtractedTree:
-    """Recover the tree order a ⊑ b iff a = f_k(b) from the f_k tables.
-
-    Points are laid out as nodes by following f-levels; f_k must satisfy
-    f_k ∘ f_j = f_k for k ≤ j and yield a unique root, else diagnostics are
-    reported and the partial layout returned."""
-    fre = re.compile(r"^f(\d+)$")
-    levels: dict[int, object] = {}
-    for name, fn in N.functions.items():
-        m = fre.match(name)
-        if m and len(fn.arg_sorts) == 1 and fn.out_sort == fn.arg_sorts[0]:
-            if sort is None or fn.arg_sorts[0] == sort:
-                levels[int(m.group(1))] = fn
-    if not levels:
-        raise ValueError("no f_k level functions found")
-    s = next(iter(levels.values())).arg_sorts[0]
-    sd = N.sorts[s]
-    diags: list[str] = []
-    ks = sorted(levels)
-    for k in ks:
-        for j in ks:
-            if k <= j:
-                tk, tj = levels[k].table, levels[j].table
-                bad = tk[tj] != tk
-                if bad.any():
-                    i = int(bad.nonzero()[0][0])
-                    diags.append(f"f{k}(f{j}(x)) != f{k}(x) at x={sd.points[i]}")
-
-    # parent of a = f_k(a) at the largest k where f_k moves a; a point fixed
-    # by every level map is a root (requires f0 to see level-1 parents)
-    n = sd.size
-    parent = {}
-    for i in range(n):
-        moved = [k for k in ks if int(levels[k].table[i]) != i]
-        parent[i] = int(levels[max(moved)].table[i]) if moved else None
-    if 0 not in levels and sum(1 for i in range(n) if parent[i] is None) > 1:
-        diags.append("no f0 level function: root and height-1 points "
-                     "are indistinguishable")
-    top = [i for i in range(n) if parent[i] is None]
-    if len(top) != 1:
-        diags.append(f"expected a unique root, found {len(top)}")
-    node_of_idx: dict[int, Node] = {}
-    tree_nodes = set()
-    if len(top) == 1:
-        node_of_idx[top[0]] = ()
-        tree_nodes.add(())
-        kids: dict[int, list[int]] = {}
-        for i in range(n):
-            if parent[i] is not None:
-                kids.setdefault(parent[i], []).append(i)
-        frontier = [top[0]]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for c, i in enumerate(sorted(kids.get(p, []),
-                                             key=lambda j: sd.points[j])):
-                    node = node_of_idx[p] + (c,)
-                    node_of_idx[i] = node
-                    tree_nodes.add(node)
-                    nxt.append(i)
-            frontier = nxt
-        if len(node_of_idx) != n:
-            diags.append("order is not connected: some points unreachable from root")
-    tree = FiniteTree(frozenset(tree_nodes))
-    point_of = {v: sd.points[k] for k, v in node_of_idx.items()}
-    node_of = {sd.points[k]: v for k, v in node_of_idx.items()}
-    return ExtractedTree(tree, point_of, node_of, tuple(diags))

@@ -2,19 +2,21 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlw.analysis import (IsoWitness, Refusal, Sublanguage, eq_evidence,
-                          exhaustive_iso, find_iso, realization_tree,
-                          realizes, verify_iso)
+                          find_iso, realization_tree, realizes, verify_iso,
+                          verify_iso_on_domain)
 from mlw.conditions import PartialType, closed
 from mlw.formulas import parse_formula, prenex
 from mlw.models import build_N, build_model
 from mlw.moduli import Modulus
-from mlw.structures import FiniteStructure
+from mlw.structures import FiniteStructure, FnTable, PredTable, SortData
 
 
 def _random_structure(rng, n=4, with_pred=True):
@@ -42,6 +44,28 @@ def _random_structure(rng, n=4, with_pred=True):
     return FiniteStructure.build(
         {"A": names}, {"A": metric}, None, preds,
         {"P": Modulus.lipschitz(3)} if with_pred else None)
+
+
+def exhaustive_iso(A, B, L0=None):
+    """Brute-force oracle over all per-sort bijections (tiny structures)."""
+    if L0 is None:
+        L0 = Sublanguage(frozenset(A.functions) & frozenset(B.functions),
+                         frozenset(A.predicates) & frozenset(B.predicates))
+    if set(A.sorts) != set(B.sorts):
+        return None
+    sorts = sorted(A.sorts)
+    if any(A.sorts[s].size != B.sorts[s].size for s in sorts):
+        return None
+    pools = [permutations(range(B.sorts[s].size)) for s in sorts]
+    for choice in product(*pools):
+        mapping = {
+            s: {A.sorts[s].points[i]: B.sorts[s].points[p[i]]
+                for i in range(A.sorts[s].size)}
+            for s, p in zip(sorts, choice)}
+        w = IsoWitness(mapping)
+        if not verify_iso(A, B, L0, w):
+            return w
+    return None
 
 
 def _relabelled(M, perm):
@@ -130,3 +154,185 @@ def test_eq_evidence_worked_bound(n22):
     delta = eq_evidence(n22, n22, L0, Fraction(1, 8), ident, f)
     # 1-Lipschitz matrix in two variables at radius 1/8: bound 2*(1/8+1/8)
     assert delta == Fraction(1, 2)
+
+
+# --------------------------------------------------------------------------
+# verify_iso: exact table comparison
+
+def test_verify_iso_has_no_int64_wraparound():
+    # 1/2^33 against (1 + 2^31)/2^33: cross-multiplying by the other
+    # denominator gives 2^33 and 2^33 + 2^64, equal after int64 wraparound
+    def two_point(num):
+        return FiniteStructure.build(
+            {"S": ["a", "b"]},
+            {"S": (2**33, np.array([[0, num], [num, 0]]))})
+    A, B = two_point(1), two_point(1 + 2**31)
+    w = IsoWitness({"S": {"a": "a", "b": "b"}})
+    assert verify_iso(A, B, Sublanguage(), w) == [
+        "metric not preserved at (a, b)"]
+
+
+def _verify_iso_loops(A, B, L0, w):
+    """verify_iso written as plain loops over exact Fractions."""
+    idx = {}
+    for s in A.sorts:
+        m = w.mapping.get(s, {})
+        if set(m) != set(A.sorts[s].points) or \
+                set(m.values()) != set(B.sorts[s].points):
+            return [f"mapping is not a bijection on sort {s}"]
+        idx[s] = {A.sorts[s].index[a]: B.sorts[s].index[b]
+                  for a, b in m.items()}
+    out = []
+    for s, sa in A.sorts.items():
+        sb, m = B.sorts[s], idx[s]
+        bad = [(i, j) for i in range(sa.size) for j in range(sa.size)
+               if sa.dist(i, j) != sb.dist(m[i], m[j])]
+        if bad:
+            i, j = bad[0]
+            out.append(f"metric not preserved at ({sa.points[i]}, "
+                       f"{sa.points[j]})")
+    for kind, ta, tb in (("function", A.functions, B.functions),
+                         ("predicate", A.predicates, B.predicates)):
+        for name in sorted(L0.functions if kind == "function"
+                           else L0.predicates):
+            a, b = ta[name], tb[name]
+            for combo in product(*(range(A.sorts[s].size)
+                                   for s in a.arg_sorts)):
+                mapped = tuple(idx[s][i] for s, i in zip(a.arg_sorts, combo))
+                if kind == "function":
+                    same = idx[a.out_sort][int(a.table[combo])] == \
+                        int(b.table[mapped])
+                else:
+                    same = a.value(*combo) == b.value(*mapped)
+                if not same:
+                    args = ", ".join(A.sorts[s].points[i]
+                                     for s, i in zip(a.arg_sorts, combo))
+                    out.append(f"{kind} {name} not preserved at ({args})")
+                    break
+    return out
+
+
+def _random_pair(rng):
+    """A two-sort structure with 0-ary to binary symbols and denominators
+    up to 2^40, a relabelled copy over other denominators with at most one
+    entry changed, and a bijection that is the relabelling or random."""
+    sizes = {"A": rng.randrange(1, 4), "B": rng.randrange(0, 3)}
+    perms = {s: rng.sample(range(n), n) for s, n in sizes.items()}
+    names = {s: [f"{s.lower()}{i}" for i in range(n)]
+             for s, n in sizes.items()}
+
+    def table(shape, den):
+        return np.array([rng.randrange(den + 1)
+                         for _ in range(int(np.prod(shape)))],
+                        dtype=np.int64).reshape(shape)
+
+    def moved(t, arg_sorts):  # the table seen through the relabelling
+        out = np.empty_like(t)
+        for combo in product(*(range(sizes[s]) for s in arg_sorts)):
+            out[tuple(perms[s][i] for s, i in zip(arg_sorts, combo))] = \
+                t[combo]
+        return out
+
+    sorts_a, sorts_b = {}, {}
+    for s, n in sizes.items():
+        den, k = rng.choice([3, 2**33, 2**40 - 87]), rng.randrange(1, 4)
+        d = table((n, n), den)
+        sorts_a[s] = SortData(tuple(names[s]), den, d,
+                              {a: i for i, a in enumerate(names[s])})
+        sorts_b[s] = SortData(tuple(names[s]), den * k,
+                              moved(d, (s, s)) * k,
+                              {a: i for i, a in enumerate(names[s])})
+    fns_a, fns_b = {}, {}
+    for name, arg_sorts, out in (("c", (), "A"), ("f", ("A",), "B"),
+                                 ("g", ("A", "B"), "A")):
+        if sizes[out] == 0 and all(sizes[s] for s in arg_sorts):
+            continue
+        shape = tuple(sizes[s] for s in arg_sorts)
+        t = table(shape, max(sizes[out] - 1, 0))
+        fns_a[name] = FnTable(arg_sorts, out, t)
+        fns_b[name] = FnTable(arg_sorts, out,
+                              moved(np.array(perms[out], dtype=np.int64)[t]
+                                    if t.size else t, arg_sorts))
+    preds_a, preds_b = {}, {}
+    for name, arg_sorts in (("P", ("B",)), ("Q", ("A", "A"))):
+        den, k = rng.choice([5, 2**35]), rng.randrange(1, 4)
+        t = table(tuple(sizes[s] for s in arg_sorts), den)
+        preds_a[name] = PredTable(arg_sorts, den, t)
+        preds_b[name] = PredTable(arg_sorts, den * k, moved(t, arg_sorts) * k)
+    A = FiniteStructure(sorts_a, fns_a, preds_a)
+    B = FiniteStructure(sorts_b, fns_b, preds_b)
+    if rng.random() < 0.5:  # change one entry of one table of B
+        tables = [(sd.dmat, None) for sd in sorts_b.values()]
+        tables += [(p.table, None) for p in preds_b.values()]
+        tables += [(f.table, sizes[f.out_sort]) for f in fns_b.values()]
+        tables = [(t, n) for t, n in tables if t.size and n != 1]
+        if tables:
+            t, n = rng.choice(tables)
+            k = rng.randrange(t.size)
+            t.flat[k] = (t.flat[k] + 1) % n if n else \
+                t.flat[k] + rng.choice([-1, 1])
+    perm = perms if rng.random() < 0.5 else \
+        {s: rng.sample(range(n), n) for s, n in sizes.items()}
+    w = IsoWitness({s: {names[s][i]: names[s][perm[s][i]]
+                        for i in range(sizes[s])} for s in sizes})
+    return A, B, w
+
+
+def test_verify_iso_matches_exact_loops():
+    rng = random.Random(11)
+    verdicts = set()
+    for trial in range(400):
+        A, B, w = _random_pair(rng)
+        L0 = Sublanguage.full(A)
+        want = _verify_iso_loops(A, B, L0, w)
+        assert verify_iso(A, B, L0, w) == want, f"trial {trial}"
+        verdicts.add(bool(want))
+    assert verdicts == {True, False}
+
+
+def _on_domain_loops(A, B, L0, w):
+    """verify_iso_on_domain written as plain loops over exact Fractions."""
+    idx = {s: {A.sorts[s].index[a]: B.sorts[s].index[b]
+               for a, b in m.items()} for s, m in w.mapping.items()}
+    for s, m in idx.items():
+        sa, sb = A.sorts[s], B.sorts[s]
+        for i in m:
+            for j in m:
+                if sa.dist(i, j) != sb.dist(m[i], m[j]):
+                    return [f"metric not preserved at ({sa.points[i]}, "
+                            f"{sa.points[j]})"]
+    for kind, ta, tb in (("function", A.functions, B.functions),
+                         ("predicate", A.predicates, B.predicates)):
+        for name in sorted(L0.functions if kind == "function"
+                           else L0.predicates):
+            a, b = ta[name], tb[name]
+            for combo in product(*(sorted(idx.get(s, {}))
+                                   for s in a.arg_sorts)):
+                mapped = tuple(idx[s][i] for s, i in zip(a.arg_sorts, combo))
+                if kind == "function":
+                    out = idx.get(a.out_sort, {})
+                    v = int(a.table[combo])
+                    same = v not in out or out[v] == int(b.table[mapped])
+                else:
+                    same = a.value(*combo) == b.value(*mapped)
+                if not same:
+                    return [f"{kind} {name} not preserved on the domain"]
+    return []
+
+
+def test_verify_iso_on_domain_matches_exact_loops():
+    rng = random.Random(12)
+    verdicts = set()
+    for trial in range(400):
+        A, B, w = _random_pair(rng)
+        L0 = Sublanguage.full(A)
+        part = {}  # a random part of w, in a random order
+        for s, m in w.mapping.items():
+            if rng.random() < 0.9:
+                kept = [ab for ab in m.items() if rng.random() < 0.7]
+                part[s] = dict(rng.sample(kept, len(kept)))
+        part = IsoWitness(part)
+        want = _on_domain_loops(A, B, L0, part)
+        assert verify_iso_on_domain(A, B, L0, part) == want, f"trial {trial}"
+        verdicts.add(want[0].split()[0] if want else "")
+    assert verdicts == {"", "metric", "function", "predicate"}

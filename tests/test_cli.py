@@ -116,3 +116,16 @@ def test_determinism_byte_identical(capsys):
     a = run(capsys, "report", "--model", "N(depth=2,branch=2)")
     b = run(capsys, "report", "--model", "N(depth=2,branch=2)")
     assert a == b
+
+
+def test_seed_flag_is_a_usage_error(capsys):
+    code, _ = run(capsys, "--seed", "0", "tree", "rank", "--dsl", "chain(2)")
+    assert code == 2
+
+
+def test_bad_metric_line_is_a_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.model"
+    bad.write_text("[sorts]\ns\n[points]\ns a\ns b\n[metric]\ns a b 1/2\n"
+                   "s a zz 1\n")
+    assert main(["model", "check", "--ctor", str(bad)]) == 2
+    assert "a, zz in sort s" in capsys.readouterr().err

@@ -131,3 +131,41 @@ def test_modulus_report_names_the_smallest_offending_distance():
     assert check_structure(M) == [
         "modulus violation: P argument 0 at pair (a, c): input distance 1/2 "
         "allows change 1/8, table changes by 1"]
+
+
+def _model_file(tmp_path, metric_lines):
+    path = tmp_path / "m.model"
+    path.write_text("[sorts]\ns\n[points]\ns a\ns b\n[metric]\ns a b 1/2\n"
+                    + "".join(line + "\n" for line in metric_lines))
+    return str(path)
+
+
+@pytest.mark.parametrize("line,words", [
+    ("s a a 1/3", ("a, a", "sort s")),
+    ("s a zz 1", ("unknown point", "a, zz", "sort s")),
+    ("s zz a 1", ("unknown point", "zz, a", "sort s")),
+])
+def test_load_rejects_bad_metric_lines(tmp_path, line, words):
+    with pytest.raises(ValueError) as ei:
+        load_structure(_model_file(tmp_path, [line]))
+    assert all(w in str(ei.value) for w in words)
+
+
+def test_load_accepts_zero_self_entry(tmp_path):
+    M = load_structure(_model_file(tmp_path, ["s a a 0", "s b b 0"]))
+    assert M.sorts["s"].dist(0, 1) == Fraction(1, 2)
+    assert check_structure(M) == []
+
+
+def test_table_predicate_over_empty_sort_builds():
+    M = FiniteStructure.build(
+        {"A": ["a"], "E": []},
+        {"A": (1, np.zeros((1, 1), dtype=np.int64)),
+         "E": (1, np.zeros((0, 0), dtype=np.int64))},
+        None,
+        {"P": (("E",), (1, np.zeros(0, dtype=np.int64))),
+         "Q": (("A", "E"), (2, np.zeros((1, 0), dtype=np.int64)))},
+        {"P": Modulus.lipschitz(1), "Q": Modulus.lipschitz(1)})
+    assert M.predicates["P"].table.shape == (0,)
+    assert M.predicates["Q"].table.shape == (1, 0)
+    assert check_structure(M) == []
