@@ -11,7 +11,7 @@ import numpy as np
 
 from .conditions import Condition, PartialType, normalize_condition
 from .formulas import Formula, Quant, _modulus_for_var, summary
-from .structures import FiniteStructure, eval_table
+from .structures import FiniteStructure, _max_numerator, eval_table
 from .values import ONE, ZERO
 
 
@@ -41,7 +41,7 @@ def realizes(M: FiniteStructure, t: PartialType, n: int | None = None,
         if not mask.any():
             break
         den, table = eval_table(_closed_formula(c), M, variables)
-        mask &= table * tol.denominator <= tol.numerator * den
+        mask &= table <= _max_numerator(tol, den)
     out = []
     for combo in np.argwhere(mask):
         out.append(tuple(M.sorts[s].points[i]
@@ -95,8 +95,7 @@ def realization_tree(M: FiniteStructure, t: PartialType, depth: int,
             current = alive.copy()
         else:
             # chain step: d(x_{k-2}, x_{k-1}) <= 2^{2-k}
-            thr = Fraction(1, 2 ** (k - 2))
-            adj = sd.dmat * thr.denominator <= thr.numerator * sd.den
+            adj = sd.dmat <= _max_numerator(Fraction(1, 2 ** (k - 2)), sd.den)
             current = np.array(
                 [int((alive * adj[:, i]).sum()) for i in range(n)], dtype=object)
         # value constraints at stage k-1 (1-indexed stage k-1 >= 1)
@@ -106,7 +105,7 @@ def realization_tree(M: FiniteStructure, t: PartialType, depth: int,
             for j, (den, vec) in enumerate(phis):
                 if j > stage:
                     break
-                ok &= vec * stage <= den
+                ok &= vec <= _max_numerator(Fraction(1, stage), den)
             current = current * ok
         total = int(np.sum(current))
         counts.append(total)
@@ -226,10 +225,10 @@ def verify_iso(A: FiniteStructure, B: FiniteStructure, L0: Sublanguage,
 
 def find_iso(A: FiniteStructure, B: FiniteStructure,
              L0: Sublanguage | None = None):
-    """Backtracking isomorphism search with invariant pruning.
-
-    Returns an IsoWitness (re-verified table by table) or a Refusal naming
-    a distinguishing invariant."""
+    """Complete isomorphism search: colour refinement of the joint point
+    classes of A and B, then individualization of one A point at a time
+    against each B point of its class, backtracking on an explicit stack.
+    Returns an IsoWitness that verify_iso accepts, or a Refusal."""
     if L0 is None:
         L0 = Sublanguage(frozenset(A.functions) & frozenset(B.functions),
                          frozenset(A.predicates) & frozenset(B.predicates))
@@ -239,154 +238,152 @@ def find_iso(A: FiniteStructure, B: FiniteStructure,
         if A.sorts[s].size != B.sorts[s].size:
             return Refusal("point-count invariant",
                            f"sort {s}: {A.sorts[s].size} vs {B.sorts[s].size}")
-    joint = _joint_colours(A, B, L0)
-    if isinstance(joint, Refusal):
-        return joint
-    col_a, col_b = joint
-
-    order = []
-    for s in A.sorts:
-        hist: dict[int, int] = {}
-        for c in col_a[s]:
-            hist[c] = hist.get(c, 0) + 1
-        idxs = sorted(range(A.sorts[s].size),
-                      key=lambda i, s=s: (hist[col_a[s][i]], col_a[s][i], i))
-        order.extend((s, i) for i in idxs)
-    cand = {}
-    for s in A.sorts:
-        for i in range(A.sorts[s].size):
-            cand[(s, i)] = [j for j in range(B.sorts[s].size)
-                            if col_b[s][j] == col_a[s][i]]
-
-    unary_fns = [(name, A.functions[name], B.functions[name])
-                 for name in sorted(L0.functions)
-                 if len(A.functions[name].arg_sorts) == 1]
-    assigned: dict[tuple[str, int], int] = {}
-    used: dict[str, set[int]] = {s: set() for s in A.sorts}
-
-    def consistent(s, i, j):
-        sa, sb = A.sorts[s], B.sorts[s]
-        for (s2, i2), j2 in assigned.items():
-            if s2 == s and int(sa.dmat[i, i2]) * sb.den != int(sb.dmat[j, j2]) * sa.den:
-                return False
-        for name, fa, fb in unary_fns:
-            if fa.arg_sorts == (s,):
-                img = (fa.out_sort, int(fa.table[i]))
-                if img in assigned and assigned[img] != int(fb.table[j]):
-                    return False
-                if img == (s, i) and int(fb.table[j]) != j:
-                    return False
-            for (s2, i2), j2 in assigned.items():
-                if fa.arg_sorts == (s2,) and (fa.out_sort, int(fa.table[i2])) == (s, i):
-                    if int(fb.table[j2]) != j:
-                        return False
-        return True
-
-    def search(k):
-        if k == len(order):
-            return True
-        s, i = order[k]
-        for j in cand[(s, i)]:
-            if j in used[s]:
+    # (name, argument sorts, output sort of a function, A's table, B's)
+    tables = [(f"metric {s}", (s, s), None,
+               *_ranks(sd.dmat, sd.den, B.sorts[s].dmat, B.sorts[s].den))
+              for s, sd in A.sorts.items()]
+    for name in sorted(L0.functions):
+        fa, fb = A.functions[name], B.functions[name]
+        tables.append((name, fa.arg_sorts, fa.out_sort, fa.table, fb.table))
+    for name in sorted(L0.predicates):
+        pa, pb = A.predicates[name], B.predicates[name]
+        tables.append((name, pa.arg_sorts, None,
+                       *_ranks(pa.table, pa.den, pb.table, pb.den)))
+    classes = {s: np.zeros(2 * sd.size, np.int64) for s, sd in A.sorts.items()}
+    while True:  # refine on the full tables until no class splits
+        new = _settle(classes, tables)
+        if isinstance(new, Refusal):
+            return new
+        if all(new[s].max(initial=0) == c.max(initial=0)
+               for s, c in classes.items()):
+            break
+        classes = new
+    stack = []
+    while new is not None:
+        pick = _pick(new)
+        if pick is not None:
+            stack.append((new, *pick))
+        else:  # every class is one pair: the map is forced
+            w = IsoWitness({s: {A.sorts[s].points[a]: B.sorts[s].points[b]
+                                for a, b in zip(np.argsort(c[:len(c) // 2]),
+                                                np.argsort(c[len(c) // 2:]))}
+                            for s, c in new.items()})
+            if not verify_iso(A, B, L0, w):
+                return w
+        new = None
+        while new is None and stack:
+            base, s, i, cands = stack[-1]
+            j = next(cands, None)
+            if j is None:
+                stack.pop()
                 continue
-            if consistent(s, i, j):
-                assigned[(s, i)] = j
-                used[s].add(j)
-                if search(k + 1):
-                    return True
-                del assigned[(s, i)]
-                used[s].remove(j)
-        return False
-
-    if not search(0):
-        return Refusal("backtracking exhausted",
-                       "no bijection preserves the metric and symbol tables")
-    mapping = {s: {A.sorts[s].points[i]: B.sorts[s].points[assigned[(s, i)]]
-                   for i in range(A.sorts[s].size)} for s in A.sorts}
-    w = IsoWitness(mapping)
-    bad = verify_iso(A, B, L0, w)
-    if bad:
-        return Refusal("witness failed re-verification", "; ".join(bad))
-    return w
+            new = _settle(base, _sliced(tables, s, i, j))
+            if isinstance(new, Refusal):
+                new = None
+    return Refusal("backtracking exhausted",
+                   "no bijection preserves the metric and symbol tables")
 
 
-def _joint_colours(A, B, L0):
-    """Refine invariant colours over both structures simultaneously so that
-    equal colours mean equal invariants; Refusal on histogram mismatch."""
-    def init(M):
-        out = {}
-        for s, sd in M.sorts.items():
-            rows = []
-            for i in range(sd.size):
-                preds = tuple(
-                    (name, Fraction(int(M.predicates[name].table[i]),
-                                    M.predicates[name].den))
-                    for name in sorted(L0.predicates)
-                    if M.predicates[name].arg_sorts == (s,))
-                consts = tuple(
-                    name for name in sorted(L0.functions)
-                    if M.functions[name].arg_sorts == ()
-                    and M.functions[name].out_sort == s
-                    and int(M.functions[name].table[()]) == i)
-                row = tuple(sorted(Fraction(int(x), sd.den) for x in sd.dmat[i]))
-                rows.append((preds, consts, row))
-            out[s] = rows
-        return out
+def _ranks(ta, da: int, tb, db: int):
+    """Tables a / da and b / db as the ranks of their values on one exact
+    scale, so that equal ranks mean equal values."""
+    ua, ia = np.unique(ta, return_inverse=True)
+    ub, ib = np.unique(tb, return_inverse=True)
+    qs = [Fraction(int(v), da) for v in ua] + [Fraction(int(v), db) for v in ub]
+    rank = {q: r for r, q in enumerate(sorted(set(qs)))}
+    r = np.array([rank[q] for q in qs], np.int64)
+    return r[:len(ua)][ia].reshape(ta.shape), r[len(ua):][ib].reshape(tb.shape)
 
-    ia, ib = init(A), init(B)
-    col_a, col_b = {}, {}
-    for s in A.sorts:
-        order = {v: k for k, v in enumerate(sorted(set(ia[s]) | set(ib[s])))}
-        col_a[s] = [order[v] for v in ia[s]]
-        col_b[s] = [order[v] for v in ib[s]]
 
-    unary = [(name, A.functions[name], B.functions[name])
-             for name in sorted(L0.functions)
-             if len(A.functions[name].arg_sorts) == 1]
+def _settle(classes, tables):
+    """One refinement round of the joint classes (sort -> class of each
+    point, A's points then B's): each table splits the points of each
+    argument by their profile along it.  A function's value is its output's
+    class; a 0-ary function puts its output in a class of its own.  Returns
+    a Refusal when a 0-ary value or the two sides of a class differ."""
+    keys = {s: [c] for s, c in classes.items()}
+    for name, args, out, ta, tb in tables:
+        if not args and out is not None:
+            mark = np.zeros(len(classes[out]), np.int64)
+            mark[[int(ta), len(mark) // 2 + int(tb)]] = 1
+            keys[out].append(mark)
+        elif not args and ta != tb:
+            return Refusal("label-count invariant", f"{name} differs")
+        elif out is not None:
+            c = classes[out]
+            ta, tb = c[ta], c[len(c) // 2 + tb]
+        for m, s in enumerate(args):
+            keys[s].append(_profile(ta, tb, m, args, classes))
+    new = {}
+    for s, cols in keys.items():
+        key = cols[0]
+        for col in cols[1:]:
+            top = int(col.max(initial=0)) + 1
+            if (int(key.max(initial=0)) + 1) * top >= 2**62:
+                key = np.unique(key, return_inverse=True)[1]
+            key = key * top + col
+        new[s] = key = np.unique(key, return_inverse=True)[1]
+        n = len(key) // 2
+        ca, cb = (np.bincount(h, minlength=2 * n) for h in (key[:n], key[n:]))
+        if (ca != cb).any():
+            k = int(np.argmax(ca != cb))
+            return Refusal("label-count invariant",
+                           f"sort {s}: invariant class {k} has {ca[k]} "
+                           f"points in A but {cb[k]} in B")
+    return new
 
-    def step(M, col):
-        out = {}
-        for s, sd in M.sorts.items():
-            rows = []
-            for i in range(sd.size):
-                fimg = tuple((name, col[fa.out_sort if M is A else fb.out_sort]
-                              [int((fa if M is A else fb).table[i])])
-                             for name, fa, fb in unary
-                             if (fa if M is A else fb).arg_sorts == (s,))
-                neigh = tuple(sorted(
-                    (Fraction(int(sd.dmat[i, j]), sd.den), col[s][j])
-                    for j in range(sd.size)))
-                rows.append((col[s][i], fimg, neigh))
-            out[s] = rows
-        return out
 
-    while True:
-        ra, rb = step(A, col_a), step(B, col_b)
-        na, nb = {}, {}
-        changed = False
-        for s in A.sorts:
-            order = {v: k for k, v in enumerate(sorted(set(ra[s]) | set(rb[s])))}
-            na[s] = [order[v] for v in ra[s]]
-            nb[s] = [order[v] for v in rb[s]]
-            if na[s] != col_a[s] or nb[s] != col_b[s]:
-                changed = True
-        col_a, col_b = na, nb
-        for s in A.sorts:
-            ha: dict[int, int] = {}
-            hb: dict[int, int] = {}
-            for c in col_a[s]:
-                ha[c] = ha.get(c, 0) + 1
-            for c in col_b[s]:
-                hb[c] = hb.get(c, 0) + 1
-            if ha != hb:
-                diff = next(c for c in sorted(set(ha) | set(hb))
-                            if ha.get(c, 0) != hb.get(c, 0))
-                return Refusal(
-                    "label-count invariant",
-                    f"sort {s}: invariant class {diff} has {ha.get(diff, 0)} "
-                    f"points in A but {hb.get(diff, 0)} in B")
-        if not changed:
-            return col_a, col_b
+def _profile(ta, tb, m: int, args, classes):
+    """Per point of args[m], A's then B's: its value in a unary table, else
+    an id of the sorted (value, classes of the other arguments) along the
+    point's slice.  Keys of a k-ary table stay below 2^k * cells * max(cells,
+    output points), within int64 for any table that fits in memory."""
+    key = np.stack((ta, tb)).astype(np.int64)
+    for k, s in enumerate(args):
+        if k != m:
+            c = classes[s].reshape(2, -1)
+            shape = [2] + [1] * len(args)
+            shape[k + 1] = c.shape[1]
+            key = key * (int(c.max(initial=0)) + 1) + c.reshape(shape)
+    if key.ndim == 2:
+        return key.reshape(-1)
+    key = np.moveaxis(key, m + 1, 1)
+    rows = np.sort(key.reshape(2 * key.shape[1], math.prod(key.shape[2:])))
+    ids: dict[bytes, int] = {}
+    return np.array([ids.setdefault(r.tobytes(), len(ids)) for r in rows],
+                    np.int64)
+
+
+def _sliced(tables, s: str, i: int, j: int):
+    """The tables seen from the new pair A's i -> B's j of sort s: the pair
+    itself as a 0-ary function, every table sliced at each argument of
+    sort s, and `f == i` against `f == j` for each function into s."""
+    out = [("pair", (), s, i, j)]
+    for name, args, fout, ta, tb in tables:
+        for m, t in enumerate(args):
+            if t == s:
+                out.append((name, args[:m] + args[m + 1:], fout,
+                            ta.take(i, axis=m), tb.take(j, axis=m)))
+        if fout == s:
+            out.append((name, args, None, ta == i, tb == j))
+    return out
+
+
+def _pick(classes):
+    """(sort, A point, iterator over B points) for the first A point of
+    the smallest class with two or more points; None when every class is
+    one pair."""
+    best = None
+    for s, c in classes.items():
+        n = len(c) // 2
+        sizes = np.bincount(c[:n], minlength=1)
+        k = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
+        if sizes[k] > 1 and (best is None or sizes[k] < best[0]):
+            best = sizes[k], s, k, c, n
+    if best is None:
+        return None
+    _, s, k, c, n = best
+    return s, int(np.argmax(c[:n] == k)), iter(np.flatnonzero(c[n:] == k))
 
 
 def eq_evidence(A: FiniteStructure, B: FiniteStructure, L0: Sublanguage,

@@ -21,7 +21,8 @@ import numpy as np
 from .conditions import PartialType
 from .formulas import (Const, Dist, Formula, Quant, Rat, Var, absdiff, affine,
                        fmax, fmonus, free_vars, map_terms, show, subst)
-from .structures import FiniteStructure, check_structure, eval_formula, eval_table
+from .structures import (FiniteStructure, _max_numerator, check_structure,
+                         eval_formula, eval_table)
 from .values import ONE, ZERO
 
 _SCAN_CAP = 5_000_000  # largest exhaustive assignment scan
@@ -160,7 +161,7 @@ def cond_check(p: ForcingCondition, B: WitnessBank,
             den, tab = _scan(M, p.formula, free, fixed)
         except KeyError:
             continue  # formula mentions symbols this model lacks
-        sat = tab * p.eps.denominator < p.eps.numerator * den
+        sat = tab <= _max_numerator(p.eps, den, strict=True)
         first = int(np.argmax(sat))  # the first hit in C order
         if sat.flat[first]:
             hit = np.unravel_index(first, sat.shape)
@@ -180,8 +181,8 @@ def extends(p: ForcingCondition, q: ForcingCondition, B: WitnessBank) -> bool:
     for name, M in B.items():
         denq, tabq = _scan(M, q.formula, q.F)
         denp, tabp = _scan(M, p.formula, q.F)
-        sat_q = tabq * q.eps.denominator < q.eps.numerator * denq
-        sat_p = tabp * p.eps.denominator < p.eps.numerator * denp
+        sat_q = tabq <= _max_numerator(q.eps, denq, strict=True)
+        sat_p = tabp <= _max_numerator(p.eps, denp, strict=True)
         if np.any(sat_q & ~sat_p):
             return False
     return True
@@ -515,7 +516,7 @@ class _Engine:
         fixed = {i: p for i, p in self.assign.items() if i not in spec.F}
         den, tab = _scan(self.M, probe.formula, list(spec.F), fixed)
         denb, tabb = _scan(self.M, block, list(spec.F), fixed)
-        good = (tab * probe.eps.denominator < probe.eps.numerator * den) \
+        good = (tab <= _max_numerator(probe.eps, den, strict=True)) \
             & (tabb == 0)
         hits = np.argwhere(good)
         if not len(hits):
@@ -577,9 +578,7 @@ def extract_premodel(run: GenericRun):
     if missing:
         raise ValueError(f"undecided pair in scope: d{missing[0][0]}, "
                          f"d{missing[0][1]}")
-    den = 1
-    for v in set(mids.values()):
-        den = den * v.denominator // math.gcd(den, v.denominator)
+    den = math.lcm(*(v.denominator for v in mids.values()))
     n = len(scope)
     dmat = np.zeros((n, n), dtype=np.int64)
     for a, i in enumerate(scope):

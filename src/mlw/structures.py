@@ -91,12 +91,9 @@ class FiniteStructure:
             else:
                 n = len(names)
                 vals = [[spec(a, b) for b in names] for a in names]
-                den = 1
-                for row in vals:
-                    for q in row:
-                        den = den * q.denominator // math.gcd(den, q.denominator)
-                dmat = np.array(
-                    [[int(q * den) for q in row] for row in vals], dtype=np.int64)
+                den = math.lcm(*(q.denominator for row in vals for q in row))
+                dmat = np.array([[int(q * den) for q in row] for row in vals],
+                                dtype=np.int64).reshape(n, n)
             if den >= _MAX_DEN:
                 raise ValueError(f"metric denominator too large for sort {s}")
             sorts[s] = SortData(names, den, dmat, idx)
@@ -127,14 +124,13 @@ class FiniteStructure:
                 preds[name] = PredTable(arg_sorts, den, table)
                 continue
             vals = np.empty(shape, dtype=object)
-            den = 1
             for combo in product(*(range(k) for k in shape)):
                 names_in = tuple(sorts[s].points[i] for s, i in zip(arg_sorts, combo))
                 q = Fraction(fn(*names_in))
                 if not (0 <= q <= 1):
                     raise ValueError(f"predicate {name} value {q} outside [0,1]")
                 vals[combo] = q
-                den = den * q.denominator // math.gcd(den, q.denominator)
+            den = math.lcm(*(q.denominator for q in vals.flat))
             if den >= _MAX_DEN:
                 raise ValueError(f"predicate denominator too large for {name}")
             table = np.empty(shape, dtype=np.int64)
@@ -192,17 +188,18 @@ def _allowed(mod: Modulus, u, den: int) -> Fraction:
     return mod.omega(Fraction(max(int(u), 0), den))
 
 
+def _max_numerator(q: Fraction, den: int, strict: bool = False) -> int:
+    """The largest integer a with a / den <= q (a / den < q when strict),
+    capped at the int64 range: for an int64 table, `table <= a` is exactly
+    `table / den <= q` (or `< q`), with no product to wrap around."""
+    return min((q.numerator * den - strict) // q.denominator, _INT64_MAX)
+
+
 def _thresholds(mod: Modulus, levels, den: int, dden: int) -> list[int]:
     """floor(omega(u / den) * dden) for each distance level u: the largest
-    table change (scaled by dden) the modulus allows at that distance.
-    Exact; table changes are integers, so `change > threshold` is exactly
-    `change / dden > omega`.  Capped at the int64 range, which no table
-    change exceeds."""
-    out = []
-    for u in levels:
-        w = _allowed(mod, u, den)
-        out.append(min(w.numerator * dden // w.denominator, _INT64_MAX))
-    return out
+    table change (scaled by dden) the modulus allows at that distance, so
+    `change > threshold` is exactly `change / dden > omega`."""
+    return [_max_numerator(_allowed(mod, u, den), dden) for u in levels]
 
 
 def _ultrametric_order(D: np.ndarray):
@@ -282,11 +279,12 @@ def _balls_respect(V: np.ndarray, merges, thr, out) -> bool:
         if out is None:
             hi = np.maximum.reduceat(hi, idx, axis=0)
             lo = np.minimum.reduceat(lo, idx, axis=0)
-            worst = int((hi - lo).max())
+            worst = int((hi - lo).max(initial=0))
         else:
             top = rep[idx]
             sizes = np.diff(idx, append=len(rep))
-            worst = int(out[rep, np.repeat(top, sizes, axis=0)].max())
+            worst = int(out[rep, np.repeat(top, sizes, axis=0)]
+                        .max(initial=0))
             rep = top
         if worst > t:
             return False

@@ -16,7 +16,8 @@ from mlw.conditions import PartialType, closed
 from mlw.formulas import parse_formula, prenex
 from mlw.models import build_N, build_model
 from mlw.moduli import Modulus
-from mlw.structures import FiniteStructure, FnTable, PredTable, SortData
+from mlw.structures import (FiniteStructure, FnTable, PredTable, SortData,
+                            check_structure)
 
 
 def _random_structure(rng, n=4, with_pred=True):
@@ -68,23 +69,26 @@ def exhaustive_iso(A, B, L0=None):
     return None
 
 
-def _relabelled(M, perm):
-    names = list(M.sorts["A"].points)
-    new = {a: f"q{perm[i]}" for i, a in enumerate(names)}
-    back = {v: k for k, v in new.items()}
+def _shuffled(M, rng):
+    """A copy of M with every sort's points shuffled and renamed."""
+    perm = {s: np.array(rng.sample(range(sd.size), sd.size), dtype=np.intp)
+            for s, sd in M.sorts.items()}  # A's point i is B's perm[s][i]
+    inv = {s: np.argsort(p) for s, p in perm.items()}
 
-    def metric(a, b):
-        i, j = M.sorts["A"].index[back[a]], M.sorts["A"].index[back[b]]
-        return Fraction(int(M.sorts["A"].dmat[i, j]), M.sorts["A"].den)
+    def moved(table, arg_sorts):
+        return table[np.ix_(*(inv[s] for s in arg_sorts))]
 
-    preds = None
-    if "P" in M.predicates:
-        pt = M.predicates["P"]
-        preds = {"P": (("A",), lambda x: Fraction(
-            int(pt.table[M.sorts["A"].index[back[x]]]), pt.den))}
-    return FiniteStructure.build(
-        {"A": sorted(new.values())}, {"A": metric}, None, preds,
-        {"P": Modulus.lipschitz(3)} if preds else None)
+    sorts = {}
+    for s, sd in M.sorts.items():
+        names = tuple(f"q{j}" for j in range(sd.size))
+        sorts[s] = SortData(names, sd.den, moved(sd.dmat, (s, s)),
+                            {a: j for j, a in enumerate(names)})
+    fns = {name: FnTable(f.arg_sorts, f.out_sort, np.asarray(
+        perm[f.out_sort][moved(f.table, f.arg_sorts)]))
+        for name, f in M.functions.items()}
+    preds = {name: PredTable(p.arg_sorts, p.den, moved(p.table, p.arg_sorts))
+             for name, p in M.predicates.items()}
+    return FiniteStructure(sorts, fns, preds, dict(M.moduli), dict(M.meta))
 
 
 def test_find_iso_agrees_with_exhaustive_oracle():
@@ -104,9 +108,7 @@ def test_find_iso_finds_relabelling():
     rng = random.Random(3)
     for trial in range(10):
         A = _random_structure(rng)
-        perm = list(range(4))
-        rng.shuffle(perm)
-        B = _relabelled(A, perm)
+        B = _shuffled(A, rng)
         got = find_iso(A, B)
         assert isinstance(got, IsoWitness), f"trial {trial}"
 
@@ -336,3 +338,100 @@ def test_verify_iso_on_domain_matches_exact_loops():
         assert verify_iso_on_domain(A, B, L0, part) == want, f"trial {trial}"
         verdicts.add(want[0].split()[0] if want else "")
     assert verdicts == {"", "metric", "function", "predicate"}
+
+
+# --------------------------------------------------------------------------
+# find_iso: a complete search
+
+def test_find_iso_matches_exhaustive_search():
+    rng = random.Random(13)
+    verdicts = set()
+    for trial in range(600):
+        A, B, _ = _random_pair(rng)
+        got, want = find_iso(A, B), exhaustive_iso(A, B)
+        assert isinstance(got, IsoWitness) == (want is not None), \
+            f"trial {trial}: {got}"
+        if isinstance(got, IsoWitness):
+            assert verify_iso(A, B, Sublanguage.full(A), got) == []
+        else:
+            assert got.reason in ("label-count invariant",
+                                  "backtracking exhausted")
+        verdicts.add(want is not None)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("spec", [
+    "N(depth=3,branch=2)", "N(depth=2,branch=3)", "N2(depth=2,branch=2)",
+    "N2(depth=3,branch=2)", "N3(depth=2,branch=2)",
+    "Projection(depth=2,branch=2)", "M(depth=2,branch=2)",
+    "M_l(depth=3,branch=2,l=2)", "M4(depth=2,branch=2)"])
+def test_find_iso_finds_relabelled_constructors(spec):
+    A = build_model(spec)
+    rng = random.Random(spec)
+    for _ in range(3):
+        B = _shuffled(A, rng)
+        got = find_iso(A, B)
+        assert isinstance(got, IsoWitness), got
+        assert verify_iso(A, B, Sublanguage.full(A), got) == []
+
+
+def test_find_iso_needs_no_recursion_on_large_structures():
+    A = build_model("N(depth=5,branch=4)")
+    assert A.total_points() == 1365  # deeper than the recursion limit
+    B = _shuffled(A, random.Random(5))
+    got = find_iso(A, B)
+    assert isinstance(got, IsoWitness)
+    assert verify_iso(A, B, Sublanguage.full(A), got) == []
+
+
+def _cycles(*lengths):
+    """Disjoint cycles on points v0, v1, ...: distance 1/2 along an edge,
+    1 between any other two points."""
+    edges, k = set(), 0
+    for n in lengths:
+        edges |= {frozenset((k + i, k + (i + 1) % n)) for i in range(n)}
+        k += n
+    names = [f"v{i}" for i in range(k)]
+    return FiniteStructure.build({"S": names}, {"S": lambda a, b: Fraction(
+        0 if a == b else 1 if frozenset((names.index(a), names.index(b)))
+        not in edges else Fraction(1, 2))})
+
+
+def test_find_iso_backtracks_where_refinement_cannot_split():
+    # both are 2-regular, so colour refinement leaves one class of six
+    two, six = _cycles(3, 3), _cycles(6)
+    r = find_iso(two, six)
+    assert isinstance(r, Refusal) and r.reason == "backtracking exhausted"
+    w = find_iso(six, _shuffled(six, random.Random(2)))
+    assert isinstance(w, IsoWitness)
+
+
+def test_find_iso_keeps_the_label_count_detail():
+    A = _cycles(3, 3)
+    B = FiniteStructure.build({"S": list(A.sorts["S"].points)},
+                              {"S": lambda a, b: Fraction(int(a != b))})
+    r = find_iso(A, B)
+    assert r == Refusal("label-count invariant", "sort S: invariant class 0 "
+                        "has 6 points in A but 0 in B")
+
+
+def test_empty_sort_from_a_callable_metric():
+    M = FiniteStructure.build(
+        {"A": ["a", "b"], "E": []},
+        {"A": lambda x, y: Fraction(int(x != y)), "E": lambda x, y: 0},
+        {"f": (("E",), "A", lambda x: "a")},
+        {"Q": (("A", "E"), lambda x, y: Fraction(1, 2))},
+        {"f": Modulus.lipschitz(1), "Q": Modulus.lipschitz(1)})
+    assert M.sorts["E"].dmat.shape == (0, 0)
+    assert check_structure(M) == []
+    w = find_iso(M, M)
+    assert isinstance(w, IsoWitness)
+    assert verify_iso(M, M, Sublanguage.full(M), w) == []
+
+
+def test_realizes_tolerance_has_no_int64_wraparound():
+    # the table's denominator 26771144400 times 3^18 passes 2^63
+    M = build_model("N(depth=25,branch=1)")
+    t = PartialType((("x0", "D1"),), (closed(parse_formula("d(x0, <>)")),),
+                    None, "root")
+    assert realizes(M, t, tol=Fraction(1, 3**18)) == [("<>",)]

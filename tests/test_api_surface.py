@@ -1,4 +1,5 @@
-"""Every public top-level function and class of `mlw` has a caller.
+"""Source checks over `mlw`: every public top-level function and class has
+a caller, and rationals are compared through one exact helper.
 
 A name counts as used when some code outside its own definition refers to
 it: a name, an attribute, an import or a string (the benchmark's tracer
@@ -48,3 +49,22 @@ def test_public_api_has_callers():
             if not used:
                 unused.append(f"{path.name}: {node.name}")
     assert not unused, "public API with no caller: " + ", ".join(unused)
+
+
+def _scales_by_fraction(node: ast.AST) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
+        and any(isinstance(x, ast.Attribute)
+                and x.attr in ("numerator", "denominator")
+                for x in (node.left, node.right))
+
+
+def test_fractions_are_compared_through_one_helper():
+    """`table * q.denominator <= q.numerator * den` wraps around in int64;
+    `table <= structures._max_numerator(q, den)` is the exact form."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare) and \
+                    any(_scales_by_fraction(x) for x in ast.walk(node)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "cross-multiplied comparison: " + ", ".join(found)

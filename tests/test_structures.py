@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mlw.formulas import parse_formula
 from mlw.moduli import Modulus
-from mlw.structures import (FiniteStructure, check_structure, eval_bounds,
-                            eval_formula, eval_table, load_structure,
-                            save_structure)
+from mlw.structures import (FiniteStructure, _max_numerator, check_structure,
+                            eval_bounds, eval_formula, eval_table,
+                            load_structure, save_structure)
 
 
 def _two_point(d01=Fraction(1, 2), plip=2, pvals=(Fraction(0), Fraction(1))):
@@ -169,3 +171,16 @@ def test_table_predicate_over_empty_sort_builds():
     assert M.predicates["P"].table.shape == (0,)
     assert M.predicates["Q"].table.shape == (1, 0)
     assert check_structure(M) == []
+
+
+@given(st.integers(1, 2**40), st.integers(1, 3**40), st.booleans(), st.data())
+def test_max_numerator_matches_fraction_comparison(den, qden, strict, data):
+    q = Fraction(data.draw(st.integers(0, qden)), qden)
+    a = q.numerator * den // q.denominator
+    vals = [0, den, a - 1, a, a + 1]
+    vals += data.draw(st.lists(st.integers(0, den), max_size=6))
+    table = np.array([v for v in vals if 0 <= v <= den], dtype=np.int64)
+    got = table <= _max_numerator(q, den, strict)
+    want = [Fraction(v, den) < q if strict else Fraction(v, den) <= q
+            for v in table.tolist()]
+    assert got.tolist() == want
