@@ -3,7 +3,10 @@
 Every invocation is reproducible from its argument vector; reports are
 deterministic, and each verdict line cites the operation that produced it.
 Exit codes: 0 success / positive verdict, 1 negative verdict, 2 usage or
-data error."""
+data error.
+
+Each verb imports the layers it uses when it runs, so the tree, type
+(build, pair, omega) and reduce verbs start without numpy."""
 
 from __future__ import annotations
 
@@ -12,16 +15,6 @@ import csv as _csv
 import sys
 from fractions import Fraction
 
-from .analysis import IsoWitness, find_iso, realizes
-from .conditions import PartialType, omega_type, type_and, type_or
-from .formulas import parse_formula
-from .models import (build_model, build_type, canonical_truncation,
-                     kfamily_check, load_kfamily, relabel)
-from .structures import (check_structure, eval_bounds, eval_formula,
-                         load_structure, save_structure)
-from .trees import (FiniteTree, PairTree, build_tree, node_name, parse_node,
-                    project, rank, rank_finite, tree_space_dist, truncate,
-                    well_founded)
 from .values import show_rational
 
 
@@ -29,23 +22,10 @@ def _load_model(spec: str, cap=None, validate=True):
     """A .model file (rejected when invalid, unless validate is False, for
     verbs that report the violations themselves) or a constructor spec."""
     if spec.endswith(".model"):
+        from .structures import load_structure
         return load_structure(spec, validate=validate)
+    from .models import build_model
     return build_model(spec, cap=cap)
-
-
-def _parse_type(spec: str) -> PartialType:
-    """Type spec `kind` / `kind:arg,arg` / `kind(arg,arg)`."""
-    spec = spec.strip()
-    if "(" in spec:
-        kind, rest = spec.split("(", 1)
-        args = rest.rstrip(")").strip()
-    elif ":" in spec:
-        kind, args = spec.split(":", 1)
-    else:
-        kind, args = spec, ""
-    vals = [int(a) if a.strip().lstrip("-").isdigit() else a.strip()
-            for a in args.split(",") if a.strip() != ""]
-    return build_type(kind.strip(), *vals)
 
 
 def _emit_csv(path, header, rows):
@@ -57,7 +37,8 @@ def _emit_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _truncated(args) -> FiniteTree:
+def _truncated(args):
+    from .trees import build_tree, truncate
     return truncate(build_tree(args.dsl), args.depth, args.branch)
 
 
@@ -65,6 +46,7 @@ def _truncated(args) -> FiniteTree:
 # Verbs
 
 def _cmd_model(args) -> int:
+    from .structures import check_structure, save_structure
     M = _load_model(args.ctor, cap=args.cap, validate=args.sub == "build")
     if args.sub == "build":
         print(f"built {M.meta.get('label', args.ctor)} "
@@ -89,6 +71,8 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .formulas import parse_formula
+    from .structures import eval_bounds, eval_formula
     M = _load_model(args.model, cap=args.cap)
     f = parse_formula(args.formula)
     assignment = {}
@@ -107,44 +91,45 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _print_type(t: PartialType, frag: int | None):
+def _print_type(t, frag: int | None):
     conds = t.fragment(frag) if frag is not None else t.conds
     for j, c in enumerate(conds):
         print(f"condition {j}: {c}")
 
 
 def _cmd_type(args) -> int:
+    from .conditions import omega_type, type_and, type_from_spec, type_or
+    if args.sub == "check":  # realizer list, exit by emptiness
+        from .analysis import realizes
+        M = _load_model(args.model, cap=args.cap)
+        t = type_from_spec(args.type)
+        tol = Fraction(args.tol)
+        res = realizes(M, t, n=args.frag, tol=tol)
+        for row in res:
+            print("realizer: " + ", ".join(row))
+        print(f"{len(res)} realizer(s) at tolerance {show_rational(tol)} "
+              f"[realizes({args.model}, {args.type}, n={args.frag})]")
+        _emit_csv(args.csv, ("realizer",), [(" ".join(r),) for r in res])
+        return 0 if res else 1
     if args.sub == "build":
-        t = _parse_type(args.type)
-        print(f"type {t.label} on {len(t.variables)} variable(s) "
-              f"[build_type({args.type})]")
-        _print_type(t, args.frag)
-        return 0
-    if args.sub == "pair":
-        a, b = _parse_type(args.a), _parse_type(args.b)
+        t = type_from_spec(args.type)
+        cite = f"on {len(t.variables)} variable(s) [build_type({args.type})]"
+    elif args.sub == "pair":
+        a, b = type_from_spec(args.a), type_from_spec(args.b)
         t = type_or(a, b) if args.op == "or" else type_and(a, b)
-        print(f"type {t.label} [type_{args.op}({args.a}, {args.b})]")
-        _print_type(t, args.frag)
-        return 0
-    if args.sub == "omega":
-        t = omega_type(_parse_type(args.type), args.n)
-        print(f"type {t.label} [omega_type({args.type}, {args.n})]")
-        _print_type(t, args.frag)
-        return 0
-    # check: realizer list, exit by emptiness
-    M = _load_model(args.model, cap=args.cap)
-    t = _parse_type(args.type)
-    tol = Fraction(args.tol)
-    res = realizes(M, t, n=args.frag, tol=tol)
-    for row in res:
-        print("realizer: " + ", ".join(row))
-    print(f"{len(res)} realizer(s) at tolerance {show_rational(tol)} "
-          f"[realizes({args.model}, {args.type}, n={args.frag})]")
-    _emit_csv(args.csv, ("realizer",), [(" ".join(r),) for r in res])
-    return 0 if res else 1
+        cite = f"[type_{args.op}({args.a}, {args.b})]"
+    else:
+        t = omega_type(type_from_spec(args.type), args.n)
+        cite = f"[omega_type({args.type}, {args.n})]"
+    print(f"type {t.label} {cite}")
+    _print_type(t, args.frag)
+    return 0
 
 
 def _cmd_tree(args) -> int:
+    from .trees import (PairTree, build_tree, node_name, parse_node, project,
+                        rank, rank_finite, tree_space_dist, truncate,
+                        well_founded)
     if args.sub == "rank":
         t = build_tree(args.dsl)
         if not well_founded(t):
@@ -189,6 +174,8 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .conditions import build_type
+    from .trees import node_name, relabel
     if args.sub == "tS":
         S = relabel(_truncated(args), args.branch_cap, args.depth_cap)
         t = build_type("tS", S, args.k)
@@ -206,6 +193,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from .analysis import IsoWitness, find_iso
+    from .models import canonical_truncation, kfamily_check, load_kfamily
     if args.family:
         fam = load_kfamily(args.family)
         rows = kfamily_check(fam, l=args.l or 1, m=args.m, r=args.r, mu=args.mu)
@@ -274,6 +263,9 @@ def _cmd_forge(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .analysis import realizes
+    from .conditions import type_from_spec
+    from .structures import check_structure
     M = _load_model(args.model, cap=args.cap, validate=False)
     label = M.meta.get("label", args.model)
     print(f"report for {label}")
@@ -284,7 +276,7 @@ def _cmd_report(args) -> int:
     print(f"validity: {len(violations)} violation(s) [check_structure]")
     rows.append(("violations", "", len(violations)))
     if args.type:
-        t = _parse_type(args.type)
+        t = type_from_spec(args.type)
         res = realizes(M, t, n=args.frag, tol=Fraction(args.tol))
         print(f"type {t.label}: {len(res)} realizer(s) at tol {args.tol} "
               f"[realizes(n={args.frag})]")
@@ -378,12 +370,38 @@ def _build_parser():
     return ap
 
 
+# Options a (verb, sub) needs that its parser leaves optional, because other
+# subs of the verb do without them; `iso` needs --a and --b unless --family.
+_NEEDS = {
+    ("type", "build"): ("type",),
+    ("type", "check"): ("model", "type"),
+    ("type", "pair"): ("a", "b"),
+    ("type", "omega"): ("type",),
+    ("tree", "rank"): ("dsl",),
+    ("tree", "wf"): ("dsl",),
+    ("tree", "truncate"): ("dsl",),
+    ("tree", "dist"): ("a", "b"),
+    ("tree", "project"): ("pairs", "x"),
+    ("reduce", "tS"): ("dsl",),
+    ("iso", None): ("a", "b"),
+    ("forge", "replay"): ("transcript",),
+}
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
+    sub = getattr(args, "sub", None)
+    need = () if getattr(args, "family", None) else \
+        _NEEDS.get((args.verb, sub), ())
+    missing = ["--" + name for name in need if getattr(args, name) is None]
+    if missing:
+        print(f"error: mlw {args.verb}{' ' + sub if sub else ''} needs "
+              f"{' and '.join(missing)}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError) as e:

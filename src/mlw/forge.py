@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conditions import PartialType
+from .conditions import PartialType, type_from_spec
 from .formulas import (Const, Dist, Formula, Quant, Rat, Var, absdiff, affine,
                        fmax, fmonus, free_vars, map_terms, show, subst)
 from .structures import (FiniteStructure, _max_numerator, check_structure,
@@ -647,17 +647,6 @@ def _parse_F(tok: str):
     return tuple(int(x) for x in body.split(",") if x.strip() != "")
 
 
-def _build_named_type(text: str) -> PartialType:
-    from .models import build_type
-    m = re.match(r"^(\w+)(?:\((.*)\))?$", text.strip())
-    if not m:
-        raise ValueError(f"bad type spec {text!r}")
-    args = []
-    if m.group(2):
-        args = [int(a) for a in m.group(2).split(",")]
-    return build_type(m.group(1), *args)
-
-
 def parse_schedule(text: str):
     """One dense set per line: `decide <formula> F=<i,...> eps=p/q`,
     `witness <formula> F=<...>`, `metric i j k`,
@@ -690,7 +679,7 @@ def parse_schedule(text: str):
                                     int(kw["k"].split("=", 1)[1])))
         elif verb == "omit":
             out.append(OmitFragment(
-                body, _build_named_type(body), _parse_F(kw["F"]),
+                body, type_from_spec(body), _parse_F(kw["F"]),
                 int(kw["n"].split("=", 1)[1]),
                 parse_rational(kw["eps"].split("=", 1)[1])))
         else:

@@ -6,8 +6,9 @@ membership predicate ee), the three-sort extension N3 (pair-tree sort +
 ternary ee3 and a distinguished constant), the x-axis projection structure,
 the coloured-tree family M with pruned variant M_l and the discrete-sort
 bridge M4, plus class-collapsed canonical truncations for isomorphism
-experiments, the partial-type builders that live on these structures, the
-height-gap predicates, and the coloured-family file format."""
+experiments and the coloured-family file format.  The partial-type
+builders and height-gap predicates that live on these structures are in
+`conditions`; box and subtree enumeration and `relabel` are in `trees`."""
 
 from __future__ import annotations
 
@@ -19,13 +20,16 @@ from itertools import product
 
 import numpy as np
 
-from .conditions import PartialType, closed
-from .formulas import (App, Const, Dist, Formula, Pred, Rat, Var, absdiff,
-                       affine, fmax, fmin, fmonus, ftsum, inf, neg, sup)
+# build_type, pred_gap and relabel are re-exported: the structures they act
+# on are built here, and callers find them next to the constructors.
+from .conditions import build_type, pred_gap  # noqa: F401
+from .formulas import App, Dist, Formula, Var, ftsum
 from .moduli import Modulus
 from .structures import FiniteStructure
 from .trees import (FiniteTree, PairTree, _alphabet_cut, _letter_ints,
-                    _pair_cut, ell, node_key, node_name, parse_node)
+                    _pair_cut, box_nodes, ell, enumerate_pair_trees,
+                    enumerate_trees, node_key, node_name, parse_node,
+                    relabel)  # noqa: F401
 from .values import ONE, ZERO
 
 POINT_CAP = 1500  # per-sort default cap keeping exact validation feasible
@@ -39,15 +43,6 @@ def _cap_check(n: int, cap: int, what: str):
 
 # --------------------------------------------------------------------------
 # Sequence boxes and their metric tables
-
-def box_nodes(depth: int, branch: int) -> list[tuple]:
-    """All sequences of length <= depth with entries < branch, level-major
-    lexicographic (the enumeration s_0, s_1, ...)."""
-    out: list[tuple] = [()]
-    for d in range(1, depth + 1):
-        out.extend(product(range(branch), repeat=d))
-    return out
-
 
 def _fk(s: tuple, k: int) -> tuple:
     return s[:k] if k <= len(s) else s
@@ -164,31 +159,7 @@ def shadow_report(M: FiniteStructure) -> list[ShadowRow]:
 
 
 # --------------------------------------------------------------------------
-# Tree sort: enumeration and metric table
-
-def _tree_sort_key(t: FiniteTree):
-    return (len(t.nodes), tuple(sorted(node_key(s) for s in t.nodes)))
-
-
-def enumerate_trees(depth: int, branch: int) -> list[FiniteTree]:
-    """All nonempty subtrees of the (depth, branch) box, smallest first;
-    the order fixes the constant names S_n."""
-    def gen(d: int) -> list[frozenset]:
-        if d == 0:
-            return [frozenset({()})]
-        subs = gen(d - 1)
-        out = []
-        for combo in product(*([[None] + subs] * branch)):
-            nodes = {()}
-            for a, sub in enumerate(combo):
-                if sub is not None:
-                    nodes |= {(a,) + s for s in sub}
-            out.append(frozenset(nodes))
-        return out
-    trees = [FiniteTree(ns) for ns in gen(depth)]
-    trees.sort(key=_tree_sort_key)
-    return trees
-
+# Tree sort: metric table
 
 def _tree_table(trees) -> tuple[int, np.ndarray]:
     """Scaled distance matrix for the agreement metric on trees: 1/(j+1)
@@ -270,51 +241,8 @@ def build_N2(depth: int, branch: int, treedepth: int = 2, treebranch: int = 2,
          "density": {"D1": None, "D2": None}})
 
 
-def relabel(t: FiniteTree, branch_cap: int, depth_cap: int) -> FiniteTree:
-    """Isomorphic copy of t inside the (depth_cap, branch_cap) integer box:
-    at every node the children, in canonical order, receive consecutive
-    integer letters.  Fails if t is too wide or deep for the box."""
-    t = t if isinstance(t, FiniteTree) else FiniteTree.of(t)
-    out = {()}
-    frontier = [((), ())]
-    while frontier:
-        src, dst = frontier.pop()
-        if len(dst) >= depth_cap and t.children(src):
-            raise ValueError("tree too deep for the box")
-        for i, child in enumerate(t.children(src)):
-            if i >= branch_cap:
-                raise ValueError("tree too wide for the box")
-            nd = dst + (i,)
-            out.add(nd)
-            frontier.append((child, nd))
-    return FiniteTree(frozenset(out))
-
-
 # --------------------------------------------------------------------------
-# Pair-tree sort
-
-def enumerate_pair_trees(depth: int, branch: int) -> list[PairTree]:
-    """All nonempty subtrees of the (depth, branch) pair box (equal-length
-    coordinate pairs), smallest first; the order fixes the constants R_n."""
-    letters = list(product(range(branch), range(branch)))
-
-    def gen(d: int) -> list[frozenset]:
-        if d == 0:
-            return [frozenset({((), ())})]
-        subs = gen(d - 1)
-        out = []
-        for combo in product(*([[None] + subs] * len(letters))):
-            pairs = {((), ())}
-            for (a, b), sub in zip(letters, combo):
-                if sub is not None:
-                    pairs |= {((a,) + s, (b,) + t) for s, t in sub}
-            out.append(frozenset(pairs))
-        return out
-    pts = [PairTree(ps) for ps in gen(depth)]
-    pts.sort(key=lambda R: (len(R.pairs), tuple(sorted(
-        node_key(s) + node_key(t) for s, t in R.pairs))))
-    return pts
-
+# Pair-tree sort: metric table
 
 def _pair_table(ptrees) -> tuple[int, np.ndarray]:
     """Distance 1/max(j-1, 1) with j the first cut where the pair trees
@@ -902,172 +830,6 @@ def kfamily_check(K: KFamily, l: int, m: int, r: int, mu: int = 2) -> list[dict]
                 detail.append(f"function {idx}: {res.reason}")
         rows.append({"clause": clause, "ok": ok, "detail": "; ".join(detail)})
     return rows
-
-
-# --------------------------------------------------------------------------
-# Height-gap predicates
-
-def pred_gap(m: int, sort: str | None = None) -> tuple[Formula, Formula]:
-    """(low, high) gap pair in the free variable x0: low vanishes exactly on
-    nodes of height <= m (given every node of height m+1 in range keeps a
-    successor), with minimum 1/((m+1)(m+2)) elsewhere; high is that
-    constant shaved by low."""
-    if m < 1:
-        raise ValueError("gap index must be >= 1")
-    x0, x1 = Var("x0", sort), Var("x1", sort)
-    d = Dist(x0, x1)
-    low = sup(x1, fmin(fmonus(Rat(Fraction(1, m + 1)), d), d), sort)
-    high = fmonus(Rat(Fraction(1, (m + 1) * (m + 2))), low)
-    return low, high
-
-
-# --------------------------------------------------------------------------
-# Type builders
-
-def _s(j: int) -> Fraction:
-    return Fraction(1, j + 1)
-
-
-def type_branch(sort: str | None = None) -> PartialType:
-    """Escaping type: x sits at distance 1/(n+1) from each of its level
-    prefixes, as an infinite-branch would."""
-    x0 = Var("x0", sort)
-
-    def gen(j):
-        return closed(absdiff(Dist(App(f"f{j}", (x0,)), x0), Rat(_s(j))))
-    return PartialType((("x0", sort),), (), gen, "s0_branch")
-
-
-def type_escape(sort: str | None = None) -> PartialType:
-    """The level-1 projection avoids every length-1 node."""
-    x0 = Var("x0", sort)
-
-    def gen(n):
-        return closed(neg(Dist(App("f1", (x0,)), Const(f"<{n}>"))))
-    return PartialType((("x0", sort),), (), gen, "s0_escape")
-
-
-def _chi_succ(m: int, x0, x1) -> Formula:
-    """Crisp indicator of x1 being a height-(m+1) point above x0: the error
-    sum is quantized away from (0, 1/((m+1)(m+2))), so the clamp is exact."""
-    err = ftsum(Dist(App(f"f{m}", (x1,)), x0),
-                ftsum(Dist(App(f"f{m+1}", (x1,)), x1),
-                      absdiff(Dist(App(f"f{m}", (x1,)), x1), Rat(_s(m)))))
-    return affine(-(m + 1) * (m + 2), 1, err)
-
-
-def type_terminal(m: int, n: int, sort: str | None = None) -> PartialType:
-    """Depth-n fragment of the height-m terminal-node type: pinned height,
-    unbounded extensions above (strictly between m and n), and no coloured
-    height-(m+1) successor with colour index <= n."""
-    if m < 1:
-        raise ValueError("terminal type needs height >= 1")
-    x0, x1 = Var("x0", sort), Var("x1", sort)
-    conds = [closed(Dist(App(f"f{m}", (x0,)), x0)),
-             closed(absdiff(Dist(App(f"f{m-1}", (x0,)), x0),
-                            Rat(Fraction(1, m))))]
-    for k in range(m + 1, n):
-        conds.append(closed(inf(x1, ftsum(
-            Dist(App(f"f{m}", (x1,)), x0),
-            absdiff(Dist(App(f"f{k}", (x1,)), x1), Rat(_s(k)))), sort)))
-    for j in range(n + 1):
-        conds.append(closed(sup(x1, fmin(
-            _chi_succ(m, x0, x1),
-            fmonus(Rat(ONE), Pred(f"P{m+1}_{j}", (x1,)))), sort)))
-    return PartialType((("x0", sort),), tuple(conds), None, f"s_{m}[{n}]")
-
-
-def _delta_capped(A: FiniteTree, B, cap: int) -> int:
-    nodes_b = B.nodes if isinstance(B, FiniteTree) else frozenset(B)
-    for j in range(cap):
-        if _alphabet_cut(A.nodes, j) != _alphabet_cut(nodes_b, j):
-            return j
-    return cap
-
-
-def type_tree_member(S: FiniteTree, k: int, treedepth: int = 2,
-                     treebranch: int = 2) -> PartialType:
-    """Depth-k fragment of the joint type of a point x escaping along the
-    tree y ~ S: level prefixes of x are members of y, y's membership values
-    match S on every node of weight < k, y's distances to the enumerated
-    tree constants match S's to precision 1/(k+1), and x is pinned strictly
-    above level k."""
-    S = S if isinstance(S, FiniteTree) else FiniteTree.of(S)
-    x0, x1 = Var("x0", "D1"), Var("x1", "D2")
-    conds = []
-    for j in range(k + 1):
-        conds.append(closed(absdiff(Dist(App(f"f{j}", (x0,)), x0),
-                                    Rat(_s(j)))))
-    for j in range(k + 1):
-        conds.append(closed(Pred("ee", (App(f"f{j}", (x0,)), x1))))
-    for t in box_nodes(max(k - 1, 0), k):
-        if ell(t) >= k:
-            continue
-        phi = Pred("ee", (Const(node_name(t)), x1))
-        if t in S:
-            conds.append(closed(phi))
-        else:
-            conds.append(closed(absdiff(phi, Rat(Fraction(1, ell(t) + 2)))))
-    for i, Sn in enumerate(enumerate_trees(treedepth, treebranch)):
-        eps = Fraction(1, _delta_capped(Sn, S, k) + 1)
-        conds.append(closed(fmonus(
-            absdiff(Dist(Const(f"S{i}"), x1), Rat(eps)), Rat(_s(k)))))
-    return PartialType((("x0", "D1"), ("x1", "D2")), tuple(conds), None,
-                       f"tS[{k}]")
-
-
-def type_pair_member(k: int, c: str = "c") -> PartialType:
-    """Depth-k fragment of the pair-tree analogue: level prefixes of x pair
-    with prefixes of the constant inside y, and x is pinned above level k."""
-    x0, x1 = Var("x0", "D1"), Var("x1", "D3")
-    conds = []
-    for j in range(k + 1):
-        conds.append(closed(absdiff(Dist(App(f"f{j}", (x0,)), x0),
-                                    Rat(_s(j)))))
-    for j in range(k + 1):
-        conds.append(closed(Pred("ee3", (App(f"f{j}", (x0,)),
-                                         App(f"f{j}", (Const(c),)), x1))))
-    return PartialType((("x0", "D1"), ("x1", "D3")), tuple(conds), None,
-                       f"tR[{k}]")
-
-
-def _gpow(k: int, t):
-    for _ in range(k):
-        t = App("g", (t,))
-    return t
-
-
-def type_bridge(m: int, n: int) -> PartialType:
-    """Depth-n fragment, matched to type_terminal(m, n), of the discrete
-    side of the bridge: x has g-iterate preimages up to depth n - m, and no
-    g-predecessor whose image carries a colour with index <= n."""
-    x0, x1 = Var("x0", "X"), Var("x1", "X")
-    conds = []
-    for k in range(1, n - m + 1):
-        conds.append(closed(inf(x1, Dist(x0, _gpow(k, x1)), "X")))
-    for j in range(n + 1):
-        conds.append(closed(fmonus(Rat(ONE), inf(x1, fmax(
-            Dist(x0, App("g", (x1,))),
-            Pred(f"P{m+1}_{j}", (App("h", (x1,)),))), "X"))))
-    return PartialType((("x0", "X"),), tuple(conds), None, f"t_X[{m},{n}]")
-
-
-_TYPE_BUILDERS = {
-    "s0_branch": type_branch,
-    "s0_escape": type_escape,
-    "s_m": type_terminal,
-    "tS": type_tree_member,
-    "tR": type_pair_member,
-    "t_T2": type_bridge,
-}
-
-
-def build_type(kind: str, *args, **kw) -> PartialType:
-    b = _TYPE_BUILDERS.get(kind)
-    if b is None:
-        raise ValueError(f"unknown type kind {kind!r}; "
-                         f"known: {sorted(_TYPE_BUILDERS)}")
-    return b(*args, **kw)
 
 
 # --------------------------------------------------------------------------

@@ -513,11 +513,20 @@ def _ev(f: Formula, M: FiniteStructure, env, depth: int, total: int):
             nden = den * a.denominator * b.denominator
             if nden >= _MAX_DEN:
                 raise ValueError("denominator overflow in affine connective")
-            nv = (a.numerator * b.denominator) * v \
-                + (b.numerator * a.denominator) * den
-            nv = np.clip(nv, 0, nden)
-            g = math.gcd(int(np.gcd.reduce(np.ravel(nv))) if isinstance(nv, np.ndarray)
-                         else int(nv), nden)
+            # nv = A·v + B·den, clamped to [0, nden]; in int64 only while
+            # the Python-int bound on |A·v| + |B·den| stays below 2^63
+            A, B = a.numerator * b.denominator, b.numerator * a.denominator
+            if not isinstance(v, np.ndarray):
+                nv = min(max(A * int(v) + B * den, 0), nden)
+                g = math.gcd(nv, nden)
+                return nden // g, nv // g
+            vmax = max(int(np.abs(v).max(initial=0)), 1)
+            if abs(A) * vmax + abs(B) * den <= _INT64_MAX:
+                nv = np.clip(A * v + B * den, 0, nden)
+            else:
+                nv = np.clip(v.astype(object) * A + B * den, 0,
+                             nden).astype(np.int64)
+            g = math.gcd(int(np.gcd.reduce(np.ravel(nv))), nden)
             return nden // g, nv // g
         raise ValueError(f.op)
     if isinstance(f, Quant):

@@ -1,5 +1,6 @@
-"""Trees over ω^<ω and ω^<ω × ω^<ω: DSL constructors, ordinal ranks,
-well-foundedness, truncation, the three tree metrics, ℓ, and projections.
+"""Trees over ω^<ω and ω^<ω × ω^<ω: DSL constructors, box and subtree
+enumeration, relabelling into a box, ordinal ranks, well-foundedness,
+truncation, the three tree metrics, ℓ, and projections.
 
 Nodes are tuples of "letters".  A letter is a base natural, a pair letter
 ("p", a, b) for two-coordinate trees, a summand tag ("d", i, letter), or a
@@ -121,6 +122,79 @@ class FiniteTree:
 
 
 # --------------------------------------------------------------------------
+# Boxes: node and subtree enumeration, relabelling into a box
+
+def box_nodes(depth: int, branch: int) -> list[tuple]:
+    """All sequences of length <= depth with entries < branch, level-major
+    lexicographic (the enumeration s_0, s_1, ...)."""
+    out: list[tuple] = [()]
+    for d in range(1, depth + 1):
+        out.extend(product(range(branch), repeat=d))
+    return out
+
+
+def _tree_sort_key(t: FiniteTree):
+    return (len(t.nodes), tuple(sorted(node_key(s) for s in t.nodes)))
+
+
+def _box_subtrees(depth: int, letters, root, graft) -> list[frozenset]:
+    """Node sets of every nonempty subtree of a depth-`depth` box: below
+    the root, each letter holds nothing or a subtree one level shallower,
+    whose nodes graft(letter, node) puts under it."""
+    if depth == 0:
+        return [frozenset({root})]
+    subs = _box_subtrees(depth - 1, letters, root, graft)
+    out = []
+    for combo in product(*([[None] + subs] * len(letters))):
+        nodes = {root}
+        for letter, sub in zip(letters, combo):
+            if sub is not None:
+                nodes |= {graft(letter, s) for s in sub}
+        out.append(frozenset(nodes))
+    return out
+
+
+def enumerate_trees(depth: int, branch: int) -> list[FiniteTree]:
+    """All nonempty subtrees of the (depth, branch) box, smallest first;
+    the order fixes the constant names S_n."""
+    trees = [FiniteTree(ns) for ns in _box_subtrees(
+        depth, range(branch), (), lambda a, s: (a,) + s)]
+    trees.sort(key=_tree_sort_key)
+    return trees
+
+
+def enumerate_pair_trees(depth: int, branch: int) -> list[PairTree]:
+    """All nonempty subtrees of the (depth, branch) pair box (equal-length
+    coordinate pairs), smallest first; the order fixes the constants R_n."""
+    pts = [PairTree(ps) for ps in _box_subtrees(
+        depth, list(product(range(branch), repeat=2)), ((), ()),
+        lambda ab, st: ((ab[0],) + st[0], (ab[1],) + st[1]))]
+    pts.sort(key=lambda R: (len(R.pairs), tuple(sorted(
+        node_key(s) + node_key(t) for s, t in R.pairs))))
+    return pts
+
+
+def relabel(t: FiniteTree, branch_cap: int, depth_cap: int) -> FiniteTree:
+    """Isomorphic copy of t inside the (depth_cap, branch_cap) integer box:
+    at every node the children, in canonical order, receive consecutive
+    integer letters.  Fails if t is too wide or deep for the box."""
+    t = t if isinstance(t, FiniteTree) else FiniteTree.of(t)
+    out = {()}
+    frontier = [((), ())]
+    while frontier:
+        src, dst = frontier.pop()
+        if len(dst) >= depth_cap and t.children(src):
+            raise ValueError("tree too deep for the box")
+        for i, child in enumerate(t.children(src)):
+            if i >= branch_cap:
+                raise ValueError("tree too wide for the box")
+            nd = dst + (i,)
+            out.add(nd)
+            frontier.append((child, nd))
+    return FiniteTree(frozenset(out))
+
+
+# --------------------------------------------------------------------------
 # Ordinals below ω^ω, plus ∞ for ill-founded trees
 
 @total_ordering
@@ -149,11 +223,6 @@ class Ordinal:
     def infinity() -> "Ordinal":
         return Ordinal((), True)
 
-    def _key(self):
-        if self.infinite:
-            return (1,)
-        return (0,) + tuple(x for t in self.terms for x in t)
-
     def __lt__(self, other: "Ordinal") -> bool:
         if self.infinite:
             return False
@@ -177,17 +246,9 @@ class Ordinal:
         carry = next((tc for tk, tc in self.terms if tk == e), 0)
         return Ordinal(keep + ((e, c + carry),) + other.terms[1:])
 
-    def succ(self) -> "Ordinal":
-        return self + Ordinal.nat(1)
-
     @property
     def finite(self) -> bool:
         return not self.infinite and all(k == 0 for k, _ in self.terms)
-
-    def to_int(self) -> int:
-        if not self.finite:
-            raise ValueError(f"{self} is not a natural number")
-        return self.terms[0][1] if self.terms else 0
 
     def __str__(self):
         if self.infinite:

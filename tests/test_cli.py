@@ -1,6 +1,11 @@
-"""Command-line surface: exit codes, worked examples, determinism."""
+"""Command-line surface: exit codes, worked examples, determinism, usage
+errors, and the import graph of the verbs that need no numpy."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -129,3 +134,169 @@ def test_bad_metric_line_is_a_data_error(tmp_path, capsys):
                    "s a zz 1\n")
     assert main(["model", "check", "--ctor", str(bad)]) == 2
     assert "a, zz in sort s" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# Every verb in process: each imports its layers when it runs, so a missing
+# import shows only when that verb runs.
+
+VERBS = [
+    (("model", "build", "--ctor", "N(depth=2,branch=2)", "--save",
+      "n22.model"), 0,
+     "built N(depth=2,branch=2) [build_model(N(depth=2,branch=2))]"),
+    (("model", "check", "--ctor", "N(depth=2,branch=2)"), 0,
+     "0 violations [check_structure(N(depth=2,branch=2))]"),
+    (("eval", "--bounds", "--model", "N(depth=3,branch=3)", "--formula",
+      "sup x1 . min(d(x0,x1), 1/2)", "--assign", "x0=<0>"), 0,
+     "bounds [1/2, 1] (lower) [eval_bounds(N(depth=3,branch=3))]"),
+    (("type", "build", "--type", "s_m:1,3"), 0,
+     "type s_1[3] on 1 variable(s) [build_type(s_m:1,3)]"),
+    (("type", "pair", "--a", "s_m:1,3", "--b", "s_m:2,4", "--op", "and"), 0,
+     "type and(s_1[3],s_2[4]) [type_and(s_m:1,3, s_m:2,4)]"),
+    (("type", "pair", "--a", "s_m:1,3", "--b", "s_m:2,4"), 0,
+     "type or(s_1[3],s_2[4]) [type_or(s_m:1,3, s_m:2,4)]"),
+    (("type", "omega", "--type", "s_m:1,3", "--n", "3"), 0,
+     "type omega(s_1[3],3) [omega_type(s_m:1,3, 3)]"),
+    (("type", "check", "--model", "N(depth=2,branch=2)", "--type",
+      "s0_branch", "--frag", "3"), 1,
+     "0 realizer(s) at tolerance 0 [realizes(N(depth=2,branch=2), "
+     "s0_branch, n=3)]"),
+    (("tree", "rank", "--dsl", "chain(2)"), 0, "2 [rank(chain(2))]"),
+    (("tree", "wf", "--dsl", "dsum(chain(1),chain(2))"), 0,
+     "well-founded, rank 2 [well_founded(dsum(chain(1),chain(2)))]"),
+    (("tree", "truncate", "--dsl", "chain(2)", "--depth", "4", "--branch",
+      "3"), 0, "<>"),
+    (("tree", "dist", "--a", "chain(1)", "--b", "chain(2)", "--depth", "4",
+      "--branch", "2"), 0, "1/3 [tree_space_dist(truncations at 4,2)]"),
+    (("tree", "project", "--pairs", "pairs.txt", "--x", "<1,0>"), 0, "<>"),
+    (("reduce", "tS", "--dsl", "graft(T1,chain(1))", "--depth", "4",
+      "--branch", "2", "--k", "3"), 0,
+     "reduction target tS[3] for tree graft(T1,chain(1)) (truncated 4,2; "
+     "relabelled) [build_type(tS, k=3)]"),
+    (("reduce", "tR", "--k", "2", "--const", "<1,1>"), 0,
+     "reduction target tR[2] with constant <1,1> [build_type(tR, k=2)]"),
+    (("iso", "--a", "N(depth=2,branch=2)", "--b", "N(depth=2,branch=3)"), 1,
+     "refusal: point-count invariant - sort D1: 7 vs 13 "
+     "[find_iso(N(depth=2,branch=2), N(depth=2,branch=3))]"),
+    (("forge", "run", "--schedule", "sched.txt", "--bank",
+      "N(depth=2,branch=2)"), 0,
+     "step 1 [ok] metric 0 1 4 | |d(d0, d1) - 1| < 1/4 | model=bank0 | "
+     "d0=<> d1=<0> | r=1"),
+    (("report", "--model", "N(depth=2,branch=2)"), 0,
+     "report for N(depth=2,branch=2)"),
+]
+
+
+@pytest.mark.parametrize("argv,code,first", VERBS,
+                         ids=[" ".join(v[0][:2]) for v in VERBS])
+def test_every_verb_in_process(argv, code, first, tmp_path, capsys,
+                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pairs.txt").write_text("<> <>\n<0> <1>\n<1> <1>\n"
+                                        "<0,0> <1,0>\n")
+    (tmp_path / "sched.txt").write_text("metric 0 1 4\n")
+    got, out = run(capsys, *argv)
+    assert (got, out.splitlines()[0]) == (code, first)
+
+
+def test_tree_outputs_end_with_their_verdict_line(tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pairs.txt").write_text("<> <>\n<0> <1>\n<1> <1>\n"
+                                        "<0,0> <1,0>\n")
+    _, out = run(capsys, "tree", "truncate", "--dsl", "chain(2)",
+                 "--depth", "4", "--branch", "3")
+    assert out.splitlines() == ["<>", "<0>", "<0,0>",
+                                "3 nodes; finite rank 2 "
+                                "[truncate(chain(2), 4, 3)]"]
+    _, out = run(capsys, "tree", "project", "--pairs", "pairs.txt",
+                 "--x", "<1,0>")
+    assert out.splitlines() == ["<>", "<0>", "<1>", "<0,0>",
+                                "4 nodes [project(pairs.txt, <1,0>)]"]
+
+
+def test_model_build_save_round_trips(tmp_path, capsys):
+    path = str(tmp_path / "n22.model")
+    code, out = run(capsys, "model", "build", "--ctor", "N(depth=2,branch=2)",
+                    "--save", path)
+    assert code == 0 and f"saved to {path} [save_structure]" in out
+    code, out = run(capsys, "iso", "--a", path, "--b", "N(depth=2,branch=2)")
+    assert code == 0
+    assert out.splitlines()[-1] == (f"isomorphic [find_iso({path}, "
+                                    f"N(depth=2,branch=2))]")
+
+
+# A missing per-verb option, a builder given the wrong arguments or an
+# empty chain type is a usage error: exit 2, one `error:` line, no output.
+USAGE_ERRORS = [
+    (("type", "build"), "error: mlw type build needs --type"),
+    (("type", "pair", "--a", "s_m:1,3"), "error: mlw type pair needs --b"),
+    (("type", "omega"), "error: mlw type omega needs --type"),
+    (("type", "check", "--type", "s_m:1,3"),
+     "error: mlw type check needs --model"),
+    (("tree", "rank"), "error: mlw tree rank needs --dsl"),
+    (("tree", "wf"), "error: mlw tree wf needs --dsl"),
+    (("tree", "truncate"), "error: mlw tree truncate needs --dsl"),
+    (("tree", "dist", "--a", "chain(1)"), "error: mlw tree dist needs --b"),
+    (("tree", "project", "--x", "<0>"), "error: mlw tree project needs --pairs"),
+    (("tree", "project"), "error: mlw tree project needs --pairs and --x"),
+    (("reduce", "tS"), "error: mlw reduce tS needs --dsl"),
+    (("iso", "--a", "N(depth=2,branch=2)"), "error: mlw iso needs --b"),
+    (("iso",), "error: mlw iso needs --a and --b"),
+    (("forge", "replay", "--schedule", "s.txt", "--bank",
+      "N(depth=2,branch=2)"), "error: mlw forge replay needs --transcript"),
+    (("type", "build", "--type", "s_m:x"),
+     "error: type kind 's_m' takes (m, n, sort=None), got 'x'"),
+    (("type", "build", "--type", "s_m:x,3"),
+     "error: type kind 's_m' takes (m, n, sort=None), got 'x', 3"),
+    (("type", "build", "--type", "tS:1,2"),
+     "error: type kind 'tS' takes (S, k, treedepth=2, treebranch=2), "
+     "got 1, 2"),
+    (("type", "pair", "--a", "s_m", "--b", "s_m:1,3"),
+     "error: type kind 's_m' takes (m, n, sort=None), got nothing"),
+    (("type", "omega", "--type", "s_m:1,3", "--n", "-1"),
+     "error: omega_type needs n >= 1, got -1"),
+    (("type", "omega", "--type", "s_m:1,3", "--n", "0"),
+     "error: omega_type needs n >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv,err", USAGE_ERRORS,
+                         ids=[" ".join(v[0]) for v in USAGE_ERRORS])
+def test_usage_errors_exit_2_with_one_error_line(argv, err, capsys):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (2, "", err + "\n")
+
+
+def test_iso_family_mode_needs_no_pair(tmp_path, capsys):
+    fam = tmp_path / "fam.kfamily"
+    fam.write_text("base=4\nmult=omega <2.0,1.0>=2\nmult=omega\n")
+    code, out = run(capsys, "iso", "--family", str(fam), "--m", "3",
+                    "--r", "4", "--l", "1")
+    assert code == 0 and out.splitlines()[-1].startswith("isomorphic [")
+
+
+# --------------------------------------------------------------------------
+# Import graph: the tree, type and reduce verbs start without numpy.
+
+NO_NUMPY = """
+import contextlib, io, sys
+import mlw.values, mlw.moduli, mlw.formulas, mlw.trees, mlw.conditions
+import mlw.cli
+assert "numpy" not in sys.modules, "numpy imported by a module import"
+for argv in (["tree", "rank", "--dsl", "chain(2)"],
+             ["type", "build", "--type", "s_m:1,3"],
+             ["reduce", "tR", "--k", "2", "--const", "<1,1>"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert mlw.cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, f"numpy imported by {argv}"
+"""
+
+
+def test_tree_type_reduce_verbs_start_without_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    p = subprocess.run([sys.executable, "-c", NO_NUMPY], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr

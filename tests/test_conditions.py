@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlw.conditions import (PartialType, closed, leq, make_uniform,
-                            normalize_condition, omega_type, open_cond,
-                            type_and, type_or)
+from mlw.conditions import (PartialType, build_type, closed, leq,
+                            make_uniform, normalize_condition, omega_type,
+                            open_cond, type_and, type_or)
 from mlw.formulas import Dist, Rat, Var, fmonus, parse_formula
 from mlw.moduli import Modulus
 from mlw.structures import eval_formula
@@ -117,6 +117,32 @@ def test_omega_type_realization_shadow(n22):
     base = _unary_type(Fraction(0))
     t = omega_type(base, 2)
     assert _realizers(n22, t)
+
+
+def test_omega_type_needs_a_variable():
+    base = _unary_type(Fraction(0))
+    assert len(omega_type(base, 1).variables) == 1
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"needs n >= 1, got {n}"):
+            omega_type(base, n)
+
+
+# --------------------------------------------------------------------------
+# the partial-type registry
+
+@pytest.mark.parametrize("kind,args,msg", [
+    ("s_m", ("x",), r"type kind 's_m' takes \(m, n, sort=None\), got 'x'"),
+    ("s_m", (), r"type kind 's_m' takes \(m, n, sort=None\), got nothing"),
+    ("s_m", (1, 2, "D1", 4), r"'s_m' takes \(m, n, sort=None\)"),
+    ("s_m", (1.0, 3), r"'s_m' takes"),
+    ("tS", (1, 2), r"'tS' takes \(S, k, treedepth=2, treebranch=2\)"),
+    ("tR", ("2",), r"'tR' takes \(k, c='c'\), got '2'"),
+    ("s0_branch", ("D1", "D2"), r"'s0_branch' takes \(sort=None\)"),
+    ("nosuch", (), r"unknown type kind 'nosuch'"),
+])
+def test_build_type_names_the_kind_and_its_parameters(kind, args, msg):
+    with pytest.raises(ValueError, match=msg):
+        build_type(kind, *args)
 
 
 # --------------------------------------------------------------------------

@@ -13,9 +13,9 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+from mlw.conditions import _TYPE_BUILDERS, build_type, pred_gap
 from mlw.formulas import (PrenexUnsupported, free_vars, is_prenex,
                           parse_formula, prenex, show, summary, var_sorts)
-from mlw.models import _TYPE_BUILDERS, build_type, pred_gap
 from mlw.trees import FiniteTree
 
 GOLDEN = Path(__file__).with_name("formula_fold_golden.json")

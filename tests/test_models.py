@@ -6,16 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from mlw.conditions import build_type, pred_gap
 from mlw.formulas import parse_formula
-from mlw.models import (KFamily, KFunction, box_nodes, build_M, build_M4,
-                        build_M_l, build_model, build_N, build_N2, build_N3,
-                        build_Projection, build_type, canonical_truncation,
-                        default_kfamily, enumerate_pair_trees,
-                        enumerate_trees, is_bottom_terminal, kfamily_check,
-                        load_kfamily, parse_ctor, pred_gap, save_kfamily,
+from mlw.models import (KFamily, KFunction, build_M, build_M4, build_M_l,
+                        build_model, build_N, build_N2, build_N3,
+                        build_Projection, canonical_truncation,
+                        default_kfamily, is_bottom_terminal, kfamily_check,
+                        load_kfamily, parse_ctor, save_kfamily,
                         shadow_report)
 from mlw.structures import check_structure, eval_formula, save_structure
-from mlw.trees import PairTree, parse_node
+from mlw.trees import (PairTree, box_nodes, enumerate_pair_trees,
+                       enumerate_trees, parse_node)
 
 
 # --------------------------------------------------------------------------

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mlw.formulas import parse_formula
+from mlw.formulas import Dist, Pred, Var, affine, parse_formula
 from mlw.moduli import Modulus
 from mlw.structures import (FiniteStructure, _max_numerator, check_structure,
                             eval_bounds, eval_formula, eval_table,
                             load_structure, save_structure)
+from mlw.values import ONE, ZERO
 
 
 def _two_point(d01=Fraction(1, 2), plip=2, pvals=(Fraction(0), Fraction(1))):
@@ -184,3 +185,38 @@ def test_max_numerator_matches_fraction_comparison(den, qden, strict, data):
     want = [Fraction(v, den) < q if strict else Fraction(v, den) <= q
             for v in table.tolist()]
     assert got.tolist() == want
+
+
+def test_affine_has_no_int64_wraparound():
+    # 2^45 * 2^19 passes int64; the clamped exact value is 1
+    M = FiniteStructure.build(
+        {"A": ["a", "b"]},
+        {"A": (2**20, np.array([[0, 2**19], [2**19, 0]]))})
+    f = affine(2**45, 0, Dist(Var("x0"), Var("x1")))
+    assert eval_formula(f, M, {"x0": "a", "x1": "b"}) == 1
+    assert eval_table(f, M, [("x0", "A"), ("x1", "A")])[1].tolist() == \
+        [[0, 1], [1, 0]]
+
+
+def _coefficient(data):
+    return Fraction(data.draw(st.integers(-2**60, 2**60)),
+                    data.draw(st.sampled_from((1, 2, 3, 7, 2**10, 3**7))))
+
+
+@given(st.integers(1, 2**40 - 1), st.data())
+def test_affine_matches_fraction_arithmetic(den, data):
+    a, b = _coefficient(data), _coefficient(data)
+    vals = data.draw(st.lists(st.integers(0, den), min_size=1, max_size=6))
+    pts = [f"p{i}" for i in range(len(vals))]
+    M = FiniteStructure.build(
+        {"A": pts}, {"A": lambda x, y: Fraction(0) if x == y else ONE},
+        {}, {"P": (("A",), (den, np.array(vals, dtype=np.int64)))})
+    f = affine(a, b, Pred("P", (Var("x0"),)))
+    want = [min(max(a * Fraction(v, den) + b, ZERO), ONE) for v in vals]
+    if den * a.denominator * b.denominator >= 2**40:
+        with pytest.raises(ValueError, match="denominator overflow"):
+            eval_table(f, M, [("x0", "A")])
+        return
+    tden, table = eval_table(f, M, [("x0", "A")])
+    assert [Fraction(int(v), tden) for v in table] == want
+    assert [eval_formula(f, M, {"x0": p}) for p in pts] == want
