@@ -6,12 +6,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
 from .conditions import Condition, PartialType, normalize_condition
 from .formulas import Formula, Quant, _modulus_for_var, summary
-from .structures import FiniteStructure, _max_numerator, eval_table
+from .structures import (FiniteStructure, _first_hit, _max_numerator,
+                         _ultrametric_order, eval_table)
 from .values import ONE, ZERO
 
 
@@ -146,6 +148,8 @@ def _unequal(a, da: int, b, db: int):
     when p | a, q | b and a / p == b / q."""
     g = math.gcd(da, db)
     p, q = da // g, db // g
+    if p == q == 1:  # one denominator: the tables compare as they are
+        return a != b
     return (a % p != 0) | (b % q != 0) | (a // p != b // q)
 
 
@@ -171,9 +175,9 @@ def _mismatches(A, B, L0: Sublanguage, idx) -> list[tuple]:
         ib = np.fromiter(m.values(), np.intp, len(m))
         bad = _unequal(sa.dmat[np.ix_(ia, ia)], sa.den,
                        sb.dmat[np.ix_(ib, ib)], sb.den)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            out.append(("metric", s, (ia[i], ia[j])))
+        hit = _first_hit(bad)
+        if hit is not None:
+            out.append(("metric", s, (ia[hit[0]], ia[hit[1]])))
     tables = [("function", name, A.functions[name], B.functions[name])
               for name in sorted(L0.functions)]
     tables += [("predicate", name, A.predicates[name], B.predicates[name])
@@ -188,8 +192,8 @@ def _mismatches(A, B, L0: Sublanguage, idx) -> list[tuple]:
             bad = (image >= 0) & (image != vb)
         else:
             bad = _unequal(va, ta.den, vb, tb.den)
-        if bad.any():
-            hit = np.argwhere(bad)[0]
+        hit = _first_hit(bad)
+        if hit is not None:
             out.append((kind, name, tuple(k[c] for k, c in zip(keys, hit))))
     return out
 
@@ -225,10 +229,20 @@ def verify_iso(A: FiniteStructure, B: FiniteStructure, L0: Sublanguage,
 
 def find_iso(A: FiniteStructure, B: FiniteStructure,
              L0: Sublanguage | None = None):
-    """Complete isomorphism search: colour refinement of the joint point
-    classes of A and B, then individualization of one A point at a time
-    against each B point of its class, backtracking on an explicit stack.
-    Returns an IsoWitness that verify_iso accepts, or a Refusal."""
+    """Isomorphism search, canonical form first.  Returns an IsoWitness
+    that verify_iso accepts, or a Refusal, which means that no isomorphism
+    exists.
+
+    Colour refinement of the joint point classes of A and B (McKay &
+    Piperno, "Practical graph isomorphism, II", 2014) splits them by the
+    functions, the predicates and the fixed points of each unary
+    endofunction.  When every sort of both structures is an ultrametric
+    (see _ultrametric_order), the canonical form comes first: AHU codes
+    (Aho, Hopcroft & Ullman 1974) of each sort's ball tree, with the
+    classes as colours, carry the metric; the canonical point orders of A
+    and B, zipped, give one map, and verify_iso checks it.  Otherwise, or
+    when the codes differ or the check fails, the complete search decides
+    (see _search), starting from the classes already refined."""
     if L0 is None:
         L0 = Sublanguage(frozenset(A.functions) & frozenset(B.functions),
                          frozenset(A.predicates) & frozenset(B.predicates))
@@ -238,26 +252,49 @@ def find_iso(A: FiniteStructure, B: FiniteStructure,
         if A.sorts[s].size != B.sorts[s].size:
             return Refusal("point-count invariant",
                            f"sort {s}: {A.sorts[s].size} vs {B.sorts[s].size}")
-    # (name, argument sorts, output sort of a function, A's table, B's)
-    tables = [(f"metric {s}", (s, s), None,
-               *_ranks(sd.dmat, sd.den, B.sorts[s].dmat, B.sorts[s].den))
-              for s, sd in A.sorts.items()]
+    tables = _symbol_tables(A, B, L0)
+    classes = {s: np.zeros(2 * sd.size, np.int64) for s, sd in A.sorts.items()}
+    trees = _dendrograms(A, B)
+    if trees is not None:
+        classes = _refined(classes, tables)
+        if isinstance(classes, Refusal):
+            return classes
+        w = _canonical_map(A, B, trees, classes, tables)
+        if w is not None and not verify_iso(A, B, L0, w):
+            return w
+    return _search(A, B, L0, classes, tables)
+
+
+def _symbol_tables(A, B, L0: Sublanguage):
+    """(name, argument sorts, output sort of a function, A's table, B's)
+    for each function and predicate of L0, and a 0/1 table of the fixed
+    points of each unary endofunction."""
+    tables = []
     for name in sorted(L0.functions):
         fa, fb = A.functions[name], B.functions[name]
         tables.append((name, fa.arg_sorts, fa.out_sort, fa.table, fb.table))
+        if fa.arg_sorts == (fa.out_sort,):
+            ids = np.arange(len(fa.table))
+            tables.append((f"{name} fixed", fa.arg_sorts, None,
+                           fa.table == ids, fb.table == ids))
     for name in sorted(L0.predicates):
         pa, pb = A.predicates[name], B.predicates[name]
         tables.append((name, pa.arg_sorts, None,
                        *_ranks(pa.table, pa.den, pb.table, pb.den)))
-    classes = {s: np.zeros(2 * sd.size, np.int64) for s, sd in A.sorts.items()}
-    while True:  # refine on the full tables until no class splits
-        new = _settle(classes, tables)
-        if isinstance(new, Refusal):
-            return new
-        if all(new[s].max(initial=0) == c.max(initial=0)
-               for s, c in classes.items()):
-            break
-        classes = new
+    return tables
+
+
+def _search(A, B, L0: Sublanguage, classes, tables):
+    """The complete search: refine the joint classes by the metric as well
+    as the tables, then individualize one A point at a time against each B
+    point of its class, backtracking on an explicit stack."""
+    metric = [(f"metric {s}", (s, s), None,
+               *_ranks(sd.dmat, sd.den, B.sorts[s].dmat, B.sorts[s].den))
+              for s, sd in A.sorts.items()]
+    tables = metric + tables
+    new = _refined(classes, tables)
+    if isinstance(new, Refusal):
+        return new
     stack = []
     while new is not None:
         pick = _pick(new)
@@ -282,6 +319,140 @@ def find_iso(A: FiniteStructure, B: FiniteStructure,
                 new = None
     return Refusal("backtracking exhausted",
                    "no bijection preserves the metric and symbol tables")
+
+
+def _refined(classes, tables):
+    """Refine the joint classes by the tables until no class splits; a
+    Refusal when the two sides of a class differ."""
+    while True:
+        new = _settle(classes, tables)
+        if isinstance(new, Refusal) or all(
+                new[s].max(initial=0) == c.max(initial=0)
+                for s, c in classes.items()):
+            return new
+        classes = new
+
+
+def _dendrograms(A, B):
+    """Per sort, the Prim orders of A and B (see _ultrametric_order), with
+    their joins ranked on one scale, when every sort of both is an
+    ultrametric; else None."""
+    trees = {}
+    for s, sa in A.sorts.items():
+        sb = B.sorts[s]
+        ta = _dendrogram(sa)
+        tb = _dendrogram(sb) if ta is not None else None
+        if tb is None:
+            return None
+        ja, jb = _ranks(ta[1], sa.den, tb[1], sb.den)
+        trees[s] = (ta[0], ja), (tb[0], jb)
+    return trees
+
+
+def _dendrogram(sd):
+    """(Prim order, joins) of a sort whose distance is an ultrametric, else
+    None."""
+    D = sd.dmat
+    if not sd.size:
+        return np.zeros(0, np.intp), np.zeros(0, np.int64)
+    if (np.diagonal(D) != 0).any() or (D != D.T).any():
+        return None
+    return _ultrametric_order(D)
+
+
+def _canonical_map(A, B, trees, classes, tables):
+    """The map that zips the canonical point orders of A's and B's ball
+    trees, or None when the two sides differ.  classes must be refined by
+    the tables.  Sorts go one at a time: once a sort is zipped, each of
+    its pairs gets a class of its own, and the refinement carries that to
+    the sorts still to come."""
+    mapping = {}
+    for k, s in enumerate(trees):
+        got = _tree_refined(trees, classes, tables)
+        if got is None:
+            return None
+        classes, (pa, pb) = got[0], got[1][s]
+        na, nb = A.sorts[s].points, B.sorts[s].points
+        mapping[s] = {na[a]: nb[b] for a, b in zip(pa, pb)}
+        if k + 1 < len(trees):
+            n = len(pa)
+            c = np.empty(2 * n, np.int64)
+            c[pa] = c[n + np.array(pb, np.intp)] = np.arange(n)
+            classes = _refined({**classes, s: c}, tables)
+            if isinstance(classes, Refusal):
+                return None
+    return IsoWitness(mapping)
+
+
+def _tree_refined(trees, classes, tables):
+    """Refine the joint classes, already refined by the tables, by each
+    sort's coloured ball tree and by the tables until no class splits.
+    Points of a sort whose balls have the same codes, from the point up to
+    the root, are swapped by an isometry that keeps the colours, so these
+    codes split a class at least as finely as the metric's profile would.
+    Returns the classes and, per sort, A's and B's points in canonical
+    order; None when the two sides differ."""
+    while True:
+        new, orders = {}, {}
+        for s, ((oa, ja), (ob, jb)) in trees.items():
+            c, n = classes[s], len(oa)
+            codes: dict = {}
+            ka, pa, xa = _canonical(oa, ja, c[:n], codes)
+            kb, pb, xb = _canonical(ob, jb, c[n:], codes)
+            if ka != kb:
+                return None
+            ids: dict = {}
+            new[s] = np.array([ids.setdefault(x, len(ids)) for x in xa + xb],
+                              np.int64)
+            orders[s] = pa, pb
+        if all(new[s].max(initial=0) == c.max(initial=0)
+               for s, c in classes.items()):
+            return classes, orders
+        classes = _refined(new, tables)
+        if isinstance(classes, Refusal):
+            return None
+
+
+def _canonical(order, join, colour, codes: dict):
+    """AHU code of an ultrametric sort's ball tree, its points coloured;
+    its points in canonical order; and per point, the codes of the balls
+    around it, innermost first.  order and join come from
+    _ultrametric_order, join as ranks common to both structures.  A ball
+    is a contiguous run of the order, labelled by its largest join, and
+    its children are the runs between the joins that reach that label.  A
+    point's code is its colour and a ball's is its label with its
+    children's codes, sorted; `codes` numbers them alike for both
+    structures, so equal numbers mean isomorphic coloured trees."""
+    n = len(order)
+    if not n:
+        return codes.setdefault((), len(codes)), [], []
+    around = [[] for _ in range(n)]
+    done = []  # (code, points in canonical order) of finished balls
+    todo = [(0, n, None, 0)]
+    while todo:
+        lo, hi, label, kids = todo.pop()
+        if kids:  # every child of the ball is done
+            parts = sorted(done[-kids:], key=itemgetter(0))
+            del done[-kids:]
+            code = codes.setdefault((label, *(k for k, _ in parts)),
+                                    len(codes))
+            pts = [p for _, ps in parts for p in ps]
+            for p in pts:
+                around[p].append(code)
+            done.append((code, pts))
+        elif hi - lo == 1:
+            p = int(order[lo])
+            code = codes.setdefault(int(colour[p]), len(codes))
+            around[p].append(code)
+            done.append((code, [p]))
+        else:
+            inner = join[lo + 1:hi]
+            label = int(inner.max())
+            cuts = [lo, *(lo + 1 + np.flatnonzero(inner == label)).tolist(),
+                    hi]
+            todo.append((lo, hi, label, len(cuts) - 1))
+            todo.extend((a, b, None, 0) for a, b in zip(cuts, cuts[1:]))
+    return (*done[0], list(map(tuple, around)))
 
 
 def _ranks(ta, da: int, tb, db: int):

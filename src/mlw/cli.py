@@ -402,6 +402,9 @@ def main(argv=None) -> int:
         print(f"error: mlw {args.verb}{' ' + sub if sub else ''} needs "
               f"{' and '.join(missing)}", file=sys.stderr)
         return 2
+    if (getattr(args, "frag", None) or 0) < 0:  # before any output
+        print(f"error: --frag must be >= 0, got {args.frag}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError) as e:

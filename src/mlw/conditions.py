@@ -106,6 +106,8 @@ class PartialType:
 
     def fragment(self, n: int) -> tuple[Condition, ...]:
         """First n conditions; monotone in n."""
+        if n < 0:
+            raise ValueError(f"fragment size must be >= 0, got {n}")
         if self.generator is None:
             return self.conds[: min(n, len(self.conds))]
         return tuple(self.generator(j) for j in range(n))
@@ -286,6 +288,13 @@ def _s(j: int) -> Fraction:
     return Fraction(1, j + 1)
 
 
+def _sizes(kind: str, **sizes: int):
+    """Reject a negative size argument of the type builder of a kind."""
+    for name, v in sizes.items():
+        if v < 0:
+            raise ValueError(f"type kind {kind!r} needs {name} >= 0, got {v}")
+
+
 def _pinned(x0, j: int) -> Condition:
     """x0 sits at distance 1/(j+1) from its level-j prefix."""
     return closed(absdiff(Dist(App(f"f{j}", (x0,)), x0), Rat(_s(j))))
@@ -323,6 +332,7 @@ def type_terminal(m: int, n: int, sort: str | None = None) -> PartialType:
     height-(m+1) successor with colour index <= n."""
     if m < 1:
         raise ValueError("terminal type needs height >= 1")
+    _sizes("s_m", n=n)
     x0, x1 = Var("x0", sort), Var("x1", sort)
     conds = [closed(Dist(App(f"f{m}", (x0,)), x0)),
              closed(absdiff(Dist(App(f"f{m-1}", (x0,)), x0),
@@ -353,6 +363,7 @@ def type_tree_member(S: FiniteTree, k: int, treedepth: int = 2,
     match S on every node of weight < k, y's distances to the enumerated
     tree constants match S's to precision 1/(k+1), and x is pinned strictly
     above level k."""
+    _sizes("tS", k=k)
     S = S if isinstance(S, FiniteTree) else FiniteTree.of(S)
     x0, x1 = Var("x0", "D1"), Var("x1", "D2")
     conds = [_pinned(x0, j) for j in range(k + 1)]
@@ -377,6 +388,7 @@ def type_tree_member(S: FiniteTree, k: int, treedepth: int = 2,
 def type_pair_member(k: int, c: str = "c") -> PartialType:
     """Depth-k fragment of the pair-tree analogue: level prefixes of x pair
     with prefixes of the constant inside y, and x is pinned above level k."""
+    _sizes("tR", k=k)
     x0, x1 = Var("x0", "D1"), Var("x1", "D3")
     conds = [_pinned(x0, j) for j in range(k + 1)]
     for j in range(k + 1):
@@ -396,6 +408,7 @@ def type_bridge(m: int, n: int) -> PartialType:
     """Depth-n fragment, matched to type_terminal(m, n), of the discrete
     side of the bridge: x has g-iterate preimages up to depth n - m, and no
     g-predecessor whose image carries a colour with index <= n."""
+    _sizes("t_T2", m=m, n=n)
     x0, x1 = Var("x0", "X"), Var("x1", "X")
     conds = []
     for k in range(1, n - m + 1):

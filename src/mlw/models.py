@@ -768,23 +768,21 @@ def canonical_truncation(family: KFamily, m: int, r: int, mu: int = 2,
             anc_of[i][levels[j]] = j
             j = parents[j]
 
+    # f_k maps a point to its level-k ancestor, or to itself below level k
+    anc = np.array(anc_of, dtype=np.int64).reshape(n, m)
     fns = {}
     mods = {}
     for k in range(r):
-        table = [names[anc_of[i][k]] if levels[i] >= k else names[i]
-                 for i in range(n)]
-        fns[f"f{k}"] = (("D1",), "D1",
-                        (lambda t: (lambda a: t[int(a[1:])]))(table))
+        fns[f"f{k}"] = (("D1",), "D1", anc[:, k] if k < m else np.arange(n))
         mods[f"f{k}"] = Modulus.lipschitz(1)
+    ci, cj = np.array([c or (-1, -1) for c in cols], dtype=np.int64).T
     preds = {}
-    colarr = cols
     for i in range(r):
+        lip = Modulus.lipschitz(i + 1)
         for j in range(r):
-            preds[f"P{i}_{j}"] = (
-                ("D1",),
-                (lambda ij: (lambda a: ZERO if colarr[int(a[1:])] == ij
-                             else ONE))((i, j)))
-            mods[f"P{i}_{j}"] = Modulus.lipschitz(i + 1)
+            off = (ci != i) | (cj != j)  # 0 exactly on colour (i, j)
+            preds[f"P{i}_{j}"] = (("D1",), (1, off.astype(np.int64)))
+            mods[f"P{i}_{j}"] = lip
     return FiniteStructure.build(
         {"D1": names}, {"D1": (den, dmat)}, fns, preds, mods,
         {"label": f"canon(m={m},r={r},mu={mu},l={l},perturb={int(perturb)})",

@@ -76,8 +76,9 @@ class FiniteStructure:
 
         points: {sort: [names]};  metric: {sort: callable(a, b) -> Fraction
         or (den, int ndarray)};  functions: {name: (arg_sorts, out_sort,
-        callable(*names) -> name)};  predicates: {name: (arg_sorts,
-        callable(*names) -> Fraction or (den, int ndarray))}."""
+        callable(*names) -> name, or an int ndarray of output point
+        indices)};  predicates: {name: (arg_sorts, callable(*names) ->
+        Fraction or (den, int ndarray))}."""
         sorts: dict[str, SortData] = {}
         for s, names in points.items():
             names = tuple(names)
@@ -103,6 +104,14 @@ class FiniteStructure:
             arg_sorts = tuple(arg_sorts)
             shape = tuple(sorts[s].size for s in arg_sorts)
             out = sorts[out_sort]
+            if isinstance(fn, np.ndarray):
+                table = fn.astype(np.int64)
+                if table.shape != shape or table.size and (
+                        table.min() < 0 or table.max() >= out.size):
+                    raise ValueError(f"function {name} table does not fit "
+                                     f"its sorts")
+                fns[name] = FnTable(arg_sorts, out_sort, table)
+                continue
             table = np.empty(shape, dtype=np.int64)
             for combo in product(*(range(k) for k in shape)):
                 names_in = tuple(sorts[s].points[i] for s, i in zip(arg_sorts, combo))
@@ -193,6 +202,14 @@ def _max_numerator(q: Fraction, den: int, strict: bool = False) -> int:
     capped at the int64 range: for an int64 table, `table <= a` is exactly
     `table / den <= q` (or `< q`), with no product to wrap around."""
     return min((q.numerator * den - strict) // q.denominator, _INT64_MAX)
+
+
+def _first_hit(mask: np.ndarray):
+    """The index tuple of mask's first true entry in C order, or None:
+    what np.argwhere(mask)[0] gives, without listing the other hits."""
+    if not mask.any():
+        return None
+    return np.unravel_index(int(np.argmax(mask)), mask.shape)
 
 
 def _thresholds(mod: Modulus, levels, den: int, dden: int) -> list[int]:
@@ -340,31 +357,29 @@ def _metric_report(s: str, sd: SortData, report: list[str], certify: bool):
         i = int(np.flatnonzero(np.diag(D))[0])
         report.append(f"metric: nonzero diagonal at {sd.points[i]} in sort {s}")
         clean = False
-    if (D != D.T).any():
-        i, j = np.argwhere(D != D.T)[0]
-        report.append(f"metric: asymmetry at {_pair_name(sd, i, j)} in sort {s}")
+    hit = _first_hit(D != D.T)
+    if hit is not None:
+        report.append(f"metric: asymmetry at {_pair_name(sd, *hit)} in sort {s}")
         clean = False
     if (D < 0).any() or (D > sd.den).any():
         report.append(f"metric: entry outside [0,1] in sort {s}")
     off = D + np.eye(n, dtype=np.int64) * (sd.den + 1)
-    zero = np.argwhere(off == 0)
-    if len(zero):
-        i, j = zero[0]
+    hit = _first_hit(off == 0)
+    if hit is not None:
         report.append(
             f"metric: identity of indiscernibles fails at "
-            f"{_pair_name(sd, i, j)} in sort {s}")
+            f"{_pair_name(sd, *hit)} in sort {s}")
     cert = _ultrametric_order(D) if certify and clean and n else None
     if cert is not None:
         return cert  # an ultrametric: the triangle inequality holds
     if D.size and -2**30 < D.min() and D.max() < 2**30:
         D = D.astype(np.int32)  # sums still fit; half the memory traffic
     for k in range(n):
-        viol = D > D[:, k:k + 1] + D[k:k + 1, :]
-        if viol.any():
-            i, j = np.argwhere(viol)[0]
+        hit = _first_hit(D > D[:, k:k + 1] + D[k:k + 1, :])
+        if hit is not None:
             report.append(
                 f"metric: triangle inequality fails for "
-                f"{_pair_name(sd, i, j)} via {sd.points[k]} in sort {s}")
+                f"{_pair_name(sd, *hit)} via {sd.points[k]} in sort {s}")
             break
     return None
 
@@ -562,6 +577,16 @@ def eval_table(f: Formula, M: FiniteStructure, variables,
     variables at once.  variables: [(name, sort)], one numpy axis each in
     order; remaining free variables come from assignment.  Returns
     (den, table) with table integer-valued, scaled by den."""
+    _, den, table = next(_eval_blocks(f, M, variables, assignment))
+    return den, table
+
+
+def _eval_blocks(f: Formula, M: FiniteStructure, variables, assignment=None,
+                 stops=None):
+    """eval_table a block of rows at a time: for each stop (increasing),
+    the rows of the full table along the first variable's axis from the
+    previous stop (at first 0) up to it.  Yields (first row, den, rows);
+    with stops None, one block of every row."""
     variables = [(v, s or M.only_sort()) for v, s in variables]
     info = summary(f)
     fixed = {}
@@ -576,14 +601,24 @@ def eval_table(f: Formula, M: FiniteStructure, variables,
     r = len(variables)
     total = max(r + info.depth, 1)
     env = dict(fixed)
+    dims = [M.sorts[s].size for _, s in variables]
     for j, (name, sort) in enumerate(variables):
-        n = M.sorts[sort].size
-        shape = (1,) * j + (n,) + (1,) * (total - j - 1)
-        env[name] = (sort, np.arange(n).reshape(shape))
-    den, v = _ev(f, M, env, r, total)
-    dims = tuple(M.sorts[s].size for _, s in variables)
-    out = np.broadcast_to(np.asarray(v), dims + (1,) * (total - r)).reshape(dims)
-    return den, out
+        shape = (1,) * j + (dims[j],) + (1,) * (total - j - 1)
+        env[name] = (sort, np.arange(dims[j]).reshape(shape))
+    if not r or stops is None:
+        stops = dims[:1] or [0]
+    lo = 0
+    for hi in stops:
+        if r:  # the block's rows
+            dims[0] = hi - lo
+            name, sort = variables[0]
+            env[name] = (sort, np.arange(lo, hi).reshape(
+                (-1,) + (1,) * (total - 1)))
+        den, v = _ev(f, M, env, r, total)
+        shape = tuple(dims)
+        yield lo, den, np.broadcast_to(
+            np.asarray(v), shape + (1,) * (total - r)).reshape(shape)
+        lo = hi
 
 
 def _bind(free: dict, M: FiniteStructure, assignment):
@@ -858,8 +893,9 @@ def load_structure(path: str, validate: bool = True) -> FiniteStructure:
         for a, b in ((cols, rows), (rows, cols)):
             dmat[a, b] = vals
             given[a, b] = True
-        if not given.all():
-            i, j = np.argwhere(~given)[0]
+        hit = _first_hit(~given)
+        if hit is not None:
+            i, j = hit
             raise ValueError(f"missing metric entry for {names[i]}, "
                              f"{names[j]} in sort {s}")
         return den, dmat

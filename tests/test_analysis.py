@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlw import analysis
 from mlw.analysis import (IsoWitness, Refusal, Sublanguage, eq_evidence,
                           find_iso, realization_tree, realizes, verify_iso,
                           verify_iso_on_domain)
@@ -435,3 +436,184 @@ def test_realizes_tolerance_has_no_int64_wraparound():
     t = PartialType((("x0", "D1"),), (closed(parse_formula("d(x0, <>)")),),
                     None, "root")
     assert realizes(M, t, tol=Fraction(1, 3**18)) == [("<>",)]
+
+
+# --------------------------------------------------------------------------
+# find_iso: the canonical form first, the complete search behind it
+
+def _search_only(A, B):
+    """find_iso without its canonical form: the complete search from the
+    coarsest classes, for structures with the same sorts and sizes."""
+    L0 = Sublanguage(frozenset(A.functions) & frozenset(B.functions),
+                     frozenset(A.predicates) & frozenset(B.predicates))
+    classes = {s: np.zeros(2 * sd.size, np.int64) for s, sd in A.sorts.items()}
+    return analysis._search(A, B, L0, classes,
+                            analysis._symbol_tables(A, B, L0))
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """How often find_iso hands over to the complete search."""
+    calls = []
+    search = analysis._search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+    monkeypatch.setattr(analysis, "_search", counted)
+    return calls
+
+
+@st.composite
+def _ultrametric_structures(draw):
+    """A one-sort structure of up to five points whose metric is an
+    ultrametric, with a unary predicate P, a binary predicate Q and a
+    unary function f.  Either the metric comes from two nested random
+    partitions and P, Q and f are random, or there are two balls of k
+    points, P is constant and f and Q pair each point of one ball with one
+    of the other (and a fifth point with itself): colour refinement cannot
+    tell one such pairing from another, so the canonical map often breaks
+    it and the search has to take over."""
+    paired = draw(st.booleans())
+    if not paired:
+        n = draw(st.integers(0, 5))
+        top, sub = (draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+                    for _ in range(2))
+    else:
+        k, extra = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+        n = 2 * k + extra
+        top, sub = [0] * k + [1] * k + [0] * extra, [0] * n
+        mate = draw(st.permutations(range(k, 2 * k)))
+    d = np.array([[0 if i == j else 4 if top[i] != top[j] else
+                   2 if sub[i] != sub[j] else 1 for j in range(n)]
+                  for i in range(n)], dtype=np.int64).reshape(n, n)
+    names = tuple(f"p{i}" for i in range(n))
+
+    def table(shape, hi):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.integers(0, hi), min_size=size,
+                                      max_size=size)),
+                        dtype=np.int64).reshape(shape)
+    if not paired:
+        p, f, q = table((n,), 2), table((n,), max(n - 1, 0)), table((n, n), 1)
+    else:
+        p, f = np.zeros(n, np.int64), np.arange(n)
+        f[:k], f[mate] = mate, np.arange(k)
+        q = (f[:, None] == np.arange(n)).astype(np.int64)
+    return FiniteStructure(
+        {"S": SortData(names, 4, d, {a: i for i, a in enumerate(names)})},
+        {"f": FnTable(("S",), "S", f)},
+        {"P": PredTable(("S",), 2, p), "Q": PredTable(("S", "S"), 1, q)})
+
+
+@settings(max_examples=150)
+@given(_ultrametric_structures(), _ultrametric_structures(),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_canonical_form_matches_exhaustive_search(A, B, seed, relabel):
+    if relabel:
+        B = _shuffled(A, random.Random(seed))
+    got, want = find_iso(A, B), exhaustive_iso(A, B)
+    assert isinstance(got, IsoWitness) == (want is not None), got
+    if isinstance(got, IsoWitness):
+        assert verify_iso(A, B, Sublanguage.full(A), got) == []
+
+
+@pytest.mark.parametrize("spec", [
+    "N(depth=3,branch=3)", "N(depth=4,branch=3)", "M(depth=3,branch=3)",
+    "Projection(depth=3,branch=2)", "M4(depth=2,branch=2)",
+    "N2(depth=3,branch=2)", "N3(depth=2,branch=2)"])
+def test_canonical_form_decides_relabelled_constructors(spec, searches):
+    A = build_model(spec)
+    rng = random.Random(spec)
+    for _ in range(3):
+        B = _shuffled(A, rng)
+        got = find_iso(A, B)
+        assert isinstance(got, IsoWitness), got
+        assert verify_iso(A, B, Sublanguage.full(A), got) == []
+        assert not searches  # the canonical map passed verify_iso
+        ref = _search_only(A, B)
+        assert isinstance(ref, IsoWitness)
+        assert verify_iso(A, B, Sublanguage.full(A), ref) == []
+        searches.clear()
+
+
+def _crossed(link):
+    """Two balls {a, b} and {c, d} at distance 1, 1/2 inside each, with a
+    binary predicate R and a function g that link each point of one ball
+    to one point of the other: `link` maps a and b into {c, d}."""
+    names = ["a", "b", "c", "d"]
+    pairs = {**link, **{v: k for k, v in link.items()}}
+    return FiniteStructure.build(
+        {"S": names},
+        {"S": lambda x, y: Fraction(0 if x == y else 1 if (x < "c") !=
+                                    (y < "c") else Fraction(1, 2))},
+        {"g": (("S",), "S", lambda x: pairs[x])},
+        {"R": (("S", "S"), lambda x, y: Fraction(int(pairs[x] == y)))})
+
+
+def test_search_takes_over_when_the_canonical_map_fails(searches):
+    # A and B have the same metric and the same classes, so their canonical
+    # orders agree and the canonical map is the identity, which moves R and
+    # g; swapping c and d is an isomorphism
+    A, B = _crossed({"a": "c", "b": "d"}), _crossed({"a": "d", "b": "c"})
+    L0 = Sublanguage.full(A)
+    assert verify_iso(A, B, L0, IsoWitness({"S": {p: p for p in "abcd"}}))
+    got = find_iso(A, B)
+    assert isinstance(got, IsoWitness)
+    assert verify_iso(A, B, L0, got) == []
+    assert len(searches) == 1
+
+
+def test_non_ultrametric_sorts_go_to_the_search(searches):
+    six = _cycles(6)
+    got = find_iso(six, _shuffled(six, random.Random(4)))
+    assert isinstance(got, IsoWitness) and len(searches) == 1
+    assert find_iso(_cycles(3, 3), six) == _search_only(_cycles(3, 3), six)
+
+
+def test_canonical_form_with_an_empty_sort(searches):
+    M = FiniteStructure.build(
+        {"A": ["a", "b", "c"], "E": []},
+        {"A": lambda x, y: Fraction(0 if x == y else 1 if "c" in (x, y)
+                                    else Fraction(1, 3)),
+         "E": lambda x, y: 0},
+        {"f": (("E",), "A", lambda x: "a")},
+        {"Q": (("A", "E"), lambda x, y: Fraction(1, 2))})
+    B = _shuffled(M, random.Random(1))
+    got = find_iso(M, B)
+    assert isinstance(got, IsoWitness) and not searches
+    assert got.mapping["E"] == {}
+    assert verify_iso(M, B, Sublanguage.full(M), got) == []
+
+
+def _discrete(n):
+    names = [f"v{i}" for i in range(n)]
+    return FiniteStructure.build({"S": names},
+                                 {"S": lambda a, b: Fraction(int(a != b))})
+
+
+@pytest.mark.parametrize("pair", ["codes", "cycles", "one distance",
+                                  "one colour"])
+def test_refusal_reasons_match_the_search(pair, searches):
+    if pair == "codes":  # ultrametric both, no symbols: the codes differ
+        A, B = _cycles(3, 3), _discrete(6)
+    elif pair == "cycles":  # B is no ultrametric; no class splits
+        A, B = _cycles(3, 3), _cycles(6)
+    elif pair == "one distance":  # B is no longer an ultrametric
+        A = build_model("N(depth=3,branch=2)")
+        B = _shuffled(A, random.Random(0))
+        d = B.sorts["D1"].dmat
+        d[0, 1] = d[1, 0] = d[0, 1] + 1
+    else:  # one point loses its colour
+        A = build_model("M(depth=2,branch=2)")
+        B = _shuffled(A, random.Random(0))
+        t = next(p.table for _, p in sorted(B.predicates.items())
+                 if len(np.unique(p.table)) > 1)
+        t.flat[int(np.argmax(t != t.flat[0]))] = t.flat[0]
+    got = find_iso(A, B)
+    assert isinstance(got, Refusal)
+    decided = len(searches) == 1
+    want = _search_only(A, B)
+    assert got.reason == want.reason
+    if pair in ("codes", "cycles"):  # the search decided, from no split
+        assert decided and got == want

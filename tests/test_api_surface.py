@@ -37,15 +37,18 @@ def test_public_api_has_callers():
     files += sorted((ROOT / "tests").rglob("*.py"))
     files += sorted((ROOT / "perfbench").rglob("*.py"))
     trees = {p: ast.parse(p.read_text(), str(p)) for p in files}
+    refs = {p: _references(tree) for p, tree in trees.items()}
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in trees[path].body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                     or node.name.startswith("_"):
                 continue
-            used = any(node.name in _references(tree,
-                                                node if p == path else None)
-                       for p, tree in trees.items())
+            # the defining file is walked again, without the definition,
+            # only when no other file refers to the name
+            used = any(node.name in r for p, r in refs.items() if p != path) \
+                or node.name in refs[path] and \
+                node.name in _references(trees[path], node)
             if not used:
                 unused.append(f"{path.name}: {node.name}")
     assert not unused, "public API with no caller: " + ", ".join(unused)

@@ -258,6 +258,17 @@ USAGE_ERRORS = [
      "error: omega_type needs n >= 1, got -1"),
     (("type", "omega", "--type", "s_m:1,3", "--n", "0"),
      "error: omega_type needs n >= 1, got 0"),
+    (("type", "build", "--type", "s_m:1,3", "--frag", "-1"),
+     "error: --frag must be >= 0, got -1"),
+    (("type", "check", "--type", "s_m:1,3", "--model", "N(depth=2,branch=2)",
+      "--frag", "-1"), "error: --frag must be >= 0, got -1"),
+    (("report", "--model", "N(depth=2,branch=2)", "--type", "s_m:1,3",
+      "--frag", "-2"), "error: --frag must be >= 0, got -2"),
+    (("type", "build", "--type", "t_T2:1,-5"),
+     "error: type kind 't_T2' needs n >= 0, got -5"),
+    (("reduce", "tR", "--k", "-1"), "error: type kind 'tR' needs k >= 0, got -1"),
+    (("reduce", "tS", "--dsl", "chain(1)", "--k", "-2"),
+     "error: type kind 'tS' needs k >= 0, got -2"),
 ]
 
 

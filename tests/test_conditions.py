@@ -1,5 +1,6 @@
 """Conditions, partial types, pairing combinators, chain types."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from mlw.conditions import (PartialType, build_type, closed, leq,
 from mlw.formulas import Dist, Rat, Var, fmonus, parse_formula
 from mlw.moduli import Modulus
 from mlw.structures import eval_formula
+from mlw.trees import FiniteTree
 
 units = st.fractions(min_value=0, max_value=1, max_denominator=16)
 
@@ -143,6 +145,30 @@ def test_omega_type_needs_a_variable():
 def test_build_type_names_the_kind_and_its_parameters(kind, args, msg):
     with pytest.raises(ValueError, match=msg):
         build_type(kind, *args)
+
+
+@pytest.mark.parametrize("kind,args,msg", [
+    ("s_m", (1, -1), "type kind 's_m' needs n >= 0, got -1"),
+    ("tS", (FiniteTree.of({()}), -2), "type kind 'tS' needs k >= 0, got -2"),
+    ("tR", (-1,), "type kind 'tR' needs k >= 0, got -1"),
+    ("t_T2", (1, -5), "type kind 't_T2' needs n >= 0, got -5"),
+    ("t_T2", (-1, 3), "type kind 't_T2' needs m >= 0, got -1"),
+])
+def test_type_builders_reject_negative_sizes(kind, args, msg):
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        build_type(kind, *args)
+    build_type(kind, *(0 if isinstance(a, int) and a < 0 else a
+                       for a in args))  # size 0 is allowed
+
+
+def test_fragment_rejects_a_negative_size():
+    t = build_type("s_m", 1, 3)
+    assert t.fragment(0) == ()
+    assert t.fragment(len(t.conds) + 5) == t.conds
+    with pytest.raises(ValueError, match="fragment size must be >= 0, got -1"):
+        t.fragment(-1)
+    with pytest.raises(ValueError, match="got -2"):
+        build_type("s0_branch").fragment(-2)
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mlw.forge import (TRIVIAL, BankRefusal, ForcingCondition, Permutation,
@@ -13,6 +14,7 @@ from mlw.forge import (TRIVIAL, BankRefusal, ForcingCondition, Permutation,
                        rename_constants, transcript, verify_run)
 from mlw.formulas import parse_formula
 from mlw.models import build_N
+from mlw.structures import eval_table
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +58,64 @@ def test_cond_check_refuses_impossible(bank):
     r = cond_check(p, bank)
     assert isinstance(r, BankRefusal)
     assert "bank" in r.reason
+
+
+def _cond_check_full_table(p, B, fixed=None):
+    """cond_check as one full-table scan per model, compared in Python
+    ints, first hit by np.argwhere."""
+    for name, M in B.items():
+        free = [i for i in p.F if not (fixed and i in fixed)]
+        sort = M.only_sort()
+        try:
+            den, tab = eval_table(bind_constants(p.formula), M,
+                                  [(f"x{i}", sort) for i in free],
+                                  {f"x{i}": q for i, q in (fixed or {}).items()})
+        except KeyError:
+            continue
+        sat = tab.astype(object) * p.eps.denominator < p.eps.numerator * den
+        hits = np.argwhere(sat)
+        if len(hits):
+            assign = dict(fixed or {})
+            assign.update({i: M.sorts[sort].points[j]
+                           for i, j in zip(free, hits[0])})
+            return Witness(name, {i: assign[i] for i in p.F})
+    return BankRefusal("bank-relative inconsistency",
+                       "no assignment in any bank model satisfies the demand")
+
+
+def _random_demand(rng):
+    """A max or min of one to three atoms over the constants d0..d2; one
+    atom in eight can never hold."""
+    atoms = []
+    for _ in range(rng.randrange(1, 4)):
+        i, j = rng.randrange(3), rng.randrange(3)
+        q = f"{rng.randrange(0, 5)}/4"
+        atoms.append(rng.choice([
+            f"absdiff(d(d{i}, d{j}), {q})", f"monus(d(d{i}, d{j}), {q})",
+            f"monus({q}, d(d{i}, d{j}))", f"neg(d(d{i}, d{i}))",
+            f"inf x9 . max(d(d{i}, x9), monus({q}, d(x9, d{j})))"]))
+    text = atoms[0] if len(atoms) == 1 else \
+        f"{rng.choice(['max', 'min'])}({', '.join(atoms)})"
+    f = parse_formula(text)
+    return ForcingCondition(f, constant_indices(f),
+                            rng.choice([Fraction(1, 8), Fraction(1, 4),
+                                        Fraction(1, 3), Fraction(1, 2)]))
+
+
+def test_cond_check_matches_a_full_table_scan(bank):
+    rng = random.Random(17)
+    pts = bank["a"].sorts["D1"].points
+    kinds = set()
+    for trial in range(150):
+        p = _random_demand(rng)
+        fixed = None
+        if rng.random() < 0.5:  # pin some constants, perhaps off bank b
+            fixed = {i: rng.choice(pts) for i in p.F if rng.random() < 0.5}
+        got = cond_check(p, bank, fixed)
+        assert got == _cond_check_full_table(p, bank, fixed), f"trial {trial}"
+        kinds.add((type(got).__name__, bool(fixed)))
+    assert kinds == {(k, f) for k in ("Witness", "BankRefusal")
+                     for f in (False, True)}
 
 
 # --------------------------------------------------------------------------

@@ -100,6 +100,24 @@ def test_precomputed_predicate_table_round_trips():
     assert check_structure(M) == []
 
 
+def test_function_table_array_matches_callable():
+    names = ["a", "b", "c"]
+    swap = {"a": "b", "b": "a", "c": "c"}
+
+    def build(fn):
+        return FiniteStructure.build(
+            {"A": names}, {"A": lambda x, y: Fraction(int(x != y))},
+            {"f": (("A",), "A", fn)})
+    want = build(swap.get).functions["f"]
+    got = build(np.array([1, 0, 2])).functions["f"]
+    assert (got.arg_sorts, got.out_sort) == (want.arg_sorts, want.out_sort)
+    assert got.table.dtype == want.table.dtype
+    assert got.table.tolist() == want.table.tolist() == [1, 0, 2]
+    for bad in (np.array([1, 0]), np.array([1, 0, 3]), np.array([-1, 0, 2])):
+        with pytest.raises(ValueError, match="table does not fit"):
+            build(bad)
+
+
 def test_predicate_range_enforced():
     with pytest.raises(ValueError):
         FiniteStructure.build(
