@@ -12,7 +12,8 @@ import numpy as np
 
 from .conditions import Condition, PartialType, normalize_condition
 from .formulas import Formula, Quant, _modulus_for_var, summary
-from .structures import (FiniteStructure, _first_hit, _max_numerator,
+from .structures import (FiniteStructure, _bind_rows, _first_hit,
+                         _max_numerator, _table, _table_env,
                          _ultrametric_order, eval_table)
 from .values import ONE, ZERO
 
@@ -34,21 +35,32 @@ def _resolve_vars(t: PartialType, M: FiniteStructure):
 def realizes(M: FiniteStructure, t: PartialType, n: int | None = None,
              tol: Fraction = ZERO) -> list[tuple[str, ...]]:
     """All tuples whose every fragment condition evaluates ≤ tol, in
-    lexicographic point-index order."""
+    lexicographic point-index order.  Once fewer rows of the first
+    variable survive than are bound, each later condition is evaluated at
+    the surviving rows only."""
     variables = _resolve_vars(t, M)
     conds = t.conds if n is None else t.fragment(n)
-    dims = tuple(M.sorts[s].size for _, s in variables)
-    mask = np.ones(dims, dtype=bool)
-    for c in conds:
-        if not mask.any():
-            break
-        den, table = eval_table(_closed_formula(c), M, variables)
+    forms = [_closed_formula(c) for c in conds]
+    env, total = _table_env(forms, M, variables)
+    # mask: the surviving tuples among the bound rows (rows None: all)
+    mask = np.ones(tuple(M.sorts[s].size for _, s in variables), dtype=bool)
+    later = tuple(range(1, mask.ndim))  # the axes after the first variable's
+    rows = None
+    for f in forms:
+        keep = mask.any(axis=later)
+        if not keep.all():
+            if not keep.any():
+                break
+            mask = mask[keep]
+            rows = np.flatnonzero(keep) if rows is None else rows[keep]
+            _bind_rows(env, variables, total, rows)
+        den, table = _table(f, M, env, variables, total)
         mask &= table <= _max_numerator(tol, den)
-    out = []
-    for combo in np.argwhere(mask):
-        out.append(tuple(M.sorts[s].points[i]
-                         for (_, s), i in zip(variables, combo)))
-    return out
+    hits = np.argwhere(mask)
+    if rows is not None:
+        hits[:, 0] = rows[hits[:, 0]]
+    return [tuple(M.sorts[s].points[i] for (_, s), i in zip(variables, combo))
+            for combo in hits]
 
 
 @dataclass(frozen=True)
@@ -173,7 +185,9 @@ def _mismatches(A, B, L0: Sublanguage, idx) -> list[tuple]:
         sa, sb = A.sorts[s], B.sorts[s]
         ia = np.fromiter(m, np.intp, len(m))
         ib = np.fromiter(m.values(), np.intp, len(m))
-        bad = _unequal(sa.dmat[np.ix_(ia, ia)], sa.den,
+        # a whole sort in index order (as verify_iso passes it) needs no copy
+        whole = len(ia) == sa.size and (ia == np.arange(sa.size)).all()
+        bad = _unequal(sa.dmat if whole else sa.dmat[np.ix_(ia, ia)], sa.den,
                        sb.dmat[np.ix_(ib, ib)], sb.den)
         hit = _first_hit(bad)
         if hit is not None:

@@ -141,17 +141,17 @@ def _var_list(M: FiniteStructure, idxs):
     return [(f"x{i}", sort) for i in idxs]
 
 
-def _scan(M: FiniteStructure, f: Formula, idxs, fixed=None, stops=None):
+def _scan(M: FiniteStructure, f: Formula, idxs, fixed=None, blocks=None):
     """Exhaustive scan over assignments of the given constant indices (other
     constants bound by `fixed`), in blocks of the first index's points
-    (see structures._eval_blocks); yields (first point, den, table) per
+    (see structures._eval_blocks); yields (points, den, table) per
     block."""
     size = M.total_points() ** len(idxs)
     if size > _SCAN_CAP:
         raise ValueError(f"assignment scan too large ({size} combinations)")
     fixed = {f"x{i}": p for i, p in (fixed or {}).items()}
     yield from _eval_blocks(bind_constants(f), M, _var_list(M, idxs), fixed,
-                            stops)
+                            blocks)
 
 
 def cond_check(p: ForcingCondition, B: WitnessBank,
@@ -183,10 +183,11 @@ def _first_satisfying(M: FiniteStructure, p: ForcingCondition, free, fixed):
     n = M.sorts[M.only_sort()].size
     # blocks of 1, 1, 2, 4, ... points end at 1, 2, 4, ..., n
     stops = sorted({min(2 ** k, n) for k in range(n.bit_length() + 1)})
-    for lo, den, tab in _scan(M, p.formula, free, fixed, stops):
+    blocks = [np.arange(lo, hi) for lo, hi in zip([0] + stops, stops)]
+    for rows, den, tab in _scan(M, p.formula, free, fixed, blocks):
         hit = _first_hit(tab <= _max_numerator(p.eps, den, strict=True))
         if hit is not None:
-            return (lo + hit[0], *hit[1:]) if free else ()
+            return (rows[hit[0]], *hit[1:]) if free else ()
     return None
 
 

@@ -353,9 +353,10 @@ def _metric_report(s: str, sd: SortData, report: list[str], certify: bool):
     D = sd.dmat
     n = sd.size
     clean = True
-    if (np.diag(D) != 0).any():
-        i = int(np.flatnonzero(np.diag(D))[0])
-        report.append(f"metric: nonzero diagonal at {sd.points[i]} in sort {s}")
+    hit = _first_hit(np.diag(D) != 0)
+    if hit is not None:
+        report.append(
+            f"metric: nonzero diagonal at {sd.points[hit[0]]} in sort {s}")
         clean = False
     hit = _first_hit(D != D.T)
     if hit is not None:
@@ -582,43 +583,65 @@ def eval_table(f: Formula, M: FiniteStructure, variables,
 
 
 def _eval_blocks(f: Formula, M: FiniteStructure, variables, assignment=None,
-                 stops=None):
-    """eval_table a block of rows at a time: for each stop (increasing),
-    the rows of the full table along the first variable's axis from the
-    previous stop (at first 0) up to it.  Yields (first row, den, rows);
-    with stops None, one block of every row."""
+                 blocks=None):
+    """eval_table a block of rows at a time: each block is an index array
+    of rows along the first variable's axis, and its table holds those
+    rows only.  Yields (rows, den, table) per block; with blocks None (or
+    no listed variable), one block of every row, with rows None."""
     variables = [(v, s or M.only_sort()) for v, s in variables]
-    info = summary(f)
-    fixed = {}
+    env, total = _table_env([f], M, variables, assignment)
+    for rows in (blocks if variables and blocks is not None else [None]):
+        if rows is not None:
+            _bind_rows(env, variables, total, rows)
+        yield (rows, *_table(f, M, env, variables, total))
+
+
+def _table_env(fs, M: FiniteStructure, variables, assignment=None):
+    """The environment eval_table evaluates the formulas fs in: variable j
+    of the listed (name, sort) pairs along axis j of total axes, where
+    total leaves room for the deepest of fs's quantifiers, and the other
+    free variables at the points assignment names.  Returns (env, total)."""
+    free, depth = {}, 0
+    for f in fs:
+        info = summary(f)
+        depth = max(depth, info.depth)
+        for v, s in info.free.items():
+            free[v] = free.get(v) or s
+    env = {}
     listed = {v for v, _ in variables}
     for v, name in (assignment or {}).items():
         if v not in listed:
-            s = info.free.get(v) or M.only_sort()
-            fixed[v] = (s, M.point(s, name))
-    missing = set(info.free) - listed - set(fixed)
+            s = free.get(v) or M.only_sort()
+            env[v] = (s, M.point(s, name))
+    missing = set(free) - listed - set(env)
     if missing:
         raise ValueError(f"unbound variables {sorted(missing)}")
-    r = len(variables)
-    total = max(r + info.depth, 1)
-    env = dict(fixed)
-    dims = [M.sorts[s].size for _, s in variables]
+    total = max(len(variables) + depth, 1)
     for j, (name, sort) in enumerate(variables):
-        shape = (1,) * j + (dims[j],) + (1,) * (total - j - 1)
-        env[name] = (sort, np.arange(dims[j]).reshape(shape))
-    if not r or stops is None:
-        stops = dims[:1] or [0]
-    lo = 0
-    for hi in stops:
-        if r:  # the block's rows
-            dims[0] = hi - lo
-            name, sort = variables[0]
-            env[name] = (sort, np.arange(lo, hi).reshape(
-                (-1,) + (1,) * (total - 1)))
-        den, v = _ev(f, M, env, r, total)
-        shape = tuple(dims)
-        yield lo, den, np.broadcast_to(
-            np.asarray(v), shape + (1,) * (total - r)).reshape(shape)
-        lo = hi
+        n = M.sorts[sort].size
+        env[name] = (sort, np.arange(n).reshape(
+            (1,) * j + (n,) + (1,) * (total - j - 1)))
+    return env, total
+
+
+def _bind_rows(env, variables, total: int, rows: np.ndarray):
+    """Bind the first listed variable to the given rows, an index array,
+    along the first of total axes."""
+    name, sort = variables[0]
+    env[name] = (sort, rows.reshape((-1,) + (1,) * (total - 1)))
+
+
+def _table(f: Formula, M: FiniteStructure, env, variables, total: int):
+    """(den, table) of f, one axis per listed variable, over the points
+    env binds them to.  Each row is evaluated on its own, but den is that
+    of the rows evaluated (the affine connective divides out the gcd of
+    their values), so compare only through _max_numerator with this den."""
+    r = len(variables)
+    den, v = _ev(f, M, env, r, total)
+    shape = tuple(env[name][1].shape[j]
+                  for j, (name, _) in enumerate(variables))
+    return den, np.broadcast_to(
+        np.asarray(v), shape + (1,) * (total - r)).reshape(shape)
 
 
 def _bind(free: dict, M: FiniteStructure, assignment):

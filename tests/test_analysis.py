@@ -13,12 +13,15 @@ from mlw import analysis
 from mlw.analysis import (IsoWitness, Refusal, Sublanguage, eq_evidence,
                           find_iso, realization_tree, realizes, verify_iso,
                           verify_iso_on_domain)
-from mlw.conditions import PartialType, closed
-from mlw.formulas import parse_formula, prenex
-from mlw.models import build_N, build_model
+from mlw.conditions import (PartialType, closed, normalize_condition,
+                             type_and, type_or)
+from mlw.formulas import App, Dist, Rat, Var, fmonus, parse_formula, prenex
+from mlw.models import (build_M, build_M4, build_N, build_N2, build_N3,
+                        build_model, build_type, relabel)
 from mlw.moduli import Modulus
 from mlw.structures import (FiniteStructure, FnTable, PredTable, SortData,
-                            check_structure)
+                            _max_numerator, check_structure, eval_table)
+from mlw.trees import build_tree, truncate
 
 
 def _random_structure(rng, n=4, with_pred=True):
@@ -293,6 +296,27 @@ def test_verify_iso_matches_exact_loops():
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("relabel_b", [False, True])
+def test_verify_iso_reports_a_one_distance_corruption(n33, relabel_b):
+    """A whole sort in index order compares A's metric as it is; the
+    report names the same first pair as the exact loops."""
+    rng = random.Random(5)
+    B = _shuffled(n33, rng) if relabel_b else n33
+    w = find_iso(n33, B)
+    sd = B.sorts["D1"]
+    dmat = sd.dmat.copy()
+    dmat[7, 3] = dmat[3, 7] = dmat[7, 3] // 2
+    bad = FiniteStructure(
+        {"D1": SortData(sd.points, sd.den, dmat, sd.index)}, B.functions,
+        B.predicates, B.moduli, B.meta)
+    L0 = Sublanguage.full(n33)
+    got = verify_iso(n33, bad, L0, w)
+    assert got == _verify_iso_loops(n33, bad, L0, w)
+    assert len(got) == 1 and got[0].startswith("metric not preserved at (")
+    if not relabel_b:
+        assert got == ["metric not preserved at (<2>, <1,0>)"]
+
+
 def _on_domain_loops(A, B, L0, w):
     """verify_iso_on_domain written as plain loops over exact Fractions."""
     idx = {s: {A.sorts[s].index[a]: B.sorts[s].index[b]
@@ -436,6 +460,101 @@ def test_realizes_tolerance_has_no_int64_wraparound():
     t = PartialType((("x0", "D1"),), (closed(parse_formula("d(x0, <>)")),),
                     None, "root")
     assert realizes(M, t, tol=Fraction(1, 3**18)) == [("<>",)]
+
+
+def _realizes_full_table(M, t, n=None, tol=Fraction(0)):
+    """realizes as every condition over the full table: the reference for
+    the survivor rows, which evaluate later conditions at fewer rows."""
+    variables = [(v, s or M.only_sort()) for v, s in t.variables]
+    conds = t.conds if n is None else t.fragment(n)
+    mask = np.ones(tuple(M.sorts[s].size for _, s in variables), dtype=bool)
+    for c in conds:
+        if not mask.any():
+            break
+        den, table = eval_table(normalize_condition(c).formula, M, variables)
+        mask &= table <= _max_numerator(tol, den)
+    return [tuple(M.sorts[s].points[i] for (_, s), i in zip(variables, combo))
+            for combo in np.argwhere(mask)]
+
+
+def _member_type(txt):
+    S = relabel(truncate(build_tree(txt), 4, 2), 8, 4)
+    width = 1 + max((max(s) for s in S.nodes if s), default=0)
+    return (build_N2(4, max(3, width), extra_trees=[S], cap=2000),
+            build_type("tS", S, 3))
+
+
+def _first_axis_only():
+    """Two variables; the first two conditions constrain x0 alone (so
+    only rows die), the last one both."""
+    M = build_M(3, 3)
+    x0, x1 = Var("x0"), Var("x1")
+    conds = tuple(closed(Dist(App(f"f{j}", (x0,)), x0)) for j in (2, 1))
+    conds += (closed(fmonus(Dist(x0, x1), Rat(Fraction(1, 2)))),)
+    return M, PartialType((("x0", None), ("x1", None)), conds)
+
+
+def _pairing(op):
+    M = build_M(3, 4)
+    t, s = build_type("s_m", 1, 3), build_type("s_m", 2, 3)
+    return M, op(t, s)
+
+
+REALIZES_CASES = {
+    "s_1[3] on M(3,4)": lambda: (build_M(3, 4), build_type("s_m", 1, 3)),
+    "s_2[4] on M(4,4)": lambda: (build_M(4, 4), build_type("s_m", 2, 4)),
+    "s_3[5] on M(5,4)": lambda: (build_M(5, 4), build_type("s_m", 3, 5)),
+    "s_1[3] on M4(4,3)": lambda: (build_M4(4, 3),
+                                  build_type("s_m", 1, 3, sort="D1")),
+    "s_2[4] on M4(4,3)": lambda: (build_M4(4, 3),
+                                  build_type("s_m", 2, 4, sort="D1")),
+    "t_X[1,3] on M4(4,3)": lambda: (build_M4(4, 3),
+                                    build_type("t_T2", 1, 3)),
+    "t_X[2,4] on M4(4,3)": lambda: (build_M4(4, 3),
+                                    build_type("t_T2", 2, 4)),
+    "tS chain(2)": lambda: _member_type("chain(2)"),
+    "tS dsum(full,chain(1))": lambda: _member_type("dsum(full,chain(1))"),
+    "tR[1] on N3(3,3)": lambda: (build_N3(3, 3),
+                                 build_type("tR", 1, "<1,1>")),
+    "tR[2] on N3(3,3)": lambda: (build_N3(3, 3),
+                                 build_type("tR", 2, "<1,1>")),
+    "type_or": lambda: _pairing(type_or),
+    "type_and": lambda: _pairing(type_and),
+    "first condition kills every row": lambda: (build_M(3, 3), PartialType(
+        (("x0", None),), (closed(Rat(Fraction(1))),)
+        + build_type("s_m", 1, 3).conds)),
+    "x0 rows only": _first_axis_only,
+    "no variables": lambda: (build_M(3, 3), PartialType((), tuple(
+        closed(parse_formula(f"{q} x0 . d(x0, <>)")) for q in ("inf", "sup")))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REALIZES_CASES))
+def test_realizes_matches_the_full_table_scan(case):
+    M, t = REALIZES_CASES[case]()
+    for n in (None, 0, 1, 2, 5):
+        for tol in (Fraction(0), Fraction(1, 3)):
+            assert realizes(M, t, n, tol) == \
+                _realizes_full_table(M, t, n, tol), (n, tol)
+
+
+def test_realizes_evaluates_later_conditions_at_surviving_rows(monkeypatch):
+    """The shortcut is taken: rows are bound once the first axis shrinks,
+    and nothing is evaluated after every row is dead."""
+    bound, tables = [], []
+    bind, table = analysis._bind_rows, analysis._table
+    monkeypatch.setattr(analysis, "_bind_rows",
+                        lambda env, v, total, rows: bound.append(rows.size)
+                        or bind(env, v, total, rows))
+    monkeypatch.setattr(analysis, "_table",
+                        lambda *a: tables.append(a[0]) or table(*a))
+    M, t = _first_axis_only()
+    hits = realizes(M, t)
+    assert len(bound) == 2 and M.sorts["D1"].size > bound[0] > bound[1]
+    assert bound[1] == len({a for a, _ in hits}) < len(hits)
+    tables.clear()
+    M, t = REALIZES_CASES["first condition kills every row"]()
+    assert realizes(M, t) == [] and len(tables) == 1
 
 
 # --------------------------------------------------------------------------

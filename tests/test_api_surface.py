@@ -1,5 +1,6 @@
 """Source checks over `mlw`: every public top-level function and class has
-a caller, and rationals are compared through one exact helper.
+a caller, rationals are compared through one exact helper, and a first hit
+is taken through one helper too.
 
 A name counts as used when some code outside its own definition refers to
 it: a name, an attribute, an import or a string (the benchmark's tracer
@@ -71,3 +72,27 @@ def test_fractions_are_compared_through_one_helper():
                     any(_scales_by_fraction(x) for x in ast.walk(node)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, "cross-multiplied comparison: " + ", ".join(found)
+
+
+def _lists_every_hit(node: ast.AST) -> bool:
+    """`np.argwhere(...)[k]` or `np.flatnonzero(...)[k]` with a constant k."""
+    if not isinstance(node, ast.Subscript) or \
+            not isinstance(node.value, ast.Call):
+        return False
+    fn = node.value.func
+    name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
+    k = node.slice.elts[0] if isinstance(node.slice, ast.Tuple) else node.slice
+    if isinstance(k, ast.UnaryOp):
+        k = k.operand
+    return name in ("argwhere", "flatnonzero") and isinstance(k, ast.Constant)
+
+
+def test_first_hits_are_taken_through_one_helper():
+    """`np.argwhere(mask)[0]` lists every hit to use one;
+    `structures._first_hit(mask)` finds the first and stops there."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if _lists_every_hit(node):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "first hit from a list of every hit: " + ", ".join(found)

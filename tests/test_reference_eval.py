@@ -1,0 +1,306 @@
+"""A plain-`Fraction` reference evaluator, and differential tests of the
+vectorized evaluators (`eval_formula`, `eval_table`, `realizes`) against it
+on random two-sort structures and random formulas.
+
+The reference reads each table entry as an exact `Fraction` and applies the
+connectives as written in `mlw.formulas`; it knows nothing of common
+denominators, int64 or broadcasting."""
+
+from fractions import Fraction
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from mlw.analysis import realizes
+from mlw.conditions import (PartialType, build_type, closed,
+                             normalize_condition)
+from mlw.formulas import (App, Conn, Const, Dist, Pred, Quant, Rat, Var,
+                          affine, cut, fmax, fmin, fmonus, inf, neg, sup)
+from mlw.structures import (FiniteStructure, _eval_blocks, eval_formula,
+                            eval_table)
+
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def ref_term(t, M, env):
+    """(sort, point index) of a term; env maps variables to the same."""
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Const):
+        return M.constant(t.name)
+    fn = M.functions[t.fn]
+    args = tuple(ref_term(a, M, env)[1] for a in t.args)
+    return fn.out_sort, int(fn.table[args])
+
+
+def ref_eval(f, M, env) -> Fraction:
+    """Exact value of f on M, one assignment at a time."""
+    if isinstance(f, Rat):
+        return f.value
+    if isinstance(f, Dist):
+        (s, i), (_, j) = ref_term(f.left, M, env), ref_term(f.right, M, env)
+        return Fraction(int(M.sorts[s].dmat[i, j]), M.sorts[s].den)
+    if isinstance(f, Pred):
+        pr = M.predicates[f.name]
+        args = tuple(ref_term(a, M, env)[1] for a in f.args)
+        return Fraction(int(pr.table[args]), pr.den)
+    if isinstance(f, Conn):
+        v = [ref_eval(a, M, env) for a in f.args]
+        if f.op == "max":
+            return max(v)
+        if f.op == "min":
+            return min(v)
+        if f.op == "neg":
+            return ONE - v[0]
+        if f.op == "monus":
+            return max(v[0] - v[1], ZERO)
+        if f.op == "cut":
+            return max(v[0] - Fraction(1, f.params[0]), ZERO)
+        if f.op == "affine":
+            a, b = f.params
+            return min(max(a * v[0] + b, ZERO), ONE)
+        raise ValueError(f.op)
+    if isinstance(f, Quant):
+        sort = f.sort or M.only_sort()
+        vals = [ref_eval(f.body, M, {**env, f.var: (sort, i)})
+                for i in range(M.sorts[sort].size)]
+        return max(vals) if f.kind == "sup" else min(vals)
+    raise TypeError(f)
+
+
+def ref_realizes(M, t, n=None, tol=ZERO):
+    """Every tuple, in lexicographic index order, whose conditions all
+    evaluate to at most tol (in normal form, see normalize_condition)."""
+    variables = [(v, s or M.only_sort()) for v, s in t.variables]
+    conds = t.conds if n is None else t.fragment(n)
+    out = []
+    for combo in product(*(range(M.sorts[s].size) for _, s in variables)):
+        env = {v: (s, i) for (v, s), i in zip(variables, combo)}
+        if all(ref_eval(normalize_condition(c).formula, M, env) <= tol
+               for c in conds):
+            out.append(tuple(M.sorts[s].points[i]
+                             for (_, s), i in zip(variables, combo)))
+    return out
+
+
+# --------------------------------------------------------------------------
+# Random structures and formulas
+
+@st.composite
+def denominators(draw):
+    """A pool of denominators for one structure and its formulas: powers
+    of two up to 2^39 with small integers (lcms stay small), or one
+    arbitrary denominator up to 2^40 - 1 with 1."""
+    if draw(st.booleans()):
+        return [1, 2, 3, 6] + [2 ** draw(st.integers(0, 39)) for _ in range(3)]
+    return [1, draw(st.integers(1, 2**40 - 1))]
+
+
+@st.composite
+def structures(draw, pool, rows=1):
+    """Sorts A and B with arbitrary [0, 1] tables (no metric axioms: the
+    evaluators do not rely on them), f: A -> A, g: A x B -> B, constants
+    c of sort A and e of sort B, and predicates P(A), Q(A, B); A has at
+    least `rows` points."""
+    names = {s: [f"{s.lower()}{i}" for i in range(draw(st.integers(lo, hi)))]
+             for s, lo, hi in (("A", rows, 4), ("B", 1, 3))}
+    size = {s: len(v) for s, v in names.items()}
+
+    def table(den, shape):
+        flat = draw(st.lists(st.integers(0, den), min_size=int(np.prod(shape)),
+                             max_size=int(np.prod(shape))))
+        return den, np.array(flat, dtype=np.int64).reshape(shape)
+
+    def points(sort, shape):
+        flat = draw(st.lists(st.integers(0, size[sort] - 1),
+                             min_size=int(np.prod(shape)),
+                             max_size=int(np.prod(shape))))
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    metric = {s: table(draw(st.sampled_from(pool)), (n, n))
+              for s, n in size.items()}
+    functions = {"f": (("A",), "A", points("A", (size["A"],))),
+                 "g": (("A", "B"), "B", points("B", (size["A"], size["B"]))),
+                 "c": ((), "A", points("A", ())),
+                 "e": ((), "B", points("B", ()))}
+    predicates = {"P": (("A",), table(draw(st.sampled_from(pool)),
+                                      (size["A"],))),
+                  "Q": (("A", "B"), table(draw(st.sampled_from(pool)),
+                                          (size["A"], size["B"])))}
+    return FiniteStructure.build(names, metric, functions, predicates)
+
+
+def _coefficient(draw, pool):
+    big = draw(st.booleans())
+    num = draw(st.integers(-2**60, 2**60) if big else st.integers(-6, 6))
+    return Fraction(num, draw(st.sampled_from((1, 2, 3) if big else pool)))
+
+
+def terms(draw, sort, scope, depth):
+    """A random term of the sort: a variable of scope, the sort's
+    constant, or (depth > 0) a function application."""
+    options = [Var(v, s) for v, s in scope if s == sort]
+    options.append(Const("c" if sort == "A" else "e"))
+    if depth > 0:
+        options.append(None)
+    t = draw(st.sampled_from(options))
+    if t is not None:
+        return t
+    if sort == "A":
+        return App("f", (terms(draw, "A", scope, depth - 1),))
+    return App("g", (terms(draw, "A", scope, depth - 1),
+                     terms(draw, "B", scope, depth - 1)))
+
+
+def formulas(draw, scope, depth, pool):
+    """A random formula over the variables of scope ((name, sort) pairs):
+    every connective, distances and predicates on function terms, and
+    quantifiers over either sort, nested."""
+    kinds = ["rat", "dist", "pred"]
+    if depth > 0:
+        kinds += ["max", "min", "neg", "monus", "cut", "affine", "quant"] * 2
+    kind = draw(st.sampled_from(kinds))
+    sub = lambda: formulas(draw, scope, depth - 1, pool)  # noqa: E731
+    if kind == "rat":
+        den = draw(st.sampled_from(pool))
+        return Rat(Fraction(draw(st.integers(0, den)), den))
+    if kind == "dist":
+        s = draw(st.sampled_from(("A", "B")))
+        return Dist(terms(draw, s, scope, 2), terms(draw, s, scope, 2))
+    if kind == "pred":
+        if draw(st.booleans()):
+            return Pred("P", (terms(draw, "A", scope, 2),))
+        return Pred("Q", (terms(draw, "A", scope, 2),
+                          terms(draw, "B", scope, 2)))
+    if kind in ("max", "min"):
+        return (fmax if kind == "max" else fmin)(sub(), sub())
+    if kind == "neg":
+        return neg(sub())
+    if kind == "monus":
+        return fmonus(sub(), sub())
+    if kind == "cut":
+        return cut(draw(st.sampled_from((1, 2, 3, 4))), sub())
+    if kind == "affine":
+        return affine(_coefficient(draw, pool), _coefficient(draw, pool),
+                      sub())
+    s = draw(st.sampled_from(("A", "B")))
+    var = f"y{len(scope)}"
+    body = formulas(draw, scope + [(var, s)], depth - 1, pool)
+    return (sup if draw(st.booleans()) else inf)(var, body, s)
+
+
+FREE = [("x0", "A"), ("x1", "B")]
+
+
+def _exact(run):
+    """run(), or a rejected example when the evaluator refuses a common
+    denominator of 2^40 or more (the reference has no such limit)."""
+    try:
+        return run()
+    except ValueError as e:
+        assume("denominator overflow" not in str(e))
+        raise
+
+
+# --------------------------------------------------------------------------
+# Differential tests
+
+@given(st.data())
+def test_eval_table_and_eval_formula_match_the_reference(data):
+    pool = data.draw(denominators())
+    M = data.draw(structures(pool))
+    f = formulas(data.draw, FREE, data.draw(st.integers(1, 4)), pool)
+    den, table = _exact(lambda: eval_table(f, M, FREE))
+    assert table.shape == (M.sorts["A"].size, M.sorts["B"].size)
+    for i, j in np.ndindex(table.shape):
+        want = ref_eval(f, M, {"x0": ("A", i), "x1": ("B", j)})
+        assert Fraction(int(table[i, j]), den) == want
+        names = {"x0": M.sorts["A"].points[i], "x1": M.sorts["B"].points[j]}
+        assert eval_formula(f, M, names) == want
+    sentence = sup("x0", inf("x1", f, "B"), "A")
+    assert _exact(lambda: eval_formula(sentence, M)) == \
+        ref_eval(sentence, M, {})
+
+
+@given(st.data())
+def test_realizes_matches_the_reference(data):
+    pool = data.draw(denominators())
+    M = data.draw(structures(pool, rows=2))
+    variables = FREE[:data.draw(st.integers(1, 2))]
+    fs = [formulas(data.draw, variables, data.draw(st.integers(0, 3)), pool)
+          for _ in range(data.draw(st.integers(2, 5)))]
+    den = data.draw(st.sampled_from(pool))
+    tol = Fraction(data.draw(st.integers(0, den)), den)
+    if data.draw(st.integers(0, 3)):
+        # rows filtered first (P > tol kills a row, and tol is P's value at
+        # some row), so the later conditions, affine maps of the random
+        # formulas, run at the surviving rows only
+        P = M.predicates["P"]
+        tol = Fraction(int(data.draw(st.sampled_from(P.table.tolist()))),
+                       P.den)
+        small = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(pool))
+        fs = [Pred("P", (Var("x0", "A"),))] + [
+            affine(data.draw(small), data.draw(small), f) for f in fs]
+    t = PartialType(tuple(variables), tuple(closed(f) for f in fs))
+    n = data.draw(st.sampled_from((None, len(fs) - 1, 1)))
+    assert _exact(lambda: realizes(M, t, n, tol)) == ref_realizes(M, t, n, tol)
+
+
+@given(st.data())
+def test_realizes_at_the_den_of_the_surviving_rows(data):
+    """Rows die at a first condition R(x0) (values 0 or 1); P's values at
+    the survivors share a factor g of P's den that the dead rows' values
+    need not share, so the affine condition's den over the survivors is
+    smaller than over the full table.  tol > 0 is drawn at P's den."""
+    n = data.draw(st.integers(2, 6))
+    g = data.draw(st.integers(2, 12))
+    den = g * data.draw(st.integers(1, 2**35 // g))
+    keep = data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                             max_size=n - 1))
+    alive = [i in keep for i in range(n)]
+    vals = [g * data.draw(st.integers(0, den // g)) if a
+            else data.draw(st.integers(0, den)) for a in alive]
+    M = FiniteStructure.build(
+        {"A": [f"a{i}" for i in range(n)]}, {"A": (1, np.zeros((n, n), int))},
+        predicates={"P": (("A",), (den, np.array(vals))),
+                    "R": (("A",), (1, np.array([1 - a for a in alive])))})
+    coef = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    a, b = data.draw(st.just(ONE) | coef), data.draw(st.just(ZERO) | coef)
+    x = Var("x0")
+    t = PartialType((("x0", None),), (closed(Pred("R", (x,))),
+                                      closed(affine(a, b, Pred("P", (x,))))))
+    tol = Fraction(data.draw(st.integers(1, den)), den)
+    assert realizes(M, t, tol=tol) == ref_realizes(M, t, tol=tol)
+
+
+def test_realizes_compares_each_row_block_at_its_own_den():
+    """The first condition leaves rows a1 and a3, whose values under the
+    second condition, 2/4 at both, reduce (affine's gcd) to den 2 where
+    the full table (1/4 at a0 and a2) keeps den 4.  Compared at den 4,
+    the surviving value 1 would pass tol 1/4; at its own den 2 it fails."""
+    M = FiniteStructure.build(
+        {"A": ["a0", "a1", "a2", "a3"]}, {"A": (4, np.zeros((4, 4), int))},
+        predicates={"P": (("A",), (4, np.array([1, 2, 1, 2]))),
+                    "R": (("A",), (1, np.array([1, 0, 1, 0])))})
+    x = Var("x0")
+    second = affine(1, 0, Pred("P", (x,)))
+    t = PartialType((("x0", None),), (closed(Pred("R", (x,))),
+                                      closed(second)))
+    dens = [den for _, den, _ in _eval_blocks(second, M, [("x0", None)],
+                                              blocks=[np.array([1, 3])])]
+    assert (eval_table(second, M, [("x0", None)])[0], dens) == (4, [2])
+    for tol in (ZERO, Fraction(1, 4), Fraction(1, 2)):
+        assert realizes(M, t, tol=tol) == ref_realizes(M, t, tol=tol)
+    assert realizes(M, t, tol=Fraction(1, 2)) == [("a1",), ("a3",)]
+    assert realizes(M, t, tol=Fraction(1, 4)) == []
+
+
+@pytest.mark.parametrize("tol", [ZERO, Fraction(1, 3)])
+def test_reference_agrees_on_a_constructor_type(m_small, tol):
+    """A cross-check of the reference itself on the library's own s_m
+    type, so a fault shared by the random generators does not hide."""
+    t = build_type("s_m", 1, 3)
+    assert realizes(m_small, t, tol=tol) == ref_realizes(m_small, t, tol=tol)
