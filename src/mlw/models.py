@@ -44,50 +44,71 @@ def _cap_check(n: int, cap: int, what: str):
 # --------------------------------------------------------------------------
 # Sequence boxes and their metric tables
 
-def _fk(s: tuple, k: int) -> tuple:
-    return s[:k] if k <= len(s) else s
-
-
 def _agreement(levels) -> np.ndarray:
     """delta[i, j] = the number of leading levels on which items i and j
-    agree, given one id vector per level (a running AND over the levels)."""
+    agree, given one id vector per level (a running AND over the levels),
+    in the smallest unsigned dtype that holds the number of levels.  Ids
+    are compared in the smallest dtype that holds them."""
     levels = list(levels)
     n = len(levels[0])
     same = np.ones((n, n), dtype=bool)
-    delta = np.zeros((n, n), dtype=np.intp)
+    delta = np.zeros((n, n), dtype=np.min_scalar_type(len(levels)))
     for ids in levels:
+        top = int(np.abs(ids).max(initial=0))
+        ids = ids.astype(np.min_scalar_type(-1 - top))
         same &= ids[:, None] == ids[None, :]
-        delta += same
+        delta += same.view(np.uint8)
     return delta
 
 
-def _prefix_table(nodes) -> tuple[int, np.ndarray]:
+def _prefix_table(*components) -> tuple[int, np.ndarray]:
     """Scaled distance matrix for the longest-common-prefix metric
-    1/(shared+1); identical sequences are at distance 0."""
-    nodes = list(nodes)
-    depth = max((len(s) for s in nodes), default=0)
+    1/(shared+1), identical sequences at distance 0, given one sequence per
+    point.  Given several components (lists of sequences), the max of their
+    metrics: the metric of the smallest shared prefix length."""
+    components = [list(c) for c in components]
+    depth = max((len(s) for c in components for s in c), default=0)
     width = max(depth, 1)
-    ids: dict = {}
-    arr = np.full((len(nodes), width), -1, dtype=np.int64)
-    for i, s in enumerate(nodes):
-        for j, letter in enumerate(s):
-            arr[i, j] = ids.setdefault(letter, len(ids))
+    shared = None
+    for nodes in components:
+        ids: dict = {}
+        arr = np.full((len(nodes), width), -1, dtype=np.int64)
+        for i, s in enumerate(nodes):
+            for j, letter in enumerate(s):
+                arr[i, j] = ids.setdefault(letter, len(ids))
+        delta = _agreement(arr.T)
+        shared = delta if shared is None else np.minimum(shared, delta)
     den = math.lcm(*range(1, depth + 2))
     dist = den // np.arange(1, width + 2)  # by shared prefix length
     dist[width] = 0  # the same sequence
-    dmat = dist[_agreement(arr.T)]
+    dmat = dist[shared]
     np.fill_diagonal(dmat, 0)
     return den, dmat
 
 
-def _level_maps(nodes, names, depth: int, sort: str):
-    by_name = dict(zip(names, nodes))
-    fns = {}
-    mods = {}
-    for k in range(depth + 1):
-        fns[f"f{k}"] = ((sort,), sort,
-                        lambda a, k=k: node_name(_fk(by_name[a], k)))
-        mods[f"f{k}"] = Modulus.lipschitz(1)
+def _parents(nodes) -> np.ndarray:
+    """The index of each node's parent (its prefix one letter shorter) in
+    a prefix-closed node list; the root is its own parent."""
+    at = {s: i for i, s in enumerate(nodes)}
+    return np.array([at[s[:-1]] if s else i for i, s in enumerate(nodes)],
+                    dtype=np.int64)
+
+
+def _level_maps(nodes, depth: int, sort: str):
+    """The level maps f_0 .. f_depth as index tables: f_k maps a node to
+    its prefix of length k, or to itself when it is no longer.  Walks down
+    from the identity, f_(k-1) = parent of f_k on the nodes of length
+    >= k."""
+    parent = _parents(nodes)
+    lens = np.array([len(s) for s in nodes], dtype=np.int64)
+    fk = np.arange(len(nodes))
+    tables = {}
+    for k in range(max(depth, int(lens.max(initial=0))), -1, -1):
+        if k <= depth:
+            tables[k] = fk
+        fk = np.where(lens >= k, parent[fk], fk)
+    fns = {f"f{k}": ((sort,), sort, tables[k]) for k in range(depth + 1)}
+    mods = {f"f{k}": Modulus.lipschitz(1) for k in range(depth + 1)}
     return fns, mods
 
 
@@ -100,15 +121,13 @@ def build_N(depth: int, branch: int, shadow: bool = False,
     _cap_check(len(nodes), cap, "N box")
     names = [node_name(s) for s in nodes]
     den, dmat = _prefix_table(nodes)
-    fns, mods = _level_maps(nodes, names, depth, "D1")
+    fns, mods = _level_maps(nodes, depth, "D1")
     if shadow:
-        by_name = dict(zip(names, nodes))
-
-        def h(a):
-            s = by_name[a]
+        # h(<n>) = s_n, the n-th point; h = f_1 elsewhere
+        h = fns["f1"][2].copy() if depth >= 1 else np.arange(len(nodes))
+        for i, s in enumerate(nodes):
             if len(s) == 1:
-                return names[s[0]]
-            return node_name(_fk(s, 1))
+                h[i] = s[0]
         fns["h"] = (("D1",), "D1", h)
         mods["h"] = Modulus.lipschitz(3)
     label = f"N(depth={depth},branch={branch}" + (",shadow=1)" if shadow else ")")
@@ -175,9 +194,10 @@ def _tree_table(trees) -> tuple[int, np.ndarray]:
         sig_ids.append(np.array(
             [seen.setdefault(_alphabet_cut(t.nodes, k), len(seen))
              for t in trees], dtype=np.int64))
-    delta = _agreement(sig_ids)
     den = math.lcm(*range(1, kmax + 3))
-    dmat = np.where(delta > kmax, 0, den // (delta + 1)).astype(np.int64)
+    dist = den // np.arange(1, kmax + 3)  # by the number of cuts agreed on
+    dist[kmax + 1] = 0  # every cut
+    dmat = dist[_agreement(sig_ids)]
     np.fill_diagonal(dmat, 0)
     return den, dmat
 
@@ -230,7 +250,7 @@ def build_N2(depth: int, branch: int, treedepth: int = 2, treebranch: int = 2,
     (points E_j), with the membership predicate ee."""
     nodes, names, n_s, points, metric, ee = _node_tree_sorts(
         depth, branch, treedepth, treebranch, extra_trees, cap)
-    fns, mods = _level_maps(nodes, names, depth, "D1")
+    fns, mods = _level_maps(nodes, depth, "D1")
     mods["ee"] = Modulus.lipschitz(1)
     return FiniteStructure.build(
         points, metric, fns, {"ee": (("D1", "D2"), ee)}, mods,
@@ -258,11 +278,11 @@ def _pair_table(ptrees) -> tuple[int, np.ndarray]:
         sig_ids.append(np.array(
             [seen.setdefault(_pair_cut(R.pairs, k), len(seen))
              for R in ptrees], dtype=np.int64))
-    delta = _agreement(sig_ids)
     den = math.lcm(*range(1, kmax + 2))
-    with np.errstate(divide="ignore"):
-        dmat = np.where(delta > kmax + 1, 0,
-                        den // np.maximum(delta - 1, 1)).astype(np.int64)
+    # by the number of cuts agreed on; 0 on every cut
+    dist = den // np.maximum(np.arange(kmax + 3) - 1, 1)
+    dist[kmax + 2] = 0
+    dmat = dist[_agreement(sig_ids)]
     np.fill_diagonal(dmat, 0)
     return den, dmat
 
@@ -306,7 +326,7 @@ def build_N3(depth: int, branch: int, treedepth: int = 2, treebranch: int = 2,
             if s in node_idx and t in node_idx:
                 ee3_tab[node_idx[s], node_idx[t], r_i] = 0
 
-    fns, mods = _level_maps(nodes, names, depth, "D1")
+    fns, mods = _level_maps(nodes, depth, "D1")
     mods["ee"] = Modulus.lipschitz(1)
     mods["ee3"] = Modulus.lipschitz(1)
     if c is not None:
@@ -355,10 +375,7 @@ def build_Projection(depth: int, branch: int, pairs: PairTree | None = None,
         pts = pairs.sorted_pairs()
     _cap_check(len(pts), cap, "projection box")
     names = [node_name(s) + "|" + node_name(t) for s, t in pts]
-    dens, ds = _prefix_table([p[0] for p in pts])
-    dent, dt = _prefix_table([p[1] for p in pts])
-    den = dens * dent // math.gcd(dens, dent)
-    dmat = np.maximum(ds * (den // dens), dt * (den // dent))
+    den, dmat = _prefix_table([p[0] for p in pts], [p[1] for p in pts])
     enc = {s: enc_value(s) for s in dict.fromkeys(s for s, _ in pts)}
     fden = math.lcm(*(q.denominator for q in enc.values()))
     ftab = np.array([enc[s].numerator * (fden // enc[s].denominator)
@@ -527,9 +544,8 @@ def build_M(depth: int, branch: int, pair_branch: int = 2, top_depth: int = 2,
     nodes.sort(key=node_key)
     _cap_check(len(nodes), cap, "M box")
     names = [node_name(s) for s in nodes]
-    node_of = dict(zip(names, nodes))
     den, dmat = _prefix_table(nodes)
-    fns, mods = _level_maps(nodes, names, depth, "D1")
+    fns, mods = _level_maps(nodes, depth, "D1")
 
     jmax = colours if colours is not None else max(
         depth, K.max_value() + pair_branch - 1)
@@ -559,12 +575,8 @@ def build_M(depth: int, branch: int, pair_branch: int = 2, top_depth: int = 2,
         nx = len(xnames)
         metric["X"] = (1, np.ones((nx, nx), dtype=np.int64)
                        - np.eye(nx, dtype=np.int64))
-
-        def g(a):
-            s = node_of[a[1:]]
-            return "X" + node_name(s[:-1] if s else s)
-        fns["g"] = (("X",), "X", g)
-        fns["h"] = (("X",), "D1", lambda a: a[1:])
+        fns["g"] = (("X",), "X", _parents(nodes))  # the predecessor
+        fns["h"] = (("X",), "D1", np.arange(nx))  # X<node> to <node>
         mods["g"] = Modulus.lipschitz(1)
         mods["h"] = Modulus.lipschitz(1)
     sel = "M4" if x_sort else ("M_l" if l is not None else "M")

@@ -212,11 +212,42 @@ def _first_hit(mask: np.ndarray):
     return np.unravel_index(int(np.argmax(mask)), mask.shape)
 
 
-def _thresholds(mod: Modulus, levels, den: int, dden: int) -> list[int]:
-    """floor(omega(u / den) * dden) for each distance level u: the largest
-    table change (scaled by dden) the modulus allows at that distance, so
-    `change > threshold` is exactly `change / dden > omega`."""
-    return [_max_numerator(_allowed(mod, u, den), dden) for u in levels]
+def _thresholds(mod: Modulus, levels: np.ndarray, den: int,
+                dden: int) -> np.ndarray:
+    """floor(omega(u / den) * dden) for each distance level u of an integer
+    array, as an int64 array: the largest table change (scaled by dden) the
+    modulus allows at that distance, so `change > threshold` is exactly
+    `change / dden > omega`.  What _max_numerator(_allowed(mod, u, den),
+    dden) gives, negative u clamped to 0 and the int64 cap included.
+
+    Exact per linear piece of omega: on the piece from (r0, w0) to (r1, w1),
+    which holds the levels with r0 < u / den <= r1, omega(u / den) * dden
+    = (a * u + b) / c in integers.  Levels past den take omega(1).  The
+    products stay in int64 while a Python-int bound says they fit, and
+    are taken in Python ints past that."""
+    u = np.maximum(np.asarray(levels, dtype=np.int64), 0)
+    pts = mod.points
+    # the first piece whose end r1 = p / q has u <= floor(p * den / q)
+    piece = np.searchsorted([r.numerator * den // r.denominator
+                             for r, _ in pts[1:]], u)
+    lines = []
+    for (r0, w0), (r1, w1) in zip(pts, pts[1:]):
+        slope = (w1 - w0) / (r1 - r0)
+        a, b = slope * dden / den, (w0 - slope * r0) * dden
+        c = math.lcm(a.denominator, b.denominator)
+        lines.append((a.numerator * (c // a.denominator),
+                      b.numerator * (c // b.denominator), c))
+    top = pts[-1][1] * dden
+    lines.append((0, top.numerator // top.denominator, 1))  # past den
+    a, b, c = zip(*lines)
+    umax = min(int(u.max(initial=0)), den)  # the largest u on a sloped piece
+    if max(map(abs, a)) * umax + max(map(abs, b)) <= _INT64_MAX \
+            and max(c) <= _INT64_MAX:
+        a, b, c = (np.array(x, dtype=np.int64)[piece] for x in (a, b, c))
+        return (a * u + b) // c
+    a, b, c = (np.array(x, dtype=object)[piece] for x in (a, b, c))
+    return np.minimum((a * u.astype(object) + b) // c,
+                      _INT64_MAX).astype(np.int64)
 
 
 def _ultrametric_order(D: np.ndarray):
@@ -234,7 +265,12 @@ def _ultrametric_order(D: np.ndarray):
     Returns (order, join): the points in Prim order and the distance at
     which each joined (join[0] = 0).  In this order every closed ball is a
     contiguous run, and the u-balls start exactly at position 0 and at the
-    positions whose join distance exceeds u."""
+    positions whose join distance exceeds u.
+
+    The rows are checked in blocks as the pass adds them: up to place
+    _CERT_ROWS, then blocks of about _CERT_CELLS entries of D.  So a sort
+    whose early rows break the condition (as a cycle's do) is rejected
+    after a few steps, and no check holds more than a block."""
     n = len(D)
     order = np.zeros(n, dtype=np.intp)
     join = np.zeros(n, dtype=np.int64)
@@ -242,60 +278,77 @@ def _ultrametric_order(D: np.ndarray):
     rest = np.arange(1, n)            # points not yet added ...
     best = D[0, 1:].copy()            # ... their distance to the added ones
     near = np.zeros(n - 1, dtype=np.intp)  # ... and the nearest added one
+    k0, k1 = 1, min(_CERT_ROWS, n)  # the next block: places k0 .. k1 - 1
     for k in range(1, n):
         m = int(best.argmin())
         v = order[k] = rest[m]
         join[k], parent[k] = best[m], near[m]
         rest[m], best[m], near[m] = rest[-1], best[-1], near[-1]
         rest, best, near = rest[:-1], best[:-1], near[:-1]
-        row = D[v, rest]
-        closer = row < best
-        best[closer] = row[closer]
-        near[closer] = v
-    # by point: its place in the order and the point it attached to
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
-    attach = np.empty(n, dtype=np.intp)
-    attach[order] = parent
-    want = D[attach]  # row v: max(D[p, w], D[v, p]) for every w
-    np.maximum(want, D[np.arange(n), attach][:, None], out=want)
-    bad = want != D
-    bad &= pos[None, :] < pos[:, None]  # only earlier w count
-    return None if bad.any() else (order, join)
+        row = D[v][rest]  # faster than D[v, rest]
+        near[row < best] = v
+        np.minimum(best, row, out=best)
+        if k == k1 - 1:
+            if _rows_break(D, order, parent, k0, k1):
+                return None
+            k0, k1 = k1, min(n, k1 + max(1, _CERT_CELLS // n))
+    return order, join
+
+
+_CERT_ROWS = 8  # where the certificate's first block ends
+_CERT_CELLS = 1 << 18  # entries of D in each later block
+
+
+def _rows_break(D, order, parent, k0: int, k1: int) -> bool:
+    """Whether some point v at a place k0 <= k < k1 of the Prim order, with
+    parent p, has D[v, w] != max(D[p, w], D[v, p]) at an earlier w."""
+    pos = np.full(len(D), k1, dtype=np.intp)  # place in the order, or k1
+    pos[order[:k1]] = np.arange(k1)
+    vs, ps = order[k0:k1], parent[k0:k1]
+    want = D[ps]
+    np.maximum(want, D[vs, ps][:, None], out=want)
+    bad = want != D[vs]
+    bad &= pos < np.arange(k0, k1)[:, None]  # only earlier w count
+    return bool(bad.any())
 
 
 def _ball_merges(join: np.ndarray):
     """Closed-ball partitions of an ultrametric sort in its Prim order,
-    finest first.  For each distance level u (ascending) yields u and the
-    positions, among the previous level's balls (at first the single
-    points), where each u-ball starts: the offsets `reduceat` needs to
-    merge the children of every u-ball."""
-    starts = np.arange(len(join))
-    for u in np.unique(join[1:]):
+    finest first.  Returns the distance levels u (ascending) and, for each,
+    the positions among the previous level's balls (at first the single
+    points) where each u-ball starts: the children of every u-ball are the
+    run of balls from its start to the next."""
+    levels = np.unique(join[1:])
+    starts, merges = np.arange(len(join)), []
+    for u in levels:
         cur = np.concatenate(([0], np.flatnonzero(join[1:] > u) + 1))
-        yield int(u), np.searchsorted(starts, cur)
+        merges.append(np.searchsorted(starts, cur))
         starts = cur
+    return levels, merges
 
 
-def _balls_respect(V: np.ndarray, merges, thr, out) -> bool:
+def _balls_respect(V: np.ndarray, order, merges, thr, out) -> bool:
     """Ball-by-ball modulus check on an ultrametric argument sort.
 
-    V holds the table with the argument's axis first, rows in Prim order.
-    Pairs at distance <= u are exactly the pairs inside a closed u-ball and
-    omega is nondecreasing, so the modulus holds iff at every level u the
-    worst change inside each u-ball is at most thr(u).  Works bottom-up
-    over the nested balls, stopping at the first failure.  For a predicate
-    (out None) the worst change is max - min over the ball.  For a
-    function whose output sort is an ultrametric `out`, each ball is
-    represented by the output at its first point; the children of a u-ball
-    passed at smaller radii, and in an ultrametric every pair across two
-    children is within the largest of their diameters and of the distances
-    between their representatives, so those distances decide the u-ball."""
-    hi = lo = rep = V
-    for (_, idx), t in zip(merges, thr):
+    V holds the table with the argument's axis first, and order is the
+    sort's Prim order.  Pairs at distance <= u are exactly the pairs inside
+    a closed u-ball and omega is nondecreasing, so the modulus holds iff at
+    every level u the worst change inside each u-ball is at most thr(u).
+    Works bottom-up over the nested balls, stopping at the first failure.
+    For a predicate (out None) the worst change is max - min over the
+    ball.  For a function whose output sort is an ultrametric `out`, each
+    ball is represented by the output at its first point; the children of
+    a u-ball passed at smaller radii, and in an ultrametric every pair
+    across two children is within the largest of their diameters and of
+    the distances between their representatives, so those distances
+    decide the u-ball."""
+    hi = lo = V
+    rows = order  # the rows of hi and lo in ball order
+    rep = V[order] if out is not None else None
+    for idx, t in zip(merges, thr):
         if out is None:
-            hi = np.maximum.reduceat(hi, idx, axis=0)
-            lo = np.minimum.reduceat(lo, idx, axis=0)
+            hi, lo = _run_extremes(hi, lo, rows, idx)
+            rows = np.arange(len(idx))
             worst = int((hi - lo).max(initial=0))
         else:
             top = rep[idx]
@@ -306,6 +359,30 @@ def _balls_respect(V: np.ndarray, merges, thr, out) -> bool:
         if worst > t:
             return False
     return True
+
+
+_NARROW = 32  # table widths below which reduceat beats gathering
+
+
+def _run_extremes(hi, lo, rows, idx):
+    """The max of hi and the min of lo over each run of rows: run b is
+    rows[idx[b]:idx[b + 1]], the last one up to the end.  reduceat walks
+    each column of a run on its own, which is cheap only on narrow rows;
+    wider rows are gathered into one (runs, length, columns) block per run
+    length and reduced along its middle axis."""
+    if hi.shape[1] < _NARROW:
+        return (np.maximum.reduceat(hi[rows], idx, axis=0),
+                np.minimum.reduceat(lo[rows], idx, axis=0))
+    sizes = np.diff(idx, append=len(rows))
+    top = np.empty((len(idx), hi.shape[1]), dtype=hi.dtype)
+    low = np.empty_like(top)
+    for c in np.unique(sizes).tolist():
+        b = np.flatnonzero(sizes == c)
+        at = rows[idx[b, None] + np.arange(c)]
+        block = hi[at]
+        top[b] = block.max(axis=1)
+        low[b] = (block if lo is hi else lo[at]).min(axis=1)
+    return top, low
 
 
 _BLOCK = 1 << 20  # table changes compared at once by the exhaustive scan
@@ -321,7 +398,7 @@ def _modulus_violation(sd: SortData, levels, inverse, name: str, pos: int,
     distance table of a function, None for a predicate.  Rows go in
     blocks of about _BLOCK table changes."""
     n = sd.size
-    thr = np.array(_thresholds(mod, levels, sd.den, dden), dtype=np.int64)
+    thr = _thresholds(mod, levels, sd.den, dden)
     step = max(1, _BLOCK // (n * V.shape[1] or 1))
     for i0 in range(0, n - 1, step):
         i1 = min(i0 + step, n - 1)
@@ -362,10 +439,11 @@ def _metric_report(s: str, sd: SortData, report: list[str], certify: bool):
     if hit is not None:
         report.append(f"metric: asymmetry at {_pair_name(sd, *hit)} in sort {s}")
         clean = False
-    if (D < 0).any() or (D > sd.den).any():
+    if D.min(initial=0) < 0 or D.max(initial=0) > sd.den:
         report.append(f"metric: entry outside [0,1] in sort {s}")
-    off = D + np.eye(n, dtype=np.int64) * (sd.den + 1)
-    hit = _first_hit(off == 0)
+    zero = D == 0  # on the diagonal, d(i, i) + den + 1 == 0 counts instead
+    np.fill_diagonal(zero, np.diagonal(D) == -(sd.den + 1))
+    hit = _first_hit(zero)
     if hit is not None:
         report.append(
             f"metric: identity of indiscernibles fails at "
@@ -410,7 +488,7 @@ def _check(M: FiniteStructure, certify: bool) -> list[str]:
     report: list[str] = []
     certs = {s: _metric_report(s, sd, report, certify)
              for s, sd in M.sorts.items()}
-    merges = {s: list(_ball_merges(c[1])) for s, c in certs.items()
+    merges = {s: _ball_merges(c[1]) for s, c in certs.items()
               if c is not None}
     unique: dict = {}  # distance levels of a sort, for the exhaustive scan
     symbols = [("function", name, fn.arg_sorts, fn.table, fn.out_sort)
@@ -433,8 +511,9 @@ def _check(M: FiniteStructure, certify: bool) -> list[str]:
             V = np.moveaxis(table, pos, 0)
             V = V.reshape(sd.size, math.prod(V.shape[1:]))  # sizes may be 0
             if fast and s in merges:
-                thr = _thresholds(mod, (u for u, _ in merges[s]), sd.den, dden)
-                if _balls_respect(V[certs[s][0]], merges[s], thr, out):
+                levels, idx = merges[s]
+                thr = _thresholds(mod, levels, sd.den, dden)
+                if _balls_respect(V, certs[s][0], idx, thr, out):
                     continue
             if s not in unique:
                 levels, inverse = np.unique(sd.dmat, return_inverse=True)

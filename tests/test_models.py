@@ -2,8 +2,11 @@
 coloured families, constructor specs."""
 
 import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mlw.conditions import build_type, pred_gap
@@ -62,6 +65,69 @@ def test_constructor_files_are_unchanged(tmp_path, name):
     path = tmp_path / "m.model"
     save_structure(build(), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# criterion 1's constructors over its (depth, branch) grid
+GRID_CTORS = {
+    "N": build_N, "N2": build_N2, "N3": build_N3,
+    "Projection": build_Projection, "M": build_M,
+    "M_l": lambda d, b: build_M_l(2, d, b), "M4": build_M4,
+}
+TABLES_GOLDEN = Path(__file__).with_name("model_tables_golden.json")
+
+
+def table_digest(M) -> str:
+    """sha256 over every sort's points, den and distance table, and every
+    function, predicate and modulus, tables as int64 bytes in C order."""
+    h = hashlib.sha256()
+
+    def put(*items):
+        for x in items:
+            if isinstance(x, np.ndarray):
+                x = np.ascontiguousarray(x, dtype=np.int64)
+                h.update(repr(x.shape).encode() + x.tobytes())
+            else:
+                h.update(repr(x).encode())
+            h.update(b"\0")
+    for s, sd in M.sorts.items():
+        put(s, sd.points, sd.den, sd.dmat)
+    for name, fn in M.functions.items():
+        put(name, fn.arg_sorts, fn.out_sort, fn.table)
+    for name, pr in M.predicates.items():
+        put(name, pr.arg_sorts, pr.den, pr.table)
+    for name, mod in M.moduli.items():
+        put(name, mod.points)
+    return h.hexdigest()
+
+
+def grid_digests() -> dict:
+    """{"N(1,1)": digest, ...} for every grid build under its size cap."""
+    out = {}
+    for name, ctor in GRID_CTORS.items():
+        for d in range(1, 6):
+            for b in range(1, 6):
+                try:
+                    M = ctor(d, b)
+                except ValueError as e:
+                    if "cap" in str(e):
+                        continue
+                    raise
+                out[f"{name}({d},{b})"] = table_digest(M)
+    return out
+
+
+def test_grid_tables_are_unchanged():
+    golden = json.loads(TABLES_GOLDEN.read_text())
+    got = grid_digests()
+    assert sorted(got) == sorted(golden)
+    assert [k for k in golden if got[k] != golden[k]] == []
+
+
+def test_public_tables_stay_int64():
+    M = build_N2(3, 3)
+    assert all(sd.dmat.dtype == np.int64 for sd in M.sorts.values())
+    assert all(fn.table.dtype == np.int64 for fn in M.functions.values())
+    assert all(pr.table.dtype == np.int64 for pr in M.predicates.values())
 
 
 # --------------------------------------------------------------------------

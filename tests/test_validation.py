@@ -6,17 +6,25 @@ ball-by-ball modulus checks where it can; the exhaustive checks
 spells them out as plain loops.  Random structures mix ultrametrics,
 ultrametrics with one entry changed and cycle metrics, with unary to
 ternary symbols whose moduli are tight (every change exactly at omega) or
-one unit too strict at one distance."""
+one unit too strict at one distance.  The fast parts also meet their own
+references: the integer thresholds `_max_numerator` over omega in
+Fractions, the blocked certificate the one-pass Prim check it replaced,
+and the ball extremes plain max and min over each run."""
 
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mlw import structures as structures_mod
+from mlw.models import build_model
 from mlw.moduli import Modulus
 from mlw.structures import (FiniteStructure, FnTable, PredTable, SortData,
-                            _check, _ultrametric_order, check_structure)
+                            _allowed, _ball_merges, _check, _max_numerator,
+                            _run_extremes, _thresholds, _ultrametric_order,
+                            check_structure)
 
 
 @st.composite
@@ -300,3 +308,264 @@ def test_check_structure_matches_exhaustive_reference(M):
     report = check_structure(M)
     assert report == _check(M, certify=False) == _loop_report(M)
     assert (report == []) == _valid(M)
+
+
+# --------------------------------------------------------------------------
+# The integer thresholds against omega in Fractions
+
+fracs = st.fractions(min_value=0, max_value=1, max_denominator=2**20)
+
+
+@st.composite
+def base_moduli(draw) -> Modulus:
+    """A breakpoint list (flat pieces included) or a Lipschitz modulus,
+    with L above 1 (a clamped piece) as well as below."""
+    if draw(st.booleans()):
+        return Modulus.lipschitz(draw(st.fractions(
+            min_value=0, max_value=40, max_denominator=2**20)))
+    rs = sorted(set(draw(st.lists(fracs.filter(lambda r: 0 < r < 1),
+                                  max_size=5))))
+    ws = sorted(draw(st.lists(fracs, min_size=len(rs) + 1,
+                              max_size=len(rs) + 1)))
+    if draw(st.booleans()):  # flat pieces
+        ws = [ws[k // 2 * 2] for k in range(len(ws))]
+    return Modulus(((Fraction(0), Fraction(0)),)
+                   + tuple(zip(rs + [Fraction(1)], ws)))
+
+
+@st.composite
+def all_moduli(draw) -> Modulus:
+    """Base moduli and their combinators: plus and scale clamp at 1,
+    compose chains two, maxwith takes the larger."""
+    m = draw(base_moduli())
+    kind = draw(st.sampled_from(["base", "plus", "scale", "compose",
+                                 "maxwith"]))
+    if kind == "plus":
+        return m.plus(draw(base_moduli()))
+    if kind == "scale":
+        return m.scale(draw(st.fractions(min_value=0, max_value=9,
+                                         max_denominator=2**10)))
+    if kind == "compose":
+        return m.compose(draw(base_moduli()))
+    if kind == "maxwith":
+        return m.maxwith(draw(base_moduli()))
+    return m
+
+
+@st.composite
+def threshold_cases(draw):
+    den = draw(st.one_of(st.integers(1, 12), st.integers(1, 2**40)))
+    dden = draw(st.one_of(st.integers(1, 30), st.integers(1, 2**40)))
+    us = [0, den, -1, -den, den + 1, 2**62]
+    us += draw(st.lists(st.integers(-2**40, 2 * den), max_size=8))
+    us += draw(st.lists(st.integers(0, den), max_size=8))
+    return draw(all_moduli()), den, dden, us
+
+
+def _reference_thresholds(mod, us, den, dden) -> list[int]:
+    return [_max_numerator(_allowed(mod, u, den), dden) for u in us]
+
+
+@settings(max_examples=250)
+@given(threshold_cases())
+@example((Modulus.lipschitz(1), 2**40 - 1, 2**40, [0, 1, 2**39, 2**40 - 1]))
+@example((Modulus.lipschitz(Fraction(3, 2)), 3, 2**62, [0, 1, 2, 3, 7]))
+def test_integer_thresholds_match_fractions(case):
+    mod, den, dden, us = case
+    got = _thresholds(mod, np.array(us, dtype=np.int64), den, dden)
+    assert got.dtype == np.int64
+    assert got.tolist() == _reference_thresholds(mod, us, den, dden)
+
+
+@settings(max_examples=150)
+@given(threshold_cases(), st.integers(0, 40))
+def test_integer_thresholds_past_int64(case, bits):
+    """With the int64 bound lowered to 2^bits, most cases take the Python-
+    int fallback; the reference caps at the same bound."""
+    mod, den, dden, us = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structures_mod, "_INT64_MAX", 2**bits - 1)
+        got = _thresholds(mod, np.array(us, dtype=np.int64), den, dden)
+        want = _reference_thresholds(mod, us, den, dden)
+    assert got.tolist() == want
+
+
+def test_thresholds_of_no_levels():
+    assert _thresholds(Modulus.lipschitz(2), np.zeros(0, np.int64), 3,
+                       5).tolist() == []
+
+
+# --------------------------------------------------------------------------
+# The certificate against the Prim pass it replaced
+
+def _prim_reference(D: np.ndarray):
+    """The certificate as one Prim pass and one whole-table check at the
+    end: (order, join) for an ultrametric, else None."""
+    n = len(D)
+    order = np.zeros(n, dtype=np.intp)
+    join = np.zeros(n, dtype=np.int64)
+    parent = np.zeros(n, dtype=np.intp)
+    rest = np.arange(1, n)
+    best = D[0, 1:].copy()
+    near = np.zeros(n - 1, dtype=np.intp)
+    for k in range(1, n):
+        m = int(best.argmin())
+        v = order[k] = rest[m]
+        join[k], parent[k] = best[m], near[m]
+        rest[m], best[m], near[m] = rest[-1], best[-1], near[-1]
+        rest, best, near = rest[:-1], best[:-1], near[:-1]
+        row = D[v, rest]
+        closer = row < best
+        best[closer] = row[closer]
+        near[closer] = v
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    attach = np.empty(n, dtype=np.intp)
+    attach[order] = parent
+    want = D[attach]
+    np.maximum(want, D[np.arange(n), attach][:, None], out=want)
+    bad = want != D
+    bad &= pos[None, :] < pos[:, None]
+    return None if bad.any() else (order, join)
+
+
+def _same_cert(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return all(np.array_equal(x, y) and x.dtype == y.dtype
+               for x, y in zip(a, b))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.one_of(ultrametrics(n, 7).map(lambda D: (1, D)),
+                        distances(n))))
+def test_certificate_equals_the_reference(case):
+    """Equal (order, join), or both None, on ultrametrics and on changed,
+    one-sided, negative and cycle inputs; None on every symmetric input
+    that is not an ultrametric.  A one-sided input lies outside the
+    certificate's domain (callers test symmetry first), and there neither
+    pass is bound to say None."""
+    _, D = case
+    cert = _ultrametric_order(D)
+    assert _same_cert(cert, _prim_reference(D))
+    # D[i, j] <= max(D[i, k], D[k, j]) on axes (i, k, j)
+    ultra = (D[:, None, :] <= np.maximum(D[:, :, None], D[None])).all()
+    if (D == D.T).all() and not ultra:
+        assert cert is None
+
+
+LADDER = ("N(depth=4,branch=4)", "N(depth=5,branch=4)",
+          "N2(depth=5,branch=4)", "N3(depth=5,branch=3)",
+          "M4(depth=5,branch=5)", "Projection(depth=5,branch=2)",
+          "M(depth=5,branch=4)")
+
+
+@pytest.mark.parametrize("spec", LADDER)
+def test_certificate_on_the_ladder_sorts(spec):
+    for s, sd in build_model(spec).sorts.items():
+        cert = _ultrametric_order(sd.dmat)
+        assert cert is not None, s
+        assert _same_cert(cert, _prim_reference(sd.dmat)), s
+
+
+def _count_rows(mp) -> list:
+    """Record the (k0, k1) block of every row check."""
+    blocks = []
+    check = structures_mod._rows_break
+
+    def counted(D, order, parent, k0, k1):
+        blocks.append((k0, k1))
+        return check(D, order, parent, k0, k1)
+    mp.setattr(structures_mod, "_rows_break", counted)
+    return blocks
+
+
+def test_cycle_is_rejected_after_a_few_steps(monkeypatch):
+    n = 300
+    i = np.arange(n)
+    gap = np.abs(i[:, None] - i[None, :])
+    blocks = _count_rows(monkeypatch)
+    assert _ultrametric_order(np.minimum(gap, n - gap)) is None
+    # the first block breaks: the pass stopped after its 7 rows
+    assert blocks == [(1, structures_mod._CERT_ROWS)]
+
+
+def test_certificate_blocks_tile_the_rows(monkeypatch):
+    D = build_model("N(depth=5,branch=4)").sorts["D1"].dmat
+    blocks = _count_rows(monkeypatch)
+    assert _ultrametric_order(D) is not None
+    assert blocks[0] == (1, structures_mod._CERT_ROWS)
+    assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
+    assert blocks[-1][1] == len(D)
+    assert max((k1 - k0) * len(D) for k0, k1 in blocks) \
+        <= structures_mod._CERT_CELLS
+
+
+# --------------------------------------------------------------------------
+# Ball extremes without reduceat on wide tables
+
+@settings(max_examples=200)
+@given(st.integers(1, 30), st.sampled_from([1, 3, 31, 32, 33, 70]),
+       st.data())
+def test_run_extremes_match_loops(n, width, data):
+    """Both the narrow (reduceat) and the wide (gather per run length)
+    paths, against max and min over each run."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    hi = rng.integers(-50, 50, size=(n, width))
+    lo = hi if data.draw(st.booleans()) else hi - rng.integers(0, 9, (n, 1))
+    rows = rng.permutation(n)
+    cuts = data.draw(st.lists(st.integers(1, n - 1), unique=True)) \
+        if n > 1 else []
+    idx = np.array([0] + sorted(cuts))
+    h, l = _run_extremes(hi, lo, rows, idx)
+    ends = list(idx[1:]) + [n]
+    for b, (a, e) in enumerate(zip(idx, ends)):
+        assert (h[b] == hi[rows[a:e]].max(axis=0)).all()
+        assert (l[b] == lo[rows[a:e]].min(axis=0)).all()
+
+
+@st.composite
+def wide_structures(draw) -> FiniteStructure:
+    """One ultrametric sort of up to 40 points and a binary predicate on
+    it, so each argument's table is as wide as the sort: both ball
+    reduction paths run, against tight and one-too-strict moduli."""
+    n = draw(st.integers(2, 40))
+    den = draw(st.sampled_from([1, 4, 12]))
+    D = draw(ultrametrics(n, den))
+    names = tuple(f"a{i}" for i in range(n))
+    A = SortData(names, den, D, {a: i for i, a in enumerate(names)})
+    dden = draw(st.sampled_from([1, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.integers(0, dden + 1, size=(n, n))
+    if draw(st.booleans()):  # smoother: values follow the distance
+        table = np.minimum(D * dden // max(den, 1), dden)
+    mod = draw(moduli(_changes({"A": A}, ("A", "A"), table, None), dden))
+    return FiniteStructure({"A": A}, {},
+                           {"P": PredTable(("A", "A"), dden, table)},
+                           {"P": mod} if mod else {})
+
+
+@settings(max_examples=60)
+@given(wide_structures())
+def test_wide_ball_checks_match_exhaustive_reference(M):
+    report = check_structure(M)
+    assert report == _check(M, certify=False) == _loop_report(M)
+
+
+def test_identity_report_reads_the_diagonal_as_the_loops_do():
+    """d(i, i) = -(den + 1) counts as an identity failure at (i, i) in the
+    exhaustive loops; the zero test keeps that reading."""
+    D = 1 - np.eye(3, dtype=np.int64)
+    D[1, 1] = -2
+    A = SortData(("a", "b", "c"), 1, D, {"a": 0, "b": 1, "c": 2})
+    M = FiniteStructure({"A": A})
+    assert check_structure(M) == _loop_report(M)
+    assert "metric: identity of indiscernibles fails at (b, b) in sort A" \
+        in check_structure(M)
+
+
+def test_ball_merges_levels():
+    levels, merges = _ball_merges(np.array([0, 1, 1, 2, 1]))
+    assert levels.tolist() == [1, 2]
+    assert [m.tolist() for m in merges] == [[0, 3], [0]]
