@@ -204,6 +204,18 @@ def _max_numerator(q: Fraction, den: int, strict: bool = False) -> int:
     return min((q.numerator * den - strict) // q.denominator, _INT64_MAX)
 
 
+def _narrow(lo: int, hi: int):
+    """The smallest of uint8, int16, int32 and int64 that holds every
+    integer in [lo, hi], or object (Python ints) past int64: the dtype a
+    scan copies its table to, from the range of the values and of the
+    sums or differences it forms, so that nothing wraps around."""
+    for t in (np.uint8, np.int16, np.int32, np.int64):
+        info = np.iinfo(t)
+        if info.min <= lo and hi <= info.max:
+            return t
+    return object
+
+
 def _first_hit(mask: np.ndarray):
     """The index tuple of mask's first true entry in C order, or None:
     what np.argwhere(mask)[0] gives, without listing the other hits."""
@@ -255,6 +267,9 @@ def _ultrametric_order(D: np.ndarray):
     O(n^2); None when it is not.  An ultrametric with a zero diagonal is
     nonnegative (d(i, i) <= max(d(i, k), d(k, i))), so it satisfies the
     triangle inequality.
+
+    Callers must test symmetry and the zero diagonal first: the pass reads
+    each pair on one side only, so it certifies some one-sided tables.
 
     A Prim pass adds the points one at a time, each new point v attached
     to its nearest earlier point p.  D is an ultrametric exactly when
@@ -388,32 +403,48 @@ def _run_extremes(hi, lo, rows, idx):
 _BLOCK = 1 << 20  # table changes compared at once by the exhaustive scan
 
 
-def _modulus_violation(sd: SortData, levels, inverse, name: str, pos: int,
+def _levels(sd: SortData):
+    """(levels, index): distance levels of a sort and, per pair, the
+    position of its distance among them, so thresholds computed once per
+    level are looked up per pair.  When the den + 1 levels 0 .. den are no
+    more than the pairs, index is D clipped to them: _thresholds reads a
+    negative distance as 0, and a distance past den allows omega(1) as den
+    does.  Larger dens (up to 2^40) take the sorted distinct distances."""
+    D, den = sd.dmat, sd.den
+    if den + 1 <= D.size:
+        return np.arange(den + 1), np.clip(D, 0, den)
+    levels, inverse = np.unique(D, return_inverse=True)
+    return levels, inverse.reshape(D.shape)
+
+
+def _modulus_violation(sd: SortData, levels, index, name: str, pos: int,
                        mod: Modulus, V: np.ndarray, out, dden: int):
     """Exhaustive reference check of one argument position: every pair of
     points (i < j) of the argument sort, the worst change over the other
     axes against the modulus of their distance.  Returns the report line
     for the first offending pair (rows in order; within a row the smallest
-    distance level, then the smallest j), or None.  out is the output
-    distance table of a function, None for a predicate.  Rows go in
-    blocks of about _BLOCK table changes."""
+    distance, then the smallest j), or None.  out is the output distance
+    table of a function, None for a predicate.  (levels, index) come from
+    _levels.  Rows go in blocks of about _BLOCK table changes."""
     n = sd.size
     thr = _thresholds(mod, levels, sd.den, dden)
+    if out is None and V.dtype.kind == "u":
+        V = V.astype(np.int16)  # uint8 values; their differences are signed
     step = max(1, _BLOCK // (n * V.shape[1] or 1))
     for i0 in range(0, n - 1, step):
         i1 = min(i0 + step, n - 1)
         first, rest = V[i0:i1, None], V[None, i0 + 1:]
         dout = out[rest, first] if out is not None else np.abs(rest - first)
         dmax = dout.max(axis=2)  # [i - i0, j - i0 - 1]
-        inv = inverse[i0:i1, i0 + 1:]
-        bad = dmax > thr[inv]
+        bad = dmax > thr[index[i0:i1, i0 + 1:]]
         bad &= np.arange(i0 + 1, n) > np.arange(i0, i1)[:, None]  # i < j
         hit = np.flatnonzero(bad.any(axis=1))
         if len(hit):
             r = int(hit[0])
             ks = np.flatnonzero(bad[r])
-            k = int(ks[np.argmin(inv[r, ks])])
-            u = levels[inv[r, k]]
+            row = sd.dmat[i0 + r, i0 + 1:]
+            k = int(ks[np.argmin(row[ks])])
+            u = row[k]
             return (f"modulus violation: {name} argument {pos} at pair "
                     f"{_pair_name(sd, i0 + r, i0 + 1 + k)}: input distance "
                     f"{show_rational(Fraction(int(u), sd.den))} allows change "
@@ -439,10 +470,11 @@ def _metric_report(s: str, sd: SortData, report: list[str], certify: bool):
     if hit is not None:
         report.append(f"metric: asymmetry at {_pair_name(sd, *hit)} in sort {s}")
         clean = False
-    if D.min(initial=0) < 0 or D.max(initial=0) > sd.den:
+    lo, hi = int(D.min(initial=0)), int(D.max(initial=0))
+    if lo < 0 or hi > sd.den:
         report.append(f"metric: entry outside [0,1] in sort {s}")
-    zero = D == 0  # on the diagonal, d(i, i) + den + 1 == 0 counts instead
-    np.fill_diagonal(zero, np.diagonal(D) == -(sd.den + 1))
+    zero = D == 0
+    np.fill_diagonal(zero, False)  # identity concerns pairs i != j only
     hit = _first_hit(zero)
     if hit is not None:
         report.append(
@@ -451,15 +483,33 @@ def _metric_report(s: str, sd: SortData, report: list[str], certify: bool):
     cert = _ultrametric_order(D) if certify and clean and n else None
     if cert is not None:
         return cert  # an ultrametric: the triangle inequality holds
-    if D.size and -2**30 < D.min() and D.max() < 2**30:
-        D = D.astype(np.int32)  # sums still fit; half the memory traffic
-    for k in range(n):
-        hit = _first_hit(D > D[:, k:k + 1] + D[k:k + 1, :])
+    hit = _triangle_hit(D.astype(_narrow(2 * lo, 2 * hi)))
+    if hit is not None:
+        k, i, j = hit
+        report.append(
+            f"metric: triangle inequality fails for "
+            f"{_pair_name(sd, i, j)} via {sd.points[k]} in sort {s}")
+    return None
+
+
+def _triangle_hit(D: np.ndarray):
+    """The first (k, i, j) with D[i, j] > D[i, k] + D[k, j], the smallest k
+    and then (i, j) in C order, or None.  The O(n^3) scan tests blocks of
+    consecutive k of about _CERT_CELLS entries at once, so D's dtype must
+    hold every sum of two entries."""
+    n = len(D)
+    DT = np.ascontiguousarray(D.T)
+    step = max(1, min(n, _CERT_CELLS // max(D.size, 1)))
+    sums = np.empty((step, n, n), dtype=D.dtype)
+    bad = np.empty(sums.shape, dtype=bool)
+    for k0 in range(0, n, step):
+        m = min(step, n - k0)
+        # sums[k, i, j] = D[i, k0 + k] + D[k0 + k, j]
+        np.add(DT[k0:k0 + m, :, None], D[k0:k0 + m, None, :], out=sums[:m])
+        np.less(sums[:m], D, out=bad[:m])
+        hit = _first_hit(bad[:m])
         if hit is not None:
-            report.append(
-                f"metric: triangle inequality fails for "
-                f"{_pair_name(sd, *hit)} via {sd.points[k]} in sort {s}")
-            break
+            return k0 + int(hit[0]), int(hit[1]), int(hit[2])
     return None
 
 
@@ -490,7 +540,7 @@ def _check(M: FiniteStructure, certify: bool) -> list[str]:
              for s, sd in M.sorts.items()}
     merges = {s: _ball_merges(c[1]) for s, c in certs.items()
               if c is not None}
-    unique: dict = {}  # distance levels of a sort, for the exhaustive scan
+    lookup: dict = {}  # per sort, _levels for the exhaustive scan
     symbols = [("function", name, fn.arg_sorts, fn.table, fn.out_sort)
                for name, fn in M.functions.items() if fn.arg_sorts]
     symbols += [("predicate", name, pr.arg_sorts, pr.table, None)
@@ -502,6 +552,9 @@ def _check(M: FiniteStructure, certify: bool) -> list[str]:
             continue
         if out_sort is None:  # a predicate: changes are value differences
             out, dden = None, M.predicates[name].den
+            # a narrow copy that holds the values and any max - min of them
+            lo = int(table.min(initial=0))
+            table = table.astype(_narrow(lo, int(table.max(initial=0)) - lo))
         else:  # a function: changes are distances in the output sort
             out, dden = M.sorts[out_sort].dmat, M.sorts[out_sort].den
         # a function's ball check needs an ultrametric output sort
@@ -515,10 +568,9 @@ def _check(M: FiniteStructure, certify: bool) -> list[str]:
                 thr = _thresholds(mod, levels, sd.den, dden)
                 if _balls_respect(V, certs[s][0], idx, thr, out):
                     continue
-            if s not in unique:
-                levels, inverse = np.unique(sd.dmat, return_inverse=True)
-                unique[s] = levels, inverse.reshape(sd.dmat.shape)
-            line = _modulus_violation(sd, *unique[s], name, pos, mod, V, out,
+            if s not in lookup:
+                lookup[s] = _levels(sd)
+            line = _modulus_violation(sd, *lookup[s], name, pos, mod, V, out,
                                       dden)
             if line:
                 report.append(line)

@@ -9,7 +9,8 @@ ternary symbols whose moduli are tight (every change exactly at omega) or
 one unit too strict at one distance.  The fast parts also meet their own
 references: the integer thresholds `_max_numerator` over omega in
 Fractions, the blocked certificate the one-pass Prim check it replaced,
-and the ball extremes plain max and min over each run."""
+the ball extremes plain max and min over each run, and the blocked,
+narrow triangle scan a per-k loop in Python ints."""
 
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mlw import analysis
 from mlw import structures as structures_mod
 from mlw.models import build_model
 from mlw.moduli import Modulus
@@ -217,23 +219,23 @@ def _loop_report(M: FiniteStructure) -> list[str]:
     def pair(sd, i, j):
         return f"({sd.points[i]}, {sd.points[j]})"
     for s, sd in M.sorts.items():
-        D, n, cells = sd.dmat, sd.size, list(np.ndindex(sd.dmat.shape))
-        diag = [i for i in range(n) if D[i, i] != 0]
+        D, n = sd.dmat.tolist(), sd.size  # Python ints: sums cannot wrap
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        diag = [i for i in range(n) if D[i][i] != 0]
         if diag:
             out.append(f"metric: nonzero diagonal at {sd.points[diag[0]]} "
                        f"in sort {s}")
-        asym = [(i, j) for i, j in cells if D[i, j] != D[j, i]]
+        asym = [(i, j) for i, j in cells if D[i][j] != D[j][i]]
         if asym:
             out.append(f"metric: asymmetry at {pair(sd, *asym[0])} in sort {s}")
-        if any(not 0 <= D[c] <= sd.den for c in cells):
+        if any(not 0 <= D[i][j] <= sd.den for i, j in cells):
             out.append(f"metric: entry outside [0,1] in sort {s}")
-        same = [(i, j) for i, j in cells
-                if D[i, j] + (sd.den + 1 if i == j else 0) == 0]
+        same = [(i, j) for i, j in cells if i != j and D[i][j] == 0]
         if same:
             out.append(f"metric: identity of indiscernibles fails at "
                        f"{pair(sd, *same[0])} in sort {s}")
         for k in range(n):
-            tri = [(i, j) for i, j in cells if D[i, j] > D[i, k] + D[k, j]]
+            tri = [(i, j) for i, j in cells if D[i][j] > D[i][k] + D[k][j]]
             if tri:
                 out.append(f"metric: triangle inequality fails for "
                            f"{pair(sd, *tri[0])} via {sd.points[k]} in sort {s}")
@@ -553,19 +555,204 @@ def test_wide_ball_checks_match_exhaustive_reference(M):
     assert report == _check(M, certify=False) == _loop_report(M)
 
 
-def test_identity_report_reads_the_diagonal_as_the_loops_do():
-    """d(i, i) = -(den + 1) counts as an identity failure at (i, i) in the
-    exhaustive loops; the zero test keeps that reading."""
+def test_nonzero_diagonal_is_reported_once():
+    """d(i, i) = -(den + 1) is a nonzero diagonal entry, and nothing else:
+    identity of indiscernibles concerns pairs i != j."""
     D = 1 - np.eye(3, dtype=np.int64)
     D[1, 1] = -2
     A = SortData(("a", "b", "c"), 1, D, {"a": 0, "b": 1, "c": 2})
     M = FiniteStructure({"A": A})
-    assert check_structure(M) == _loop_report(M)
-    assert "metric: identity of indiscernibles fails at (b, b) in sort A" \
-        in check_structure(M)
+    assert check_structure(M) == _check(M, certify=False) == _loop_report(M) \
+        == ["metric: nonzero diagonal at b in sort A",
+            "metric: entry outside [0,1] in sort A",
+            "metric: triangle inequality fails for (a, b) via b in sort A"]
 
 
 def test_ball_merges_levels():
     levels, merges = _ball_merges(np.array([0, 1, 1, 2, 1]))
     assert levels.tolist() == [1, 2]
     assert [m.tolist() for m in merges] == [[0, 3], [0]]
+
+
+# --------------------------------------------------------------------------
+# Narrow dtypes, the blocked triangle scan and the level lookup
+
+@pytest.mark.parametrize("lo, hi, want", [
+    (0, 255, np.uint8), (0, 256, np.int16), (-1, 0, np.int16),
+    (-2**15, 2**15 - 1, np.int16), (0, 2**15, np.int32),
+    (-2**15 - 1, 0, np.int32), (0, 2**31, np.int64),
+    (-2**63, 2**63 - 1, np.int64), (0, 2**63, object),
+    (-2**63 - 1, 0, object)])
+def test_narrow_picks_the_smallest_dtype(lo, hi, want):
+    assert structures_mod._narrow(lo, hi) is want
+
+
+def _triangle_reference(D: np.ndarray):
+    """The first (k, i, j) with D[i, j] > D[i, k] + D[k, j]: one k at a
+    time, in Python ints."""
+    D = D.astype(object)
+    for k in range(len(D)):
+        hit = np.argwhere(D > D[:, k:k + 1] + D[k:k + 1, :])
+        if len(hit):
+            return (k, int(hit[0][0]), int(hit[0][1]))
+    return None
+
+
+# The largest entry: twice it sits on each side of 255, 2^15, 2^31 and
+# 2^63 (the int64 limit, past which the scan sums Python ints).
+TOPS = [3, 4, 127, 128, 2**14 - 1, 2**14, 2**30 - 1, 2**30, 2**62 - 1,
+        2**62]
+
+
+@st.composite
+def triangle_cases(draw):
+    """(block, D): the k-block size the scan is run with and a table.  A
+    planted table is a metric except for one pair (a, a + 2) that is too
+    far apart via a + 1 only, with a + 1 at or next to a block edge; the
+    others are random, negative entries included."""
+    n = draw(st.integers(1, 24))
+    block = draw(st.integers(1, 4))
+    top = draw(st.sampled_from(TOPS))
+    if draw(st.booleans()) and n >= 3:
+        i = np.arange(n)
+        D = np.abs(i[:, None] - i[None, :]) + (top - 3) // 2
+        np.fill_diagonal(D, 0)
+        edges = {e + d for e in (block, 2 * block) for d in (-1, 0, 1)}
+        k = draw(st.sampled_from(sorted(edges & set(range(1, n - 1)))
+                                 or [1]))
+        D[k - 1, k + 1] = D[k + 1, k - 1] = top
+        return block, D
+    lo = draw(st.sampled_from([0, -1, -top]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D = rng.integers(lo, top, size=(n, n), endpoint=True)
+    if draw(st.booleans()):
+        D = np.minimum(D, D.T)
+        np.fill_diagonal(D, 0)
+    return block, D
+
+
+@settings(max_examples=300)
+@given(triangle_cases())
+def test_blocked_triangle_scan_matches_per_k_loop(case):
+    block, D = case
+    n = len(D)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structures_mod, "_CERT_CELLS", block * n * n)
+        lo, hi = min(int(D.min()), 0), max(int(D.max()), 0)
+        narrow = D.astype(structures_mod._narrow(2 * lo, 2 * hi))
+        assert structures_mod._triangle_hit(narrow) == _triangle_reference(D)
+        names = tuple(f"a{i}" for i in range(n))
+        A = SortData(names, max(hi, 1), D, {a: i for i, a in enumerate(names)})
+        M = FiniteStructure({"A": A})
+        assert check_structure(M) == _check(M, certify=False) \
+            == _loop_report(M)
+
+
+def test_planted_triangle_failure_on_a_block_edge(monkeypatch):
+    """Blocks of 5 k at n = 20: the only failure is via the first k of the
+    third block, in an int16 table (2 * max = 2^15 - 2)."""
+    n, top = 20, 2**14 - 1
+    i = np.arange(n)
+    D = np.abs(i[:, None] - i[None, :]) + (top - 3) // 2
+    np.fill_diagonal(D, 0)
+    D[9, 11] = D[11, 9] = top
+    monkeypatch.setattr(structures_mod, "_CERT_CELLS", 5 * n * n)
+    assert structures_mod._narrow(0, 2 * top) is np.int16
+    assert structures_mod._triangle_hit(D.astype(np.int16)) == (10, 9, 11)
+    names = tuple(f"a{i}" for i in range(n))
+    A = SortData(names, top, D, {a: i for i, a in enumerate(names)})
+    assert check_structure(FiniteStructure({"A": A})) == [
+        "metric: triangle inequality fails for (a9, a11) via a10 in sort A"]
+
+
+# Predicate values on each side of the uint8 and int16 edges.
+PRED_VALUES = [0, 1, 255, 256, 2**15 - 1, 2**15, 2**15 + 1, 2**31]
+
+
+@st.composite
+def edge_predicates(draw) -> FiniteStructure:
+    """An ultrametric sort of up to 40 points and a unary or binary
+    predicate whose values come from PRED_VALUES, negated or shifted below
+    zero at times, against tight and one-too-strict moduli."""
+    n = draw(st.integers(2, 40))
+    den = draw(st.sampled_from([1, 4, 12]))
+    D = draw(ultrametrics(n, den))
+    names = tuple(f"a{i}" for i in range(n))
+    A = SortData(names, den, D, {a: i for i, a in enumerate(names)})
+    vals = np.array(draw(st.lists(st.sampled_from(PRED_VALUES), min_size=1,
+                                  max_size=3, unique=True)), dtype=np.int64)
+    vals = draw(st.sampled_from([vals, -vals, vals - vals.max() // 2]))
+    args = ("A",) * draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.choice(vals, size=(n,) * len(args))
+    if draw(st.booleans()):  # constant on the balls of one level
+        cut = draw(st.integers(0, den))
+        table = np.where(D[0] <= cut, vals.max(), vals.min())
+        table = np.broadcast_to(table, (n,) * len(args)).copy()
+    dden = max(int(vals.max()) - int(vals.min()), 1) \
+        * draw(st.sampled_from([1, 2]))
+    mod = draw(moduli(_changes({"A": A}, args, table, None), dden))
+    return FiniteStructure({"A": A}, {},
+                           {"P": PredTable(args, dden, table)},
+                           {"P": mod} if mod else {})
+
+
+@settings(max_examples=150)
+@given(edge_predicates())
+def test_narrow_ball_checks_match_exhaustive_reference(M):
+    report = check_structure(M)
+    assert report == _check(M, certify=False) == _loop_report(M)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 8), st.integers(1, 12), all_moduli(),
+       st.integers(1, 2**40), st.data())
+def test_level_lookup_matches_fractions(n, den, mod, dden, data):
+    """Thresholds per pair from _levels, by lookup (den + 1 <= n^2) or by
+    np.unique (larger dens), against omega in Fractions, with negative
+    distances and distances past den."""
+    D = np.array(data.draw(st.lists(st.integers(-den - 3, den + 3),
+                                    min_size=n * n, max_size=n * n)),
+                 dtype=np.int64).reshape(n, n)
+    A = SortData(tuple(range(n)), den, D, {})
+    levels, index = structures_mod._levels(A)
+    got = _thresholds(mod, levels, den, dden)[index]
+    want = [[_max_numerator(_allowed(mod, int(u), den), dden) for u in row]
+            for row in D]
+    assert got.tolist() == want
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 30), st.data())
+def test_one_sided_changes_are_reported_and_never_certified(n, data):
+    """One entry of a random ultrametric changed on one side only: the
+    check reports the asymmetry, and find_iso's dendrogram, which tests
+    symmetry before it runs the certificate, gives None."""
+    D = data.draw(ultrametrics(n, 7))
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                              unique=True))
+    D[i, j] = data.draw(st.integers(0, 7).filter(lambda v: v != D[i, j]))
+    names = tuple(f"a{k}" for k in range(n))
+    A = SortData(names, 7, D, {a: k for k, a in enumerate(names)})
+    M = FiniteStructure({"A": A})
+    report = check_structure(M)
+    a, b = min((i, j), (j, i))
+    assert f"metric: asymmetry at (a{a}, a{b}) in sort A" in report
+    assert report == _check(M, certify=False) == _loop_report(M)
+    assert analysis._dendrogram(A) is None
+
+
+def test_modulus_report_orders_negative_distances():
+    """Two offending pairs in one row at distances -1 and -2, which the
+    level lookup reads alike as 0: the report still names the smaller
+    distance, as the loops do."""
+    D = np.array([[0, -1, -2, 1], [-1, 0, 1, 1], [-2, 1, 0, 1], [1, 1, 1, 0]])
+    A = SortData(("a", "b", "c", "d"), 1, D,
+                 {"a": 0, "b": 1, "c": 2, "d": 3})
+    M = FiniteStructure({"A": A}, {},
+                        {"P": PredTable(("A",), 1, np.array([0, 1, 1, 0]))},
+                        {"P": Modulus.lipschitz(0)})
+    report = check_structure(M)
+    assert report == _check(M, certify=False) == _loop_report(M)
+    assert "modulus violation: P argument 0 at pair (a, c): input distance " \
+        "-2 allows change 0, table changes by 1" in report
