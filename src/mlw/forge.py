@@ -19,8 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from .conditions import PartialType, type_from_spec
-from .formulas import (Const, Dist, Formula, Quant, Rat, Var, absdiff, affine,
-                       fmax, fmonus, free_vars, map_terms, show, subst)
+from .formulas import (Conn, Const, Dist, Formula, Quant, Rat, Var,
+                       _memo_on_formula, absdiff, affine, fmax, fmonus,
+                       free_vars, map_terms, show, subst)
 from .structures import (FiniteStructure, _eval_blocks, _first_hit,
                          _max_numerator, check_structure, eval_formula,
                          eval_table)
@@ -35,13 +36,22 @@ _SCAN_CAP = 5_000_000  # largest exhaustive assignment scan
 _DCONST = re.compile(r"^d(\d+)$")
 
 
+def _henkin_var(c):
+    m = isinstance(c, Const) and _DCONST.match(c.name)
+    return Var(f"x{m.group(1)}") if m else c
+
+
+@_memo_on_formula
 def bind_constants(f: Formula) -> Formula:
     """Turn the named Henkin constants d<k> into the variables x<k> used
-    for bank evaluation."""
-    def fn(c):
-        m = isinstance(c, Const) and _DCONST.match(c.name)
-        return Var(f"x{m.group(1)}") if m else c
-    return map_terms(f, fn)
+    for bank evaluation.  Each subformula object is bound once, so a
+    condition conjoined to an already bound one binds only the new
+    demand, and the bound object's summary is kept as well."""
+    if type(f) is Conn:
+        return Conn(f.op, tuple(map(bind_constants, f.args)), f.params)
+    if type(f) is Quant:
+        return Quant(f.kind, f.var, f.sort, bind_constants(f.body))
+    return map_terms(f, _henkin_var)
 
 
 def constant_indices(f: Formula) -> tuple[int, ...]:

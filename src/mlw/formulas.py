@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .moduli import Modulus
@@ -134,13 +136,31 @@ def inf(var, body, sort=None) -> Formula:
 # --------------------------------------------------------------------------
 # Structural helpers: one traversal that reads a formula, one that rebuilds it
 
+def _memo_on_formula(fn):
+    """fn(f) computed once per formula object and kept in f.__dict__, as
+    functools.cached_property keeps an attribute: the nodes are frozen
+    dataclasses whose eq and hash read their fields only, so the stored
+    result changes neither.  fn's result is shared by every later call
+    and must not be mutated."""
+    key = "_memo_" + fn.__name__
+
+    @wraps(fn)
+    def memo(f):
+        out = f.__dict__.get(key)
+        if out is None:
+            out = f.__dict__[key] = fn(f)
+        return out
+    return memo
+
+
 class Summary(NamedTuple):
-    """What the library reads off a formula's syntax, from one traversal."""
-    free: dict  # free variable -> its first sort annotation (None if none)
-    bound: set  # names of the quantified variables
+    """What the library reads off a formula's syntax, from one traversal;
+    read-only, since summary(f) hands the same one to every caller."""
+    free: MappingProxyType  # free variable -> its first sort annotation
+    bound: frozenset  # names of the quantified variables
     depth: int  # quantifier nesting depth
     prenex: bool  # every quantifier sits in the leading prefix
-    symbols: dict  # keys ("function" | "predicate", name), first use first
+    symbols: MappingProxyType  # ("function" | "predicate", name), first use
 
 
 def _visit_term(t: Term, scope, free: dict, symbols: dict):
@@ -154,9 +174,11 @@ def _visit_term(t: Term, scope, free: dict, symbols: dict):
             _visit_term(a, scope, free, symbols)
 
 
+@_memo_on_formula
 def summary(f: Formula) -> Summary:
     """Free variables (in order of first occurrence) with their sorts,
-    bound names, quantifier depth, prenexness and symbols of f."""
+    bound names, quantifier depth, prenexness and symbols of f, walked
+    once per formula object."""
     free: dict[str, str | None] = {}
     bound: set[str] = set()
     symbols: dict[tuple[str, str], None] = {}
@@ -164,7 +186,7 @@ def summary(f: Formula) -> Summary:
 
     def go(g, scope) -> int:  # the quantifier depth of g
         nonlocal mixed
-        kind = type(g)  # exact types: this runs on every evaluation
+        kind = type(g)
         if kind is Conn:
             depth = 0
             for a in g.args:
@@ -191,7 +213,8 @@ def summary(f: Formula) -> Summary:
         raise TypeError(g)
 
     depth = go(f, frozenset())
-    return Summary(free, bound, depth, not mixed, symbols)
+    return Summary(MappingProxyType(free), frozenset(bound), depth,
+                   not mixed, MappingProxyType(symbols))
 
 
 def term_vars(t: Term) -> set[str]:
@@ -206,7 +229,7 @@ def free_vars(f: Formula) -> set[str]:
 
 def var_sorts(f: Formula) -> dict[str, str | None]:
     """Sort annotation of every free variable (first annotation wins)."""
-    return summary(f).free
+    return dict(summary(f).free)
 
 
 def is_prenex(f: Formula) -> bool:

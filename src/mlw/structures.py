@@ -252,7 +252,8 @@ def _thresholds(mod: Modulus, levels: np.ndarray, den: int,
     top = pts[-1][1] * dden
     lines.append((0, top.numerator // top.denominator, 1))  # past den
     a, b, c = zip(*lines)
-    umax = min(int(u.max(initial=0)), den)  # the largest u on a sloped piece
+    # the largest u on a sloped piece, at least 1 so that a fits as well
+    umax = max(min(int(u.max(initial=0)), den), 1)
     if max(map(abs, a)) * umax + max(map(abs, b)) <= _INT64_MAX \
             and max(c) <= _INT64_MAX:
         a, b, c = (np.array(x, dtype=np.int64)[piece] for x in (a, b, c))
@@ -581,23 +582,27 @@ def _check(M: FiniteStructure, certify: bool) -> list[str]:
 # Exact evaluation (vectorized over quantifier axes)
 
 def _align(a, b):
+    """Two (den, value) pairs over their common denominator; a side whose
+    den already is that denominator is returned as it is."""
     (da, va), (db, vb) = a, b
-    L = math.lcm(da, db)
+    L = da if da == db else math.lcm(da, db)
     if L >= _MAX_DEN:
         raise ValueError("denominator overflow during evaluation")
-    return L, va * (L // da), vb * (L // db)
+    return (L, va if L == da else va * (L // da),
+            vb if L == db else vb * (L // db))
 
 
 def _ev_term(t, M: FiniteStructure, env):
     """Index array (broadcastable) plus the sort of the term."""
-    if isinstance(t, Var):
+    kind = type(t)  # exact types, as summary reads them
+    if kind is Var:
         if t.name not in env:
             raise ValueError(f"unbound variable {t.name}")
         return env[t.name]
-    if isinstance(t, Const):
+    if kind is Const:
         s, i = M.constant(t.name)
         return s, i
-    if isinstance(t, App):
+    if kind is App:
         fn = M.functions.get(t.fn)
         if fn is None:
             raise ValueError(f"unknown function symbol {t.fn}")
@@ -614,15 +619,16 @@ def _ev_term(t, M: FiniteStructure, env):
 
 def _ev(f: Formula, M: FiniteStructure, env, depth: int, total: int):
     """Returns (den, value) with value an int or int ndarray scaled by den."""
-    if isinstance(f, Rat):
+    kind = type(f)  # exact types, as summary reads them
+    if kind is Rat:
         return f.value.denominator, f.value.numerator
-    if isinstance(f, Dist):
+    if kind is Dist:
         (s1, i1), (s2, i2) = _ev_term(f.left, M, env), _ev_term(f.right, M, env)
         if s1 != s2:
             raise ValueError(f"d across sorts {s1} and {s2}")
         sd = M.sorts[s1]
         return sd.den, sd.dmat[i1, i2]
-    if isinstance(f, Pred):
+    if kind is Pred:
         pr = M.predicates.get(f.name)
         if pr is None:
             raise ValueError(f"unknown predicate symbol {f.name}")
@@ -635,7 +641,7 @@ def _ev(f: Formula, M: FiniteStructure, env, depth: int, total: int):
                 raise ValueError(f"sort mismatch in argument of {f.name}")
             args.append(ia)
         return pr.den, pr.table[tuple(args)]
-    if isinstance(f, Conn):
+    if kind is Conn:
         vals = [_ev(a, M, env, depth, total) for a in f.args]
         if f.op in ("max", "min"):
             den, out = vals[0]
@@ -676,7 +682,7 @@ def _ev(f: Formula, M: FiniteStructure, env, depth: int, total: int):
             g = math.gcd(int(np.gcd.reduce(np.ravel(nv))), nden)
             return nden // g, nv // g
         raise ValueError(f.op)
-    if isinstance(f, Quant):
+    if kind is Quant:
         sort = f.sort or M.only_sort()
         n = M.sorts[sort].size
         if n == 0:
@@ -686,8 +692,8 @@ def _ev(f: Formula, M: FiniteStructure, env, depth: int, total: int):
         sub[f.var] = (sort, np.arange(n).reshape(shape))
         den, v = _ev(f.body, M, sub, depth + 1, total)
         if isinstance(v, np.ndarray) and v.ndim > depth and v.shape[depth] > 1:
-            red = np.max if f.kind == "sup" else np.min
-            v = red(v, axis=depth, keepdims=True)
+            red = np.maximum if f.kind == "sup" else np.minimum
+            v = red.reduce(v, axis=depth, keepdims=True)
         return den, v
     raise TypeError(f)
 
@@ -771,8 +777,10 @@ def _table(f: Formula, M: FiniteStructure, env, variables, total: int):
     den, v = _ev(f, M, env, r, total)
     shape = tuple(env[name][1].shape[j]
                   for j, (name, _) in enumerate(variables))
-    return den, np.broadcast_to(
-        np.asarray(v), shape + (1,) * (total - r)).reshape(shape)
+    full = shape + (1,) * (total - r)
+    if np.shape(v) != full:
+        v = np.broadcast_to(np.asarray(v), full)
+    return den, v.reshape(shape)
 
 
 def _bind(free: dict, M: FiniteStructure, assignment):

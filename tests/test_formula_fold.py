@@ -7,14 +7,18 @@ the function and predicate symbols, and the prenex form (or the reason
 there is none).  The corpus is every formula the type-builder registry and
 `pred_gap` build at small parameters, the parser-test formulas, the
 formulas of the acceptance suite and a few cases built to separate free
-from bound occurrences."""
+from bound occurrences.  `summary` is kept on the formula object after its
+first walk, so the shared result must be read-only."""
 
 import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from mlw.conditions import _TYPE_BUILDERS, build_type, pred_gap
-from mlw.formulas import (PrenexUnsupported, free_vars, is_prenex,
+from mlw.forge import bind_constants
+from mlw.formulas import (Conn, PrenexUnsupported, free_vars, is_prenex,
                           parse_formula, prenex, show, summary, var_sorts)
 from mlw.trees import FiniteTree
 
@@ -119,3 +123,46 @@ def test_summary_free_matches_free_vars_and_var_sorts():
         s = summary(f)
         assert set(s.free) == free_vars(f)
         assert s.free == var_sorts(f)
+
+
+def test_summary_is_walked_once_and_shared_read_only():
+    f = parse_formula("sup x1 . min(d(x0:D1, x1), P(x2, c))")
+    s = summary(f)
+    assert summary(f) is s
+    with pytest.raises(TypeError):
+        s.free["x9"] = None
+    with pytest.raises(TypeError):
+        s.symbols["predicate", "R"] = None
+    with pytest.raises(AttributeError):
+        s.bound.add("x9")
+    sorts, names = var_sorts(f), free_vars(f)
+    sorts["x0"], sorts["x9"] = "other", None
+    names.add("x9")
+    assert summary(f) is s
+    assert dict(s.free) == {"x0": "D1", "x2": None}
+    assert s.bound == {"x1"} and var_sorts(f) == {"x0": "D1", "x2": None}
+
+
+def test_memo_leaves_equality_hash_and_repr_alone():
+    """An equal formula object without a memo compares, hashes and prints
+    alike, and walks to an equal summary of its own."""
+    f = parse_formula("inf x1 . monus(d(x0, x1), 1/3)")
+    g = parse_formula(show(f))
+    before = hash(f), repr(f)
+    summary(f)
+    assert f == g and (hash(f), repr(f)) == before == (hash(g), repr(g))
+    assert summary(g) == summary(f) and summary(g) is not summary(f)
+
+
+def test_bind_constants_gives_one_bound_object_per_formula():
+    """A conjunction built on a bound formula reuses its bound object,
+    as forge's growing conditions do."""
+    f = parse_formula("max(d(d0, x3), monus(d(d1, d0), 1/2))")
+    bound = bind_constants(f)
+    assert bind_constants(f) is bound
+    assert bound == parse_formula("max(d(x0, x3), monus(d(x1, x0), 1/2))")
+    assert bind_constants(parse_formula(show(f))) == bound
+    g = Conn("max", (f, parse_formula("sup x1 . d(d2, x1)")))
+    assert bind_constants(g).args[0] is bound
+    assert bind_constants(g) == parse_formula(
+        "max(max(d(x0, x3), monus(d(x1, x0), 1/2)), sup x1 . d(x2, x1))")

@@ -18,9 +18,10 @@ from mlw.analysis import realizes
 from mlw.conditions import (PartialType, build_type, closed,
                              normalize_condition)
 from mlw.formulas import (App, Conn, Const, Dist, Pred, Quant, Rat, Var,
-                          affine, cut, fmax, fmin, fmonus, inf, neg, sup)
-from mlw.structures import (FiniteStructure, _eval_blocks, eval_formula,
-                            eval_table)
+                          affine, cut, fmax, fmin, fmonus, inf, neg, summary,
+                          sup)
+from mlw.structures import (FiniteStructure, PredTable, _eval_blocks,
+                            eval_formula, eval_table)
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -223,6 +224,109 @@ def test_eval_table_and_eval_formula_match_the_reference(data):
     sentence = sup("x0", inf("x1", f, "B"), "A")
     assert _exact(lambda: eval_formula(sentence, M)) == \
         ref_eval(sentence, M, {})
+
+
+@given(st.data())
+def test_one_formula_object_on_structures_of_other_dens(data):
+    """The syntax facts kept on a formula object carry nothing of the
+    structure: the same object evaluated on two structures with their own
+    denominators, and on the first again, gives each its reference."""
+    pools = [data.draw(denominators()) for _ in range(2)]
+    Ms = [data.draw(structures(pool)) for pool in pools]
+    f = formulas(data.draw, FREE, data.draw(st.integers(1, 4)),
+                 pools[0] + pools[1])
+    sentence = sup("x0", inf("x1", f, "B"), "A")
+    for M in Ms + Ms[:1]:
+        den, table = _exact(lambda: eval_table(f, M, FREE))
+        for i, j in np.ndindex(table.shape):
+            want = ref_eval(f, M, {"x0": ("A", i), "x1": ("B", j)})
+            assert Fraction(int(table[i, j]), den) == want
+            names = {"x0": M.sorts["A"].points[i],
+                     "x1": M.sorts["B"].points[j]}
+            assert eval_formula(f, M, names) == want
+        assert _exact(lambda: eval_formula(sentence, M)) == \
+            ref_eval(sentence, M, {})
+
+
+def test_one_formula_object_on_two_dens():
+    f = sup("x1", fmin(fmonus(Rat(Fraction(1, 2)), Dist(Var("x0"), Var("x1"))),
+                       Dist(Var("x0"), Var("x1"))))
+    for den in (3, 7, 3):
+        M = FiniteStructure.build(
+            {"A": ["a", "b", "c"]},
+            {"A": (den, np.array([[0, 1, 2], [1, 0, 2], [2, 2, 0]]))})
+        for i, p in enumerate("abc"):
+            assert eval_formula(f, M, {"x0": p}) == \
+                ref_eval(f, M, {"x0": ("A", i)})
+
+
+@pytest.mark.parametrize("den", [2**40, 2**40 + 1, 2**41])
+def test_equal_denominators_past_the_limit_still_overflow(den):
+    """Two values over one den of 2^40 or more, from a directly built
+    PredTable (FiniteStructure.build refuses such a den), are not returned
+    as they are: the common den is refused as an lcm past the limit is."""
+    A = FiniteStructure.build({"A": ["a", "b"]},
+                              {"A": (1, np.array([[0, 1], [1, 0]]))}).sorts
+    P = PredTable(("A",), den, np.array([1, den - 1], dtype=np.int64))
+    M = FiniteStructure(A, {}, {"P": P})
+    x = Var("x0")
+    for f in (fmax(Pred("P", (x,)), Pred("P", (x,))),
+              fmonus(Pred("P", (x,)), Pred("P", (x,))),
+              fmin(Rat(Fraction(1, den)), Rat(Fraction(1, den))),
+              sup("x0", fmax(Pred("P", (x,)), Pred("P", (x,))))):
+        with pytest.raises(ValueError, match="denominator overflow"):
+            eval_table(f, M, [("x0", "A")] if summary(f).free else [])
+    # one such value on its own needs no common den
+    assert eval_formula(Pred("P", (x,)), M, {"x0": "b"}) == \
+        Fraction(den - 1, den)
+
+
+def test_quantifiers_over_a_one_point_sort():
+    """sup and inf over a sort of one point leave nothing to reduce: the
+    value is the body's at that point, nested with a larger sort too."""
+    M = FiniteStructure.build(
+        {"A": ["a"], "B": ["b0", "b1", "b2"]},
+        {"A": (1, np.zeros((1, 1), dtype=np.int64)),
+         "B": (4, np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]]))},
+        {"c": ((), "A", np.array(0)), "e": ((), "B", np.array(2))},
+        {"P": (("A",), (5, np.array([3]))),
+         "Q": (("A", "B"), (6, np.array([[1, 5, 2]])))})
+    y, z, x = Var("y", "A"), Var("z", "B"), Var("x1", "B")
+    bodies = [Pred("P", (y,)), Pred("Q", (y, x)),
+              fmax(Pred("Q", (y, x)), Dist(Const("e"), x)),
+              neg(Dist(y, Const("c")))]
+    for body in bodies:
+        for q in (sup, inf):
+            for f in (q("y", body, "A"),
+                      q("z", q("y", fmax(body, Pred("Q", (y, z))), "A"), "B"),
+                      q("y", q("z", fmin(body, Dist(z, x)), "B"), "A")):
+                den, table = eval_table(f, M, [("x1", "B")])
+                for j in range(3):
+                    env = {"x1": ("B", j)}
+                    assert Fraction(int(table[j]), den) == ref_eval(f, M, env)
+                    assert eval_formula(f, M, {"x1": f"b{j}"}) == \
+                        ref_eval(f, M, env)
+
+
+@given(st.data())
+def test_single_surviving_row_matches_the_gather_and_the_reference(data):
+    """_table over one row of the first variable, as realizes evaluates
+    its later conditions once one row survives: the full table's row
+    (the plain gather), and the reference at every cell."""
+    pool = data.draw(denominators())
+    M = data.draw(structures(pool))
+    variables = FREE[:data.draw(st.integers(1, 2))]
+    f = formulas(data.draw, variables, data.draw(st.integers(0, 3)), pool)
+    full_den, full = _exact(lambda: eval_table(f, M, variables))
+    for i in range(M.sorts["A"].size):
+        ((rows, den, table),) = _exact(lambda: list(
+            _eval_blocks(f, M, variables, blocks=[np.array([i])])))
+        assert table.shape == (1,) + full.shape[1:]
+        for idx in np.ndindex(table.shape):
+            want = Fraction(int(full[(i,) + idx[1:]]), full_den)
+            assert Fraction(int(table[idx]), den) == want
+            env = {v: (s, k) for (v, s), k in zip(variables, (i,) + idx[1:])}
+            assert want == ref_eval(f, M, env)
 
 
 @given(st.data())

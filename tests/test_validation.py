@@ -19,14 +19,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlw import analysis
+from mlw import analysis, cli
 from mlw import structures as structures_mod
 from mlw.models import build_model
 from mlw.moduli import Modulus
 from mlw.structures import (FiniteStructure, FnTable, PredTable, SortData,
                             _allowed, _ball_merges, _check, _max_numerator,
                             _run_extremes, _thresholds, _ultrametric_order,
-                            check_structure)
+                            check_structure, save_structure)
 
 
 @st.composite
@@ -720,6 +720,34 @@ def test_level_lookup_matches_fractions(n, den, mod, dden, data):
     want = [[_max_numerator(_allowed(mod, int(u), den), dden) for u in row]
             for row in D]
     assert got.tolist() == want
+
+
+def test_level_lookup_with_no_positive_level_and_a_steep_piece(tmp_path,
+                                                              capsys):
+    """One point (den 1) and a unary predicate at den 1337 whose modulus
+    has a piece with a slope coefficient past int64: no level is
+    positive, so no product of a slope with a level is formed, yet the
+    coefficient itself must not be taken into int64.  Also through a
+    `.model` file and `mlw model check`."""
+    Q = Fraction
+    mod = Modulus(((Q(0), Q(0)), (Q(1, 3541), Q(37, 3541)),
+                   (Q(23, 81442), Q(892411959, 85397393614)),
+                   (Q(186540455478276, 6902087763987029), Q(1)),
+                   (Q(1, 37), Q(1)), (Q(1), Q(1))))
+    for levels in ([0], [-2, 0], [0, 1], [1, 2]):
+        got = _thresholds(mod, np.array(levels), 1, 1337)
+        want = [_max_numerator(_allowed(mod, u, 1), 1337) for u in levels]
+        assert got.tolist() == want
+    M = FiniteStructure.build(
+        {"A": ["a"]}, {"A": (1, np.zeros((1, 1), dtype=np.int64))},
+        predicates={"P": (("A",), (1337, np.array([1])))},
+        moduli={"P": mod})
+    assert check_structure(M) == []
+    path = tmp_path / "steep.model"
+    save_structure(M, str(path))
+    assert cli.main(["model", "check", "--ctor", str(path)]) == 0
+    assert capsys.readouterr().out == \
+        f"0 violations [check_structure({path})]\n"
 
 
 @settings(max_examples=200)
