@@ -10,19 +10,12 @@ from operator import itemgetter
 
 import numpy as np
 
-from .conditions import Condition, PartialType, normalize_condition
+from .conditions import PartialType, _closed_formula
 from .formulas import Formula, Quant, _modulus_for_var, summary
 from .structures import (FiniteStructure, _bind_rows, _first_hit,
                          _max_numerator, _table, _table_env,
                          _ultrametric_order, eval_table)
 from .values import ONE, ZERO
-
-
-def _closed_formula(c: Condition) -> Formula:
-    n = normalize_condition(c)
-    if n.kind != "closed":
-        raise ValueError("expected a closed condition")
-    return n.formula
 
 
 def _resolve_vars(t: PartialType, M: FiniteStructure):
@@ -74,8 +67,8 @@ class TreeReport:
         return self.died_at is None
 
 
-def realization_tree(M: FiniteStructure, t: PartialType, depth: int,
-                     chain_sort: str | None = None) -> TreeReport:
+def realization_tree(M: FiniteStructure, t: PartialType,
+                     depth: int) -> TreeReport:
     """Levels of the chain-realization tree for a unary type: a level-k node
     is a k-tuple satisfying the k-th chain fragment (values within 1/i at
     stage i, consecutive points within 2^{1-i}).  Counts are computed by

@@ -138,17 +138,17 @@ def _rename_apart(t: PartialType, s: PartialType) -> PartialType:
     return PartialType(new_vars, new_conds, gen, s.label)
 
 
-def _as_closed_formula(c: Condition) -> Formula:
+def _closed_formula(c: Condition) -> Formula:
     n = normalize_condition(c)
     if n.kind != "closed":
-        raise ValueError("pairing requires closed conditions")
+        raise ValueError("expected a closed condition")
     return n.formula
 
 
 def _padded(t: PartialType, s: PartialType, n: int):
     def get(p, j):
         try:
-            return _as_closed_formula(p.condition(j))
+            return _closed_formula(p.condition(j))
         except IndexError:
             return Rat(ZERO)
     return ([get(t, j) for j in range(n)], [get(s, j) for j in range(n)])
@@ -204,7 +204,7 @@ def omega_type(t: PartialType, n: int) -> PartialType:
     for k in range(1, n):
         for j in range(k + 1):
             try:
-                phi = _as_closed_formula(t.condition(j))
+                phi = _closed_formula(t.condition(j))
             except IndexError:
                 break
             conds.append(normalize_condition(

@@ -109,14 +109,12 @@ def conjoin(p: ForcingCondition, f: Formula, eps) -> ForcingCondition:
 
 
 class WitnessBank:
-    """Named finite structures, tried in declaration order; optional
-    regeneration recipes (constructor spec strings) for larger rebuilds."""
+    """Named finite structures, tried in declaration order."""
 
-    def __init__(self, models, regen=None):
+    def __init__(self, models):
         self.models = dict(models)
         if not self.models:
             raise ValueError("bank must be nonempty")
-        self.regen = dict(regen or {})
 
     def names(self):
         return list(self.models)
@@ -360,6 +358,8 @@ class _Engine:
         self.cond = TRIVIAL
         self.max_constants = max_constants
         self.visits: dict = {}
+        self.decided_pairs: dict = {}
+        self.decided_values: dict = {}
 
     # -- witness upkeep ----------------------------------------------------
     def _points(self):
@@ -388,10 +388,7 @@ class _Engine:
                 new[i] = self.assign[i]
         return new
 
-    def satisfied(self) -> bool:
-        return self._value(self.cond.formula) < self.cond.eps
-
-    def adopt(self, cond, f_new, idxs) -> tuple[dict, bool, str]:
+    def adopt(self, cond, idxs) -> tuple[dict, bool, str]:
         """Try to install `cond` as current: keep old assignments, search the
         given (new or re-searchable) indexes; fall back to a wider search in
         each bank model."""
@@ -439,7 +436,7 @@ class _Engine:
                 r = cand
                 break
         cond = conjoin(self.cond, absdiff(spec.formula, Rat(r)), spec.eps)
-        delta, ok, why = self.adopt(cond, spec.formula, spec.F)
+        delta, ok, why = self.adopt(cond, spec.F)
         new.update(delta)
         note = f"r={r}" if ok else f"no extension: {why}"
         if ok and radius_key is not None:
@@ -469,7 +466,7 @@ class _Engine:
         demand = min(best + slack, ONE)
         inst = subst(spec.formula, w, Const(f"d{j}"))
         cond = conjoin(self.cond, inst, demand)
-        delta, ok, why = self.adopt(cond, inst, (j,))
+        delta, ok, why = self.adopt(cond, (j,))
         new.update(delta)
         note = (f"j={j} bound={best} slack={slack}" if ok
                 else f"no extension: {why}")
@@ -500,7 +497,7 @@ class _Engine:
             inst = subst(inst_u, w, Const(f"d{j}"))
             demand = min(best + Fraction(1, spec.k), ONE)
             cond = conjoin(self.cond, inst, demand)
-            delta, got, why = self.adopt(cond, inst, (j,))
+            delta, got, why = self.adopt(cond, (j,))
             new.update(delta)
             if not got:
                 ok = False
@@ -563,8 +560,6 @@ def build_generic(schedule, B: WitnessBank, max_constants: int = 64) -> GenericR
     """Fold the dense-set schedule from the trivial condition; deterministic;
     stops folding on a hard failure, records blocking failures and goes on."""
     eng = _Engine(B, max_constants)
-    eng.decided_pairs = {}
-    eng.decided_values = {}
     steps = []
     ok = True
     diagnosis = ""

@@ -26,10 +26,10 @@ from .conditions import build_type, pred_gap  # noqa: F401
 from .formulas import App, Dist, Formula, Var, ftsum
 from .moduli import Modulus
 from .structures import FiniteStructure
-from .trees import (FiniteTree, PairTree, _alphabet_cut, _letter_ints,
-                    _pair_cut, box_nodes, ell, enumerate_pair_trees,
-                    enumerate_trees, node_key, node_name, parse_node,
-                    relabel)  # noqa: F401
+from .trees import (FiniteTree, PairTree, _alphabet_cut, _descending_box,
+                    _letter_ints, _pair_cut, box_nodes, ell,
+                    enumerate_pair_trees, enumerate_trees, node_key,
+                    node_name, parse_node, relabel)  # noqa: F401
 from .values import ONE, ZERO
 
 POINT_CAP = 1500  # per-sort default cap keeping exact validation feasible
@@ -462,27 +462,6 @@ def save_kfamily(K: KFamily, path: str):
         fh.write("\n".join(lines) + "\n")
 
 
-def _t2_box(depth: int, branch: int, pair_branch: int) -> list[tuple]:
-    """Two-coordinate nodes with strictly decreasing first coordinates,
-    first entries < branch, second entries < pair_branch."""
-    out = [()]
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            if len(s) >= depth:
-                continue
-            top = s[-1][1] if s else branch
-            for a in range(min(top, branch)):
-                for b in range(pair_branch):
-                    node = s + (("p", a, b),)
-                    out.append(node)
-                    nxt.append(node)
-        frontier = nxt
-    out.sort(key=node_key)
-    return out
-
-
 def _strip_tag(letter):
     return letter[2] if isinstance(letter, tuple) and letter[0] in ("d", "g") \
         else letter
@@ -514,7 +493,7 @@ def build_M(depth: int, branch: int, pair_branch: int = 2, top_depth: int = 2,
                          "use canonical_truncation for whole families")
     kfn = K.functions[0]
     bdepth = min(depth, branch)
-    bottom = _t2_box(bdepth, branch, pair_branch)
+    bottom = list(_descending_box(bdepth, branch, pair_branch))
     if l is not None:
         bottom = [s for s in bottom
                   if not s or s[-1][1] >= l - len(s)]
@@ -528,7 +507,7 @@ def build_M(depth: int, branch: int, pair_branch: int = 2, top_depth: int = 2,
         if room < 1:
             continue
         for c in range(top_copies):
-            for u in _t2_box(room, top_branch, top_pair):
+            for u in _descending_box(room, top_branch, top_pair):
                 if u:
                     nodes.append(s + (("g", c, u[0]),) + u[1:])
     if extend_to is not None:

@@ -797,14 +797,12 @@ def _bind(free: dict, M: FiniteStructure, assignment):
 
 
 # --------------------------------------------------------------------------
-# Witnessed bounds toward the intended infinite model
+# Bounds toward the intended infinite model
 
 @dataclass(frozen=True)
 class EvalResult:
     lo: Fraction
     hi: Fraction
-    lo_witness: dict
-    hi_witness: dict
     notes: tuple[str, ...] = ()
 
     @property
@@ -817,84 +815,42 @@ class EvalResult:
             return "lower"
         return "interval"
 
-    @property
-    def value(self) -> Fraction:
-        if self.lo != self.hi:
-            raise ValueError("not an exact result")
-        return self.lo
 
-
-def eval_bounds(f: Formula, M: FiniteStructure, assignment=None,
-                two_sided: bool = False) -> EvalResult:
+def eval_bounds(f: Formula, M: FiniteStructure, assignment=None) -> EvalResult:
     """Bounds on f's value in the intended infinite model.
 
-    f must be prenex (or quantifier-free).  Each finite sup yields a lower
-    bound with its best witness, each finite inf an upper bound.  A bound
-    becomes two-sided only when the quantified sort declares a density
-    radius r: the true extremum then differs from the finite one by at most
-    the formula's value change over radius r."""
-    info = summary(f)
-    if not info.prenex:
+    f must be prenex (or quantifier-free).  Each finite sup is a lower
+    bound, each finite inf an upper bound.  When the quantified sort
+    declares a density radius r, the true extremum differs from the finite
+    one by at most the matrix's value change over radius r, so the other
+    side widens by that much; without a radius it stays open.  Each
+    widening is the same monotone map at every point of its level, so it
+    commutes with the finite sup/inf: the bounds are the exact finite
+    value widened once per quantifier, innermost first."""
+    if not summary(f).prenex:
         raise ValueError("eval_bounds requires a prenex formula")
     prefix = []
     g = f
     while isinstance(g, Quant):
         prefix.append(g)
         g = g.body
+    lo = hi = eval_formula(f, M, assignment)
     density = M.meta.get("density", {})
     sym = M.symbol_moduli()
-
-    def slack(q: Quant) -> tuple[Fraction | None, str]:
+    notes = {}
+    for q in reversed(prefix):
         sort = q.sort or M.only_sort()
         r = density.get(sort)
         if r is None:
-            if two_sided:
-                raise ValueError(
-                    f"no density radius declared for sort {sort}; "
-                    "only one-sided bounds are available")
-            return None, f"sort {sort}: no density radius, {q.kind} bound one-sided"
-        return _modulus_for_var(g, q.var, sym).omega(r), ""
-
-    def go(k: int, env: dict, names: dict) -> EvalResult:
-        if k == len(prefix):
-            den, v = _ev(g, M, env, 0, 1)  # g is quantifier-free
-            if isinstance(v, np.ndarray):
-                v = int(v.reshape(-1)[0])
-            q = Fraction(int(v), den)
-            return EvalResult(q, q, dict(names), dict(names))
-        q = prefix[k]
-        sort = q.sort or M.only_sort()
-        sd = M.sorts[sort]
-        best: EvalResult | None = None
-        for i in range(sd.size):
-            sub = dict(env)
-            sub[q.var] = (sort, i)
-            nm = dict(names)
-            nm[q.var] = sd.points[i]
-            r = go(k + 1, sub, nm)
-            if best is None:
-                best = r
-            elif q.kind == "sup":
-                best = EvalResult(max(best.lo, r.lo), max(best.hi, r.hi),
-                                  r.lo_witness if r.lo > best.lo else best.lo_witness,
-                                  r.hi_witness if r.hi > best.hi else best.hi_witness,
-                                  best.notes + r.notes)
-            else:
-                best = EvalResult(min(best.lo, r.lo), min(best.hi, r.hi),
-                                  r.lo_witness if r.lo < best.lo else best.lo_witness,
-                                  r.hi_witness if r.hi < best.hi else best.hi_witness,
-                                  best.notes + r.notes)
-        eps, note = slack(q)
-        notes = tuple(dict.fromkeys(best.notes + ((note,) if note else ())))
+            notes[f"sort {sort}: no density radius, {q.kind} bound "
+                  "one-sided"] = None
+        # a slack of 1 opens the side fully: it clamps to 1 or 0
+        eps = ONE if r is None else _modulus_for_var(g, q.var, sym).omega(r)
         if q.kind == "sup":
-            hi = min(ONE, best.hi + eps) if eps is not None else ONE
-            return EvalResult(best.lo, hi, best.lo_witness, best.hi_witness, notes)
-        lo = max(ZERO, best.lo - eps) if eps is not None else ZERO
-        return EvalResult(lo, best.hi, best.lo_witness, best.hi_witness, notes)
-
-    env = _bind(info.free, M, assignment)
-    names = dict(assignment or {})
-    return go(0, env, names)
+            hi = min(ONE, hi + eps)
+        else:
+            lo = max(ZERO, lo - eps)
+    return EvalResult(lo, hi, tuple(notes))
 
 
 # --------------------------------------------------------------------------

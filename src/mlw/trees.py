@@ -393,6 +393,26 @@ def build_tree(text: str) -> SymbolicTree:
 # --------------------------------------------------------------------------
 # Truncation
 
+def _descending_box(depth: int, branch: int, pair_branch: int | None = None):
+    """Nodes of length <= depth whose letters' first coordinates strictly
+    decrease and stay below branch, in node_key order: integer letters
+    (the truncation of T1), or ("p", a, b) letters with b < pair_branch
+    when pair_branch is given (T2's two-coordinate box)."""
+    level = [()]
+    for _ in range(depth):
+        yield from level
+        nxt = []
+        for s in level:
+            top = _letter_ints(s[-1])[0] if s else branch
+            for a in range(min(top, branch)):
+                if pair_branch is None:
+                    nxt.append(s + (a,))
+                else:
+                    nxt.extend(s + (("p", a, b),) for b in range(pair_branch))
+        level = nxt
+    yield from level
+
+
 def _tag_first(s: Node, tag: str, i: int) -> Node:
     return ((tag, i, s[0]),) + s[1:]
 
@@ -427,36 +447,9 @@ def _trunc(t: SymbolicTree, depth: int, branch: int) -> set:
                     out.add((n,) + (0,) * k)
         return out if depth >= 1 else {()}
     if t.kind == "t1":
-        out = {()}
-        frontier = [()]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                if len(s) >= depth:
-                    continue
-                top = s[-1] if s else branch
-                for v in range(min(top, branch)):
-                    node = s + (v,)
-                    out.add(node)
-                    nxt.append(node)
-            frontier = nxt
-        return out
+        return set(_descending_box(depth, branch))
     if t.kind == "t2":
-        out = {()}
-        frontier = [()]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                if len(s) >= depth:
-                    continue
-                top = s[-1][1] if s else branch
-                for a in range(min(top, branch)):
-                    for b in range(branch):
-                        node = s + (("p", a, b),)
-                        out.add(node)
-                        nxt.append(node)
-            frontier = nxt
-        return out
+        return set(_descending_box(depth, branch, branch))
     if t.kind == "dsum":
         parts = t.parts * branch if t.uniform else t.parts
         out = {()}

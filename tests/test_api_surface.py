@@ -1,6 +1,6 @@
 """Source checks over `mlw`: every public top-level function and class has
-a caller, rationals are compared through one exact helper, and a first hit
-is taken through one helper too.
+a caller, every parameter is read, rationals are compared through one exact
+helper, and a first hit is taken through one helper too.
 
 A name counts as used when some code outside its own definition refers to
 it: a name, an attribute, an import or a string (the benchmark's tracer
@@ -96,3 +96,29 @@ def test_first_hits_are_taken_through_one_helper():
             if _lists_every_hit(node):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, "first hit from a list of every hit: " + ", ".join(found)
+
+
+def _parameters(fn: ast.AST) -> list[str]:
+    a = fn.args
+    params = a.posonlyargs + a.args + a.kwonlyargs + [
+        p for p in (a.vararg, a.kwarg) if p is not None]
+    return [p.arg for p in params]
+
+
+def test_parameters_are_read():
+    """Every parameter of every `def` and `lambda` in `mlw` is read in its
+    body (nested functions included): a parameter nothing reads is an
+    option that does nothing."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "lambda")
+            unread += [f"{path.name}:{node.lineno} {name}({p})"
+                       for p in _parameters(node) if p not in read]
+    assert not unread, "parameter never read: " + ", ".join(unread)

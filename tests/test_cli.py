@@ -77,6 +77,38 @@ def test_invalid_model_file_exit_codes(tmp_path, capsys):
         assert code == 2, argv
 
 
+def test_bounds_over_an_empty_sort_is_a_data_error(tmp_path, capsys):
+    path = str(tmp_path / "empty.model")
+    save_structure(FiniteStructure.build(
+        {"A": [], "B": ["b"]},
+        {"A": lambda x, y: Fraction(0), "B": lambda x, y: Fraction(0)}), path)
+    for bounds in ((), ("--bounds",)):
+        code = main(["eval", *bounds, "--model", path,
+                     "--formula", "sup x0:A . 1/2"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: quantifier over empty sort A\n"
+
+
+def test_bounds_widen_by_the_density_radius(tmp_path, capsys):
+    """A sort that declares a density radius bounds the infinite value on
+    both sides; each line is the exact finite value widened by the slack
+    of each quantifier."""
+    from mlw.models import build_model
+    M = build_model("N(depth=2,branch=2)")
+    M.meta["density"] = {"D1": Fraction(1, 4)}
+    path = str(tmp_path / "n22.model")
+    save_structure(M, path)
+    cases = [("sup x1 . d(x0,x1)", "bounds [1, 1] (exact)"),
+             ("inf x1 . max(d(x0,x1), d(f1(x1),x1))", "bounds [0, 0] (exact)"),
+             ("sup x1 . inf x2 . d(x1,f1(x2))",
+              "bounds [1/4, 3/4] (interval)")]
+    for formula, want in cases:
+        code, out = run(capsys, "eval", "--bounds", "--model", path,
+                        "--formula", formula, "--assign", "x0=<0>")
+        assert (code, out) == (0, f"{want} [eval_bounds({path})]\n")
+
+
 def test_wf_negative_verdict(capsys):
     code, out = run(capsys, "tree", "wf", "--dsl", "full")
     assert code == 1 and "not well-founded" in out

@@ -1,6 +1,6 @@
 """A plain-`Fraction` reference evaluator, and differential tests of the
-vectorized evaluators (`eval_formula`, `eval_table`, `realizes`) against it
-on random two-sort structures and random formulas.
+vectorized evaluators (`eval_formula`, `eval_table`, `realizes`) and of
+`eval_bounds` against it on random two-sort structures and random formulas.
 
 The reference reads each table entry as an exact `Fraction` and applies the
 connectives as written in `mlw.formulas`; it knows nothing of common
@@ -18,10 +18,11 @@ from mlw.analysis import realizes
 from mlw.conditions import (PartialType, build_type, closed,
                              normalize_condition)
 from mlw.formulas import (App, Conn, Const, Dist, Pred, Quant, Rat, Var,
-                          affine, cut, fmax, fmin, fmonus, inf, neg, summary,
-                          sup)
+                          _modulus_for_var, affine, cut, fmax, fmin, fmonus,
+                          inf, neg, summary, sup)
+from mlw.moduli import Modulus
 from mlw.structures import (FiniteStructure, PredTable, _eval_blocks,
-                            eval_formula, eval_table)
+                            eval_bounds, eval_formula, eval_table)
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -70,6 +71,43 @@ def ref_eval(f, M, env) -> Fraction:
                 for i in range(M.sorts[sort].size)]
         return max(vals) if f.kind == "sup" else min(vals)
     raise TypeError(f)
+
+
+def ref_bounds(f, M, env):
+    """(lo, hi, notes) of eval_bounds on a prenex f, one point tuple at a
+    time: each quantifier takes the finite sup/inf of its body's bounds
+    over its sort, then widens the open side by the matrix's modulus at
+    the sort's density radius, or to 0 or 1 without a radius."""
+    prefix, g = [], f
+    while isinstance(g, Quant):
+        prefix.append(g)
+        g = g.body
+    density = M.meta.get("density", {})
+    sym = M.symbol_moduli()
+
+    def go(k, env):
+        if k == len(prefix):
+            v = ref_eval(g, M, env)
+            return v, v, ()
+        q = prefix[k]
+        sort = q.sort or M.only_sort()
+        got = [go(k + 1, {**env, q.var: (sort, i)})
+               for i in range(M.sorts[sort].size)]
+        pick = max if q.kind == "sup" else min
+        lo, hi = pick(b[0] for b in got), pick(b[1] for b in got)
+        notes = sum((b[2] for b in got), ())
+        r = density.get(sort)
+        if r is None:
+            notes += (f"sort {sort}: no density radius, {q.kind} bound "
+                      "one-sided",)
+            lo, hi = (lo, ONE) if q.kind == "sup" else (ZERO, hi)
+        elif q.kind == "sup":
+            hi = min(ONE, hi + _modulus_for_var(g, q.var, sym).omega(r))
+        else:
+            lo = max(ZERO, lo - _modulus_for_var(g, q.var, sym).omega(r))
+        return lo, hi, tuple(dict.fromkeys(notes))
+
+    return go(0, env)
 
 
 def ref_realizes(M, t, n=None, tol=ZERO):
@@ -156,15 +194,18 @@ def terms(draw, sort, scope, depth):
                      terms(draw, "B", scope, depth - 1)))
 
 
-def formulas(draw, scope, depth, pool):
+def formulas(draw, scope, depth, pool, quantifiers=True):
     """A random formula over the variables of scope ((name, sort) pairs):
     every connective, distances and predicates on function terms, and
-    quantifiers over either sort, nested."""
+    (unless quantifiers is False) quantifiers over either sort, nested."""
     kinds = ["rat", "dist", "pred"]
     if depth > 0:
         kinds += ["max", "min", "neg", "monus", "cut", "affine", "quant"] * 2
+    if not quantifiers:
+        kinds = [k for k in kinds if k != "quant"]
     kind = draw(st.sampled_from(kinds))
-    sub = lambda: formulas(draw, scope, depth - 1, pool)  # noqa: E731
+    sub = lambda: formulas(draw, scope, depth - 1, pool,  # noqa: E731
+                           quantifiers)
     if kind == "rat":
         den = draw(st.sampled_from(pool))
         return Rat(Fraction(draw(st.integers(0, den)), den))
@@ -400,6 +441,44 @@ def test_realizes_compares_each_row_block_at_its_own_den():
         assert realizes(M, t, tol=tol) == ref_realizes(M, t, tol=tol)
     assert realizes(M, t, tol=Fraction(1, 2)) == [("a1",), ("a3",)]
     assert realizes(M, t, tol=Fraction(1, 4)) == []
+
+
+@st.composite
+def prenex(draw, pool):
+    """A random prenex formula over FREE: up to three quantifiers whose
+    variables may shadow each other or a free variable, over a
+    quantifier-free matrix (affine slopes of either sign)."""
+    bound = [(draw(st.sampled_from(("x0", "y0", "y1"))),
+              draw(st.sampled_from(("A", "B"))))
+             for _ in range(draw(st.integers(0, 3)))]
+    scope = dict(FREE)
+    scope.update(bound)  # the innermost binding of a name wins
+    f = formulas(draw, list(scope.items()), draw(st.integers(0, 3)), pool,
+                 quantifiers=False)
+    for var, s in reversed(bound):
+        f = (sup if draw(st.booleans()) else inf)(var, f, s)
+    return f
+
+
+@given(st.data())
+def test_eval_bounds_matches_the_reference(data):
+    """eval_bounds' closed form (the exact value, widened once per
+    quantifier) against the per-point recursion, with each sort's density
+    radius none or 1/k and each symbol's modulus Lipschitz."""
+    pool = data.draw(denominators())
+    M = data.draw(structures(pool))
+    M.moduli.update({name: Modulus.lipschitz(data.draw(st.sampled_from(
+        (Fraction(1, 2), 1, 2)))) for name in "fgPQ"})
+    M.meta["density"] = {
+        s: data.draw(st.none() | st.builds(Fraction, st.just(1),
+                                           st.integers(1, 6)))
+        for s in M.sorts}
+    f = data.draw(prenex(pool))
+    i, j = (data.draw(st.integers(0, M.sorts[s].size - 1)) for s in "AB")
+    names = {"x0": M.sorts["A"].points[i], "x1": M.sorts["B"].points[j]}
+    res = _exact(lambda: eval_bounds(f, M, names))
+    assert (res.lo, res.hi, res.notes) == \
+        ref_bounds(f, M, {"x0": ("A", i), "x1": ("B", j)})
 
 
 @pytest.mark.parametrize("tol", [ZERO, Fraction(1, 3)])
