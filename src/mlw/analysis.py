@@ -341,7 +341,7 @@ def _refined(classes, tables):
 
 
 def _dendrograms(A, B):
-    """Per sort, the Prim orders of A and B (see _ultrametric_order), with
+    """Per sort, the ball orders of A and B (see _dendrogram), with
     their joins ranked on one scale, when every sort of both is an
     ultrametric; else None."""
     trees = {}
@@ -358,7 +358,9 @@ def _dendrograms(A, B):
 
 def _dendrogram(sd):
     """(Prim order, joins) of a sort whose distance is an ultrametric, else
-    None."""
+    None; a sort built from level ids may carry them (see _id_metric)."""
+    if sd.tree is not None:
+        return sd.tree
     D = sd.dmat
     if not sd.size:
         return np.zeros(0, np.intp), np.zeros(0, np.int64)

@@ -20,9 +20,6 @@ from itertools import product
 
 import numpy as np
 
-# build_type, pred_gap and relabel are re-exported: the structures they act
-# on are built here, and callers find them next to the constructors.
-from .conditions import build_type, pred_gap  # noqa: F401
 from .formulas import App, Dist, Formula, Var, ftsum
 from .moduli import Modulus
 from .structures import FiniteStructure
@@ -35,6 +32,17 @@ from .values import ONE, ZERO
 POINT_CAP = 1500  # per-sort default cap keeping exact validation feasible
 
 
+def __getattr__(name: str):
+    """build_type and pred_gap, from conditions, on first use: callers find
+    them next to the constructors of the structures they act on (as they
+    find relabel), while building and checking a model does not load
+    conditions."""
+    if name in ("build_type", "pred_gap"):
+        from . import conditions
+        return getattr(conditions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _cap_check(n: int, cap: int, what: str):
     if n > cap:
         raise ValueError(f"parameter cap exceeded: {what} needs {n} points, "
@@ -42,48 +50,31 @@ def _cap_check(n: int, cap: int, what: str):
 
 
 # --------------------------------------------------------------------------
-# Sequence boxes and their metric tables
+# Sequence boxes and their metrics
 
-def _agreement(levels) -> np.ndarray:
-    """delta[i, j] = the number of leading levels on which items i and j
-    agree, given one id vector per level (a running AND over the levels),
-    in the smallest unsigned dtype that holds the number of levels.  Ids
-    are compared in the smallest dtype that holds them."""
-    levels = list(levels)
-    n = len(levels[0])
-    same = np.ones((n, n), dtype=bool)
-    delta = np.zeros((n, n), dtype=np.min_scalar_type(len(levels)))
-    for ids in levels:
-        top = int(np.abs(ids).max(initial=0))
-        ids = ids.astype(np.min_scalar_type(-1 - top))
-        same &= ids[:, None] == ids[None, :]
-        delta += same.view(np.uint8)
-    return delta
-
-
-def _prefix_table(*components) -> tuple[int, np.ndarray]:
-    """Scaled distance matrix for the longest-common-prefix metric
-    1/(shared+1), identical sequences at distance 0, given one sequence per
-    point.  Given several components (lists of sequences), the max of their
-    metrics: the metric of the smallest shared prefix length."""
+def _prefix_table(*components) -> tuple[int, np.ndarray, np.ndarray]:
+    """The longest-common-prefix metric 1/(shared+1), identical sequences
+    at distance 0, given one sequence per point, as a (den, dist, levels)
+    metric for FiniteStructure.build: a point's id at level j is its
+    letter j, or -1 past its end.  Given several components (lists of
+    sequences), the max of their metrics, the metric of the smallest
+    shared prefix length: a point's id at level j then codes its letters j
+    in every component."""
     components = [list(c) for c in components]
     depth = max((len(s) for c in components for s in c), default=0)
     width = max(depth, 1)
-    shared = None
+    levels = 0
     for nodes in components:
         ids: dict = {}
-        arr = np.full((len(nodes), width), -1, dtype=np.int64)
+        arr = np.full((width, len(nodes)), -1, dtype=np.int64)
         for i, s in enumerate(nodes):
             for j, letter in enumerate(s):
-                arr[i, j] = ids.setdefault(letter, len(ids))
-        delta = _agreement(arr.T)
-        shared = delta if shared is None else np.minimum(shared, delta)
+                arr[j, i] = ids.setdefault(letter, len(ids))
+        levels = levels * (len(ids) + 1) + arr + 1
     den = math.lcm(*range(1, depth + 2))
     dist = den // np.arange(1, width + 2)  # by shared prefix length
     dist[width] = 0  # the same sequence
-    dmat = dist[shared]
-    np.fill_diagonal(dmat, 0)
-    return den, dmat
+    return den, dist, levels
 
 
 def _parents(nodes) -> np.ndarray:
@@ -120,7 +111,6 @@ def build_N(depth: int, branch: int, shadow: bool = False,
     nodes = box_nodes(depth, branch)
     _cap_check(len(nodes), cap, "N box")
     names = [node_name(s) for s in nodes]
-    den, dmat = _prefix_table(nodes)
     fns, mods = _level_maps(nodes, depth, "D1")
     if shadow:
         # h(<n>) = s_n, the n-th point; h = f_1 elsewhere
@@ -132,7 +122,7 @@ def build_N(depth: int, branch: int, shadow: bool = False,
         mods["h"] = Modulus.lipschitz(3)
     label = f"N(depth={depth},branch={branch}" + (",shadow=1)" if shadow else ")")
     return FiniteStructure.build(
-        {"D1": names}, {"D1": (den, dmat)}, fns, {}, mods,
+        {"D1": names}, {"D1": _prefix_table(nodes)}, fns, {}, mods,
         {"label": label, "depth": depth, "branch": branch,
          "density": {"D1": None}})
 
@@ -180,9 +170,10 @@ def shadow_report(M: FiniteStructure) -> list[ShadowRow]:
 # --------------------------------------------------------------------------
 # Tree sort: metric table
 
-def _tree_table(trees) -> tuple[int, np.ndarray]:
-    """Scaled distance matrix for the agreement metric on trees: 1/(j+1)
-    with j the first alphabet cut where the trees differ."""
+def _tree_table(trees) -> tuple[int, np.ndarray, list]:
+    """The agreement metric on trees, 1/(j+1) with j the first alphabet cut
+    where the trees differ, as a (den, dist, levels) metric: a tree's id
+    at level k numbers its cut k."""
     kmax = 1
     for t in trees:
         for s in t.nodes:
@@ -197,9 +188,7 @@ def _tree_table(trees) -> tuple[int, np.ndarray]:
     den = math.lcm(*range(1, kmax + 3))
     dist = den // np.arange(1, kmax + 3)  # by the number of cuts agreed on
     dist[kmax + 1] = 0  # every cut
-    dmat = dist[_agreement(sig_ids)]
-    np.fill_diagonal(dmat, 0)
-    return den, dmat
+    return den, dist, sig_ids
 
 
 def _membership_table(nodes, trees) -> tuple[int, np.ndarray]:
@@ -264,9 +253,11 @@ def build_N2(depth: int, branch: int, treedepth: int = 2, treebranch: int = 2,
 # --------------------------------------------------------------------------
 # Pair-tree sort: metric table
 
-def _pair_table(ptrees) -> tuple[int, np.ndarray]:
+def _pair_table(ptrees) -> tuple[int, np.ndarray, list]:
     """Distance 1/max(j-1, 1) with j the first cut where the pair trees
-    differ (cut 0 never differs: every pair tree holds the root pair)."""
+    differ (cut 0 never differs: every pair tree holds the root pair), as
+    a (den, dist, levels) metric: a pair tree's id at level k numbers its
+    cut k."""
     kmax = 1
     for R in ptrees:
         for s, t in R.pairs:
@@ -282,9 +273,7 @@ def _pair_table(ptrees) -> tuple[int, np.ndarray]:
     # by the number of cuts agreed on; 0 on every cut
     dist = den // np.maximum(np.arange(kmax + 3) - 1, 1)
     dist[kmax + 2] = 0
-    dmat = dist[_agreement(sig_ids)]
-    np.fill_diagonal(dmat, 0)
-    return den, dmat
+    return den, dist, sig_ids
 
 
 def build_N3(depth: int, branch: int, treedepth: int = 2, treebranch: int = 2,
@@ -312,7 +301,6 @@ def build_N3(depth: int, branch: int, treedepth: int = 2, treebranch: int = 2,
     all_pts = ptrees + extras
     _cap_check(len(all_pts), cap, "N3 pair sort")
     pnames = [f"R{i}" for i in range(n_r)] + [f"Q{j}" for j in range(len(extras))]
-    den3, dmat3 = _pair_table(all_pts)
     # ee3 materialized directly: base value 1/(max(ell(s),ell(t))+2),
     # zeroed on the membership pairs of each pair tree.
     ells = np.array([ell(s) for s in nodes], dtype=np.int64)
@@ -334,7 +322,7 @@ def build_N3(depth: int, branch: int, treedepth: int = 2, treebranch: int = 2,
             raise ValueError(f"constant c must name a node, got {c!r}")
         fns["c"] = ((), "D1", lambda: c)
     points["D3"] = pnames
-    metric["D3"] = (den3, dmat3)
+    metric["D3"] = _pair_table(all_pts)
     return FiniteStructure.build(
         points, metric,
         fns, {"ee": (("D1", "D2"), ee),
@@ -375,13 +363,13 @@ def build_Projection(depth: int, branch: int, pairs: PairTree | None = None,
         pts = pairs.sorted_pairs()
     _cap_check(len(pts), cap, "projection box")
     names = [node_name(s) + "|" + node_name(t) for s, t in pts]
-    den, dmat = _prefix_table([p[0] for p in pts], [p[1] for p in pts])
     enc = {s: enc_value(s) for s in dict.fromkeys(s for s, _ in pts)}
     fden = math.lcm(*(q.denominator for q in enc.values()))
     ftab = np.array([enc[s].numerator * (fden // enc[s].denominator)
                      for s, _ in pts], dtype=np.int64)
     return FiniteStructure.build(
-        {"D1": names}, {"D1": (den, dmat)}, {},
+        {"D1": names},
+        {"D1": _prefix_table([s for s, _ in pts], [t for _, t in pts])}, {},
         {"f": (("D1",), (fden, ftab))},
         {"f": Modulus.lipschitz(1)},
         {"label": f"Projection(depth={depth},branch={branch})",
@@ -523,7 +511,6 @@ def build_M(depth: int, branch: int, pair_branch: int = 2, top_depth: int = 2,
     nodes.sort(key=node_key)
     _cap_check(len(nodes), cap, "M box")
     names = [node_name(s) for s in nodes]
-    den, dmat = _prefix_table(nodes)
     fns, mods = _level_maps(nodes, depth, "D1")
 
     jmax = colours if colours is not None else max(
@@ -547,13 +534,12 @@ def build_M(depth: int, branch: int, pair_branch: int = 2, top_depth: int = 2,
             mods[f"P{i}_{j}"] = Modulus.lipschitz(i + 1)
 
     points = {"D1": names}
-    metric = {"D1": (den, dmat)}
+    metric = {"D1": _prefix_table(nodes)}
     if x_sort:
         xnames = ["X" + nm for nm in names]
         points["X"] = xnames
         nx = len(xnames)
-        metric["X"] = (1, np.ones((nx, nx), dtype=np.int64)
-                       - np.eye(nx, dtype=np.int64))
+        metric["X"] = (1, (1, 0), [np.arange(nx)])  # the discrete metric
         fns["g"] = (("X",), "X", _parents(nodes))  # the predecessor
         fns["h"] = (("X",), "D1", np.arange(nx))  # X<node> to <node>
         mods["g"] = Modulus.lipschitz(1)
@@ -748,7 +734,6 @@ def canonical_truncation(family: KFamily, m: int, r: int, mu: int = 2,
 
     emit(root_tid, -1, 0, ())
     _cap_check(len(names), cap, "canonical truncation")
-    den, dmat = _prefix_table(paths)
     n = len(names)
 
     # ancestor index at each level via parent pointers
@@ -775,7 +760,7 @@ def canonical_truncation(family: KFamily, m: int, r: int, mu: int = 2,
             preds[f"P{i}_{j}"] = (("D1",), (1, off.astype(np.int64)))
             mods[f"P{i}_{j}"] = lip
     return FiniteStructure.build(
-        {"D1": names}, {"D1": (den, dmat)}, fns, preds, mods,
+        {"D1": names}, {"D1": _prefix_table(paths)}, fns, preds, mods,
         {"label": f"canon(m={m},r={r},mu={mu},l={l},perturb={int(perturb)})",
          "depth": m - 1, "types": len(canon.records),
          "roles": len(canon.memo), "density": {"D1": None}})

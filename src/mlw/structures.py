@@ -33,6 +33,8 @@ class SortData:
     den: int
     dmat: np.ndarray  # shape (n, n), int64, entries = den * d(i, j)
     index: dict[str, int] = field(compare=False)
+    # (order, join) of an ultrametric built from level ids (see _id_metric)
+    tree: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -75,18 +77,20 @@ class FiniteStructure:
         """Build from name-level data.
 
         points: {sort: [names]};  metric: {sort: callable(a, b) -> Fraction
-        or (den, int ndarray)};  functions: {name: (arg_sorts, out_sort,
-        callable(*names) -> name, or an int ndarray of output point
-        indices)};  predicates: {name: (arg_sorts, callable(*names) ->
-        Fraction or (den, int ndarray))}."""
+        or (den, int ndarray) or (den, dist, levels) (see _id_metric)};
+        functions: {name: (arg_sorts, out_sort, callable(*names) -> name,
+        or an int ndarray of output point indices)};  predicates: {name:
+        (arg_sorts, callable(*names) -> Fraction or (den, int ndarray))}."""
         sorts: dict[str, SortData] = {}
         for s, names in points.items():
             names = tuple(names)
             idx = {a: i for i, a in enumerate(names)}
             if len(idx) != len(names):
                 raise ValueError(f"duplicate point names in sort {s}")
-            spec = metric[s]
-            if isinstance(spec, tuple):
+            spec, tree = metric[s], None
+            if isinstance(spec, tuple) and len(spec) == 3:
+                den, dmat, tree = _id_metric(*spec, len(names))
+            elif isinstance(spec, tuple):
                 den, dmat = spec
                 dmat = np.asarray(dmat, dtype=np.int64)
             else:
@@ -97,7 +101,7 @@ class FiniteStructure:
                                 dtype=np.int64).reshape(n, n)
             if den >= _MAX_DEN:
                 raise ValueError(f"metric denominator too large for sort {s}")
-            sorts[s] = SortData(names, den, dmat, idx)
+            sorts[s] = SortData(names, den, dmat, idx, tree)
 
         fns: dict[str, FnTable] = {}
         for name, (arg_sorts, out_sort, fn) in (functions or {}).items():
@@ -182,6 +186,57 @@ class FiniteStructure:
 
 
 # --------------------------------------------------------------------------
+# Metrics from level ids
+
+def _agreement(levels) -> np.ndarray:
+    """delta[i, j] = the number of leading levels on which items i and j
+    agree, given one id vector per level (a running AND over the levels),
+    in the smallest unsigned dtype that holds the number of levels.  Ids
+    are compared in the smallest dtype that holds them."""
+    n = levels.shape[1]
+    same = np.ones((n, n), dtype=bool)
+    delta = np.zeros((n, n), dtype=np.min_scalar_type(len(levels)))
+    for ids in levels:
+        top = int(np.abs(ids).max(initial=0))
+        ids = ids.astype(np.min_scalar_type(-1 - top))
+        same &= ids[:, None] == ids[None, :]
+        delta += same.view(np.uint8)
+    return delta
+
+
+def _id_metric(den: int, dist, levels, n: int):
+    """The read-only distance table of a (den, dist, levels) metric and,
+    when it is an ultrametric with values in [0, 1], its certificate.
+
+    levels holds one id vector per level: two points that agree on exactly
+    k leading levels are at distance dist[k] / den, each point at 0 from
+    itself.  Sorted by their ids (level 0 first), the points that agree
+    with a point on k leading levels form a contiguous run, and two points
+    agree on as many levels as the least agreeing neighbours between them.
+    So while dist does not increase, d(i, j) is the largest distance
+    between neighbours from i to j: an ultrametric, and the sorted order
+    with the neighbour distances is its dendrogram (Carlsson & Memoli,
+    JMLR 2010), the (order, join) certificate of _ultrametric_order, in
+    O(n * levels) instead of from the n^2 table.  The certificate is None,
+    and the table is checked as any other, when dist increases or leaves
+    [0, den], or two points agree on every level or sit at distance 0."""
+    dist = np.asarray(dist, dtype=np.int64)
+    levels = np.asarray(levels, dtype=np.int64).reshape(len(levels), n)
+    dmat = dist[_agreement(levels)]
+    np.fill_diagonal(dmat, 0)
+    dmat.flags.writeable = False
+    order = np.lexsort(levels[::-1])
+    ids = levels[:, order]
+    agree = np.logical_and.accumulate(ids[:, 1:] == ids[:, :-1],
+                                      axis=0).sum(axis=0)
+    join = np.zeros(n, dtype=np.int64)
+    join[1:] = dist[agree]
+    ok = ((np.diff(dist) <= 0).all() and 0 <= dist.min() <= dist.max() <= den
+          and (agree < len(levels)).all() and (join[1:] > 0).all())
+    return den, dmat, (order, join) if ok else None
+
+
+# --------------------------------------------------------------------------
 # Validation
 
 def _pair_name(sd: SortData, i, j) -> str:
@@ -224,8 +279,8 @@ def _first_hit(mask: np.ndarray):
     return np.unravel_index(int(np.argmax(mask)), mask.shape)
 
 
-def _thresholds(mod: Modulus, levels: np.ndarray, den: int,
-                dden: int) -> np.ndarray:
+def _thresholds(mod: Modulus, levels: np.ndarray, den: int, dden: int,
+                memo: dict | None = None) -> np.ndarray:
     """floor(omega(u / den) * dden) for each distance level u of an integer
     array, as an int64 array: the largest table change (scaled by dden) the
     modulus allows at that distance, so `change > threshold` is exactly
@@ -236,22 +291,18 @@ def _thresholds(mod: Modulus, levels: np.ndarray, den: int,
     which holds the levels with r0 < u / den <= r1, omega(u / den) * dden
     = (a * u + b) / c in integers.  Levels past den take omega(1).  The
     products stay in int64 while a Python-int bound says they fit, and
-    are taken in Python ints past that."""
+    are taken in Python ints past that.
+
+    The lines depend on (mod, den, dden) only; memo, a dict, keeps them
+    for the next call with the same three."""
+    memo = {} if memo is None else memo
+    key = mod, den, dden
+    lines = memo.get(key)
+    if lines is None:
+        lines = memo[key] = _lines(mod, den, dden)
+    ends, a, b, c = lines
     u = np.maximum(np.asarray(levels, dtype=np.int64), 0)
-    pts = mod.points
-    # the first piece whose end r1 = p / q has u <= floor(p * den / q)
-    piece = np.searchsorted([r.numerator * den // r.denominator
-                             for r, _ in pts[1:]], u)
-    lines = []
-    for (r0, w0), (r1, w1) in zip(pts, pts[1:]):
-        slope = (w1 - w0) / (r1 - r0)
-        a, b = slope * dden / den, (w0 - slope * r0) * dden
-        c = math.lcm(a.denominator, b.denominator)
-        lines.append((a.numerator * (c // a.denominator),
-                      b.numerator * (c // b.denominator), c))
-    top = pts[-1][1] * dden
-    lines.append((0, top.numerator // top.denominator, 1))  # past den
-    a, b, c = zip(*lines)
+    piece = np.searchsorted(ends, u)
     # the largest u on a sloped piece, at least 1 so that a fits as well
     umax = max(min(int(u.max(initial=0)), den), 1)
     if max(map(abs, a)) * umax + max(map(abs, b)) <= _INT64_MAX \
@@ -261,6 +312,26 @@ def _thresholds(mod: Modulus, levels: np.ndarray, den: int,
     a, b, c = (np.array(x, dtype=object)[piece] for x in (a, b, c))
     return np.minimum((a * u.astype(object) + b) // c,
                       _INT64_MAX).astype(np.int64)
+
+
+def _lines(mod: Modulus, den: int, dden: int):
+    """The integer lines of _thresholds: (ends, a, b, c), where the levels
+    u <= ends[p] (and past the ends before) lie on piece p, on which
+    omega(u / den) * dden = (a[p] * u + b[p]) / c[p]; the last line holds
+    omega(1) for the levels past den."""
+    pts = mod.points
+    # the first piece whose end r1 = p / q has u <= floor(p * den / q)
+    ends = [r.numerator * den // r.denominator for r, _ in pts[1:]]
+    lines = []
+    for (r0, w0), (r1, w1) in zip(pts, pts[1:]):
+        slope = (w1 - w0) / (r1 - r0)
+        a, b = slope * dden / den, (w0 - slope * r0) * dden
+        c = math.lcm(a.denominator, b.denominator)
+        lines.append((a.numerator * (c // a.denominator),
+                      b.numerator * (c // b.denominator), c))
+    top = pts[-1][1] * dden
+    lines.append((0, top.numerator // top.denominator, 1))  # past den
+    return (ends, *zip(*lines))
 
 
 def _ultrametric_order(D: np.ndarray):
@@ -329,8 +400,8 @@ def _rows_break(D, order, parent, k0: int, k1: int) -> bool:
 
 
 def _ball_merges(join: np.ndarray):
-    """Closed-ball partitions of an ultrametric sort in its Prim order,
-    finest first.  Returns the distance levels u (ascending) and, for each,
+    """Closed-ball partitions of an ultrametric sort in its certificate's
+    order (Prim's, or the ids' of _id_metric), finest first.  Returns the distance levels u (ascending) and, for each,
     the positions among the previous level's balls (at first the single
     points) where each u-ball starts: the children of every u-ball are the
     run of balls from its start to the next."""
@@ -347,7 +418,7 @@ def _balls_respect(V: np.ndarray, order, merges, thr, out) -> bool:
     """Ball-by-ball modulus check on an ultrametric argument sort.
 
     V holds the table with the argument's axis first, and order is the
-    sort's Prim order.  Pairs at distance <= u are exactly the pairs inside
+    order of the sort's certificate.  Pairs at distance <= u are exactly the pairs inside
     a closed u-ball and omega is nondecreasing, so the modulus holds iff at
     every level u the worst change inside each u-ball is at most thr(u).
     Works bottom-up over the nested balls, stopping at the first failure.
@@ -419,16 +490,18 @@ def _levels(sd: SortData):
 
 
 def _modulus_violation(sd: SortData, levels, index, name: str, pos: int,
-                       mod: Modulus, V: np.ndarray, out, dden: int):
+                       mod: Modulus, V: np.ndarray, out, dden: int,
+                       memo: dict | None = None):
     """Exhaustive reference check of one argument position: every pair of
     points (i < j) of the argument sort, the worst change over the other
     axes against the modulus of their distance.  Returns the report line
     for the first offending pair (rows in order; within a row the smallest
     distance, then the smallest j), or None.  out is the output distance
     table of a function, None for a predicate.  (levels, index) come from
-    _levels.  Rows go in blocks of about _BLOCK table changes."""
+    _levels, and memo is _thresholds'.  Rows go in blocks of about _BLOCK
+    table changes."""
     n = sd.size
-    thr = _thresholds(mod, levels, sd.den, dden)
+    thr = _thresholds(mod, levels, sd.den, dden, memo)
     if out is None and V.dtype.kind == "u":
         V = V.astype(np.int16)  # uint8 values; their differences are signed
     step = max(1, _BLOCK // (n * V.shape[1] or 1))
@@ -458,7 +531,11 @@ def _modulus_violation(sd: SortData, levels, index, name: str, pos: int,
 def _metric_report(s: str, sd: SortData, report: list[str], certify: bool):
     """Metric axioms of one sort; returns the sort's ultrametric
     certificate (see _ultrametric_order), or None when the exhaustive
-    O(n^3) triangle scan ran instead."""
+    O(n^3) triangle scan ran instead.  A sort built from ids that make an
+    ultrametric in [0, 1] carries its certificate (see _id_metric), and
+    nothing is left to check."""
+    if certify and sd.tree is not None:
+        return sd.tree
     D = sd.dmat
     n = sd.size
     clean = True
@@ -523,7 +600,8 @@ def check_structure(M: FiniteStructure) -> list[str]:
     declared modulus in each argument.
 
     Certificate first: a sort whose distance is an ultrametric, which an
-    O(n^2) Prim pass certifies, needs no triangle scan, and the moduli on
+    O(n^2) Prim pass certifies (or the level ids the sort was built from,
+    see _id_metric), needs no triangle scan, and the moduli on
     its arguments are checked ball by ball over its nested closed balls
     (functions also need an ultrametric output sort).  A certificate or
     ball check only ever answers "valid".  Whenever one fails, the
@@ -542,6 +620,7 @@ def _check(M: FiniteStructure, certify: bool) -> list[str]:
     merges = {s: _ball_merges(c[1]) for s, c in certs.items()
               if c is not None}
     lookup: dict = {}  # per sort, _levels for the exhaustive scan
+    lines: dict = {}  # _thresholds' lines, computed once per check
     symbols = [("function", name, fn.arg_sorts, fn.table, fn.out_sort)
                for name, fn in M.functions.items() if fn.arg_sorts]
     symbols += [("predicate", name, pr.arg_sorts, pr.table, None)
@@ -566,13 +645,13 @@ def _check(M: FiniteStructure, certify: bool) -> list[str]:
             V = V.reshape(sd.size, math.prod(V.shape[1:]))  # sizes may be 0
             if fast and s in merges:
                 levels, idx = merges[s]
-                thr = _thresholds(mod, levels, sd.den, dden)
+                thr = _thresholds(mod, levels, sd.den, dden, lines)
                 if _balls_respect(V, certs[s][0], idx, thr, out):
                     continue
             if s not in lookup:
                 lookup[s] = _levels(sd)
             line = _modulus_violation(sd, *lookup[s], name, pos, mod, V, out,
-                                      dden)
+                                      dden, lines)
             if line:
                 report.append(line)
     return report
@@ -810,7 +889,7 @@ class EvalResult:
         if self.lo == self.hi:
             return "exact"
         if self.lo == ZERO:
-            return "upper"
+            return "open" if self.hi == ONE else "upper"
         if self.hi == ONE:
             return "lower"
         return "interval"
@@ -826,7 +905,9 @@ def eval_bounds(f: Formula, M: FiniteStructure, assignment=None) -> EvalResult:
     side widens by that much; without a radius it stays open.  Each
     widening is the same monotone map at every point of its level, so it
     commutes with the finite sup/inf: the bounds are the exact finite
-    value widened once per quantifier, innermost first."""
+    value widened once per quantifier, innermost first.  A quantifier whose
+    variable the matrix's modulus ignores (a constant modulus) is finite
+    and exact: it widens nothing."""
     if not summary(f).prenex:
         raise ValueError("eval_bounds requires a prenex formula")
     prefix = []
@@ -839,13 +920,16 @@ def eval_bounds(f: Formula, M: FiniteStructure, assignment=None) -> EvalResult:
     sym = M.symbol_moduli()
     notes = {}
     for q in reversed(prefix):
+        mod = _modulus_for_var(g, q.var, sym)
+        if mod.points[-1][1] == ZERO:  # omega is 0 everywhere
+            continue
         sort = q.sort or M.only_sort()
         r = density.get(sort)
         if r is None:
             notes[f"sort {sort}: no density radius, {q.kind} bound "
                   "one-sided"] = None
         # a slack of 1 opens the side fully: it clamps to 1 or 0
-        eps = ONE if r is None else _modulus_for_var(g, q.var, sym).omega(r)
+        eps = ONE if r is None else mod.omega(r)
         if q.kind == "sup":
             hi = min(ONE, hi + eps)
         else:

@@ -109,6 +109,21 @@ def test_bounds_widen_by_the_density_radius(tmp_path, capsys):
         assert (code, out) == (0, f"{want} [eval_bounds({path})]\n")
 
 
+@pytest.mark.parametrize("formula,want", [
+    # the matrix ignores x1: the finite sup is the infinite one
+    ("sup x1 . d(x0,x0)",
+     ["bounds [0, 0] (exact) [eval_bounds(N(depth=2,branch=2))]"]),
+    # no density radius opens the upper side: [0, 1] bounds nothing
+    ("sup x1 . min(d(x0,x1),0)",
+     ["bounds [0, 1] (open) [eval_bounds(N(depth=2,branch=2))]",
+      "note: sort D1: no density radius, sup bound one-sided"])])
+def test_bounds_without_a_density_radius(capsys, formula, want):
+    code, out = run(capsys, "eval", "--bounds", "--model",
+                    "N(depth=2,branch=2)", "--formula", formula,
+                    "--assign", "x0=<>")
+    assert (code, out.splitlines()) == (0, want)
+
+
 def test_wf_negative_verdict(capsys):
     code, out = run(capsys, "tree", "wf", "--dsl", "full")
     assert code == 1 and "not well-founded" in out
@@ -342,4 +357,31 @@ def test_tree_type_reduce_verbs_start_without_numpy():
     env = {**os.environ, "PYTHONPATH": src}
     p = subprocess.run([sys.executable, "-c", NO_NUMPY], env=env,
                        capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+
+
+NO_CONDITIONS = """
+import contextlib, io, os, sys
+import mlw.cli
+os.chdir(sys.argv[1])
+for argv in (["model", "build", "--ctor", "N(depth=2,branch=2)",
+              "--save", "n22.model"],
+             ["model", "check", "--ctor", "n22.model"],
+             ["model", "check", "--ctor", "M4(depth=2,branch=2)"],
+             ["eval", "--bounds", "--model", "n22.model", "--formula",
+              "sup x1 . d(x0,x1)", "--assign", "x0=<>"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert mlw.cli.main(argv) == 0, argv
+    assert "mlw.conditions" not in sys.modules, f"conditions loaded by {argv}"
+import mlw.models
+assert mlw.models.build_type.__module__ == "mlw.conditions"
+assert mlw.models.pred_gap.__module__ == "mlw.conditions"
+"""
+
+
+def test_model_and_eval_verbs_leave_conditions_unloaded(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    p = subprocess.run([sys.executable, "-c", NO_CONDITIONS, str(tmp_path)],
+                       env=env, capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr

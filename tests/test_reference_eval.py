@@ -77,7 +77,8 @@ def ref_bounds(f, M, env):
     """(lo, hi, notes) of eval_bounds on a prenex f, one point tuple at a
     time: each quantifier takes the finite sup/inf of its body's bounds
     over its sort, then widens the open side by the matrix's modulus at
-    the sort's density radius, or to 0 or 1 without a radius."""
+    the sort's density radius, or to 0 or 1 without a radius; not at all
+    when that modulus is 0 everywhere (the matrix ignores the variable)."""
     prefix, g = [], f
     while isinstance(g, Quant):
         prefix.append(g)
@@ -97,14 +98,17 @@ def ref_bounds(f, M, env):
         lo, hi = pick(b[0] for b in got), pick(b[1] for b in got)
         notes = sum((b[2] for b in got), ())
         r = density.get(sort)
-        if r is None:
+        mod = _modulus_for_var(g, q.var, sym)
+        if all(w == 0 for _, w in mod.points):
+            pass
+        elif r is None:
             notes += (f"sort {sort}: no density radius, {q.kind} bound "
                       "one-sided",)
             lo, hi = (lo, ONE) if q.kind == "sup" else (ZERO, hi)
         elif q.kind == "sup":
-            hi = min(ONE, hi + _modulus_for_var(g, q.var, sym).omega(r))
+            hi = min(ONE, hi + mod.omega(r))
         else:
-            lo = max(ZERO, lo - _modulus_for_var(g, q.var, sym).omega(r))
+            lo = max(ZERO, lo - mod.omega(r))
         return lo, hi, tuple(dict.fromkeys(notes))
 
     return go(0, env)
@@ -479,6 +483,40 @@ def test_eval_bounds_matches_the_reference(data):
     res = _exact(lambda: eval_bounds(f, M, names))
     assert (res.lo, res.hi, res.notes) == \
         ref_bounds(f, M, {"x0": ("A", i), "x1": ("B", j)})
+
+
+@given(st.data())
+def test_quantifiers_the_matrix_ignores_widen_nothing(data):
+    """Quantifiers over variables that the matrix does not read, put
+    anywhere in a random prefix, leave the bounds of the rest as they are
+    and add no note, whatever the sort's density radius.  A symbol may
+    have the constant modulus, so the matrix may also ignore a variable
+    that it reads."""
+    pool = data.draw(denominators())
+    M = data.draw(structures(pool))
+    M.moduli.update({name: Modulus.lipschitz(data.draw(st.sampled_from(
+        (0, Fraction(1, 2), 1, 2)))) for name in "fgPQ"})
+    M.meta["density"] = {
+        s: data.draw(st.none() | st.just(Fraction(1, 2))) for s in M.sorts}
+    f = data.draw(prenex(pool))
+    prefix, g = [], f
+    while isinstance(g, Quant):
+        prefix.append((g.kind, g.var, g.sort))
+        g = g.body
+    for k in range(data.draw(st.integers(1, 2))):
+        prefix.insert(data.draw(st.integers(0, len(prefix))),
+                      (data.draw(st.sampled_from(("sup", "inf"))), f"z{k}",
+                       data.draw(st.sampled_from(("A", "B")))))
+    padded = g
+    for kind, var, sort in reversed(prefix):
+        padded = Quant(kind, var, sort, padded)
+    i, j = (data.draw(st.integers(0, M.sorts[s].size - 1)) for s in "AB")
+    names = {"x0": M.sorts["A"].points[i], "x1": M.sorts["B"].points[j]}
+    got = _exact(lambda: eval_bounds(padded, M, names))
+    want = eval_bounds(f, M, names)
+    assert (got.lo, got.hi, got.notes) == (want.lo, want.hi, want.notes)
+    assert (got.lo, got.hi, got.notes) == \
+        ref_bounds(padded, M, {"x0": ("A", i), "x1": ("B", j)})
 
 
 @pytest.mark.parametrize("tol", [ZERO, Fraction(1, 3)])

@@ -710,16 +710,34 @@ def test_narrow_ball_checks_match_exhaustive_reference(M):
 def test_level_lookup_matches_fractions(n, den, mod, dden, data):
     """Thresholds per pair from _levels, by lookup (den + 1 <= n^2) or by
     np.unique (larger dens), against omega in Fractions, with negative
-    distances and distances past den."""
+    distances and distances past den.  A second call takes its lines
+    from the memo that the first call filled."""
     D = np.array(data.draw(st.lists(st.integers(-den - 3, den + 3),
                                     min_size=n * n, max_size=n * n)),
                  dtype=np.int64).reshape(n, n)
     A = SortData(tuple(range(n)), den, D, {})
     levels, index = structures_mod._levels(A)
-    got = _thresholds(mod, levels, den, dden)[index]
     want = [[_max_numerator(_allowed(mod, int(u), den), dden) for u in row]
             for row in D]
-    assert got.tolist() == want
+    memo: dict = {}
+    for _ in range(2):
+        got = _thresholds(mod, levels, den, dden, memo)[index]
+        assert got.tolist() == want
+    assert list(memo) == [(mod, den, dden)]
+
+
+def test_check_builds_threshold_lines_once_per_modulus(monkeypatch):
+    """N(3,3)'s level maps f0 .. f3 share one modulus and one den, and so
+    one set of lines, on the ball path and on the exhaustive one."""
+    calls = []
+    lines = structures_mod._lines
+    monkeypatch.setattr(structures_mod, "_lines",
+                        lambda *a: calls.append(a) or lines(*a))
+    M = build_model("N(depth=3,branch=3)")
+    for certify in (True, False):
+        calls.clear()
+        assert _check(M, certify) == []
+        assert len(calls) == 1
 
 
 def test_level_lookup_with_no_positive_level_and_a_steep_piece(tmp_path,
@@ -734,8 +752,9 @@ def test_level_lookup_with_no_positive_level_and_a_steep_piece(tmp_path,
                    (Q(23, 81442), Q(892411959, 85397393614)),
                    (Q(186540455478276, 6902087763987029), Q(1)),
                    (Q(1, 37), Q(1)), (Q(1), Q(1))))
+    memo: dict = {}  # the lines of the first call serve the others
     for levels in ([0], [-2, 0], [0, 1], [1, 2]):
-        got = _thresholds(mod, np.array(levels), 1, 1337)
+        got = _thresholds(mod, np.array(levels), 1, 1337, memo)
         want = [_max_numerator(_allowed(mod, u, 1), 1337) for u in levels]
         assert got.tolist() == want
     M = FiniteStructure.build(
