@@ -4,6 +4,7 @@ coloured families, constructor specs."""
 import hashlib
 import json
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,8 @@ from mlw.models import (KFamily, KFunction, build_M, build_M4, build_M_l,
                         build_model, build_N, build_N2, build_N3,
                         build_Projection, canonical_truncation,
                         default_kfamily, is_bottom_terminal, kfamily_check,
-                        load_kfamily, parse_ctor, save_kfamily,
-                        shadow_report)
+                        load_kfamily, parse_ctor, parse_kfamily,
+                        save_kfamily, shadow_report)
 from mlw.structures import check_structure, eval_formula, save_structure
 from mlw.trees import (PairTree, box_nodes, enumerate_pair_trees,
                        enumerate_trees, parse_node)
@@ -116,9 +117,33 @@ def grid_digests() -> dict:
     return out
 
 
+# the family of criterion 7, as `mlw iso --family` reads it from a file
+C7_FAMILY = "base=4\nmult=omega <2.0,1.0>=2\nmult=omega\n"
+
+
+def truncation_digests() -> dict:
+    """Digests of the canonical truncations of the criterion-7 family and
+    of default_kfamily() over m 1-4, r 1, 2 and 4, l None, 1 and 2, with
+    and without perturb, and of the gap-predicate model M(6,3) pruned by
+    extend_to=5."""
+    out = {}
+    for fam, K in (("C7", parse_kfamily(C7_FAMILY)),
+                   ("default", default_kfamily())):
+        for m, r, l, p in product(range(1, 5), (1, 2, 4), (None, 1, 2),
+                                  (0, 1)):
+            M = canonical_truncation(K, m, r, mu=2, l=l, perturb=bool(p),
+                                     cap=2000)
+            out[f"canon({fam},m={m},r={r},l={l},perturb={p})"] = \
+                table_digest(M)
+    out["M(6,3,extend_to=5)"] = table_digest(build_M(
+        depth=6, branch=3, top_depth=4, top_branch=4, top_pair=1,
+        extend_to=5))
+    return out
+
+
 def test_grid_tables_are_unchanged():
     golden = json.loads(TABLES_GOLDEN.read_text())
-    got = grid_digests()
+    got = {**grid_digests(), **truncation_digests()}
     assert sorted(got) == sorted(golden)
     assert [k for k in golden if got[k] != golden[k]] == []
 
