@@ -6,14 +6,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 import numpy as np
 
 from .conditions import PartialType, _closed_formula
 from .formulas import Formula, Quant, _modulus_for_var, summary
-from .structures import (FiniteStructure, _bind_rows, _first_hit,
-                         _max_numerator, _table, _table_env,
+from .structures import (FiniteStructure, _ball_merges, _bind_rows,
+                         _first_hit, _max_numerator, _table, _table_env,
                          _ultrametric_order, eval_table)
 from .values import ONE, ZERO
 
@@ -71,55 +70,30 @@ def realization_tree(M: FiniteStructure, t: PartialType,
                      depth: int) -> TreeReport:
     """Levels of the chain-realization tree for a unary type: a level-k node
     is a k-tuple satisfying the k-th chain fragment (values within 1/i at
-    stage i, consecutive points within 2^{1-i}).  Counts are computed by
-    last-point dynamics, so wide levels stay cheap."""
+    stage i, consecutive points within 2^{1-i}).  A level is counted by
+    the chains ending at each point: the previous level's counts times the
+    0/1 matrix of the chain step, in Python ints, masked by the values, so
+    wide levels stay cheap and no count wraps around."""
     if len(t.variables) != 1:
         raise ValueError("realization_tree requires a unary type")
     v, sort = t.variables[0]
     sort = sort or M.only_sort()
     sd = M.sorts[sort]
-    n = sd.size
-
-    phis = []
-    j = 0
-    while True:
-        try:
-            c = t.condition(j)
-        except IndexError:
-            break
-        den, vec = eval_table(_closed_formula(c), M, [(v, sort)])
-        phis.append((den, vec))
-        j += 1
-        if t.generator is not None and j > depth:
-            break
-
-    counts = [1]
-    alive = np.ones(n, dtype=object)  # tuples of length 1 ending at each point
-    # stage k = 1: no value or chain constraints yet
-    died = None
+    phis = [eval_table(_closed_formula(c), M, [(v, sort)])
+            for c in t.fragment(depth)]
+    alive = np.ones(sd.size, dtype=object)  # the chains ending at each point
+    counts, died = [1], None
     for k in range(1, depth + 1):
-        if k == 1:
-            current = alive.copy()
-        else:
-            # chain step: d(x_{k-2}, x_{k-1}) <= 2^{2-k}
-            adj = sd.dmat <= _max_numerator(Fraction(1, 2 ** (k - 2)), sd.den)
-            current = np.array(
-                [int((alive * adj[:, i]).sum()) for i in range(n)], dtype=object)
-        # value constraints at stage k-1 (1-indexed stage k-1 >= 1)
-        stage = k - 1
-        if stage >= 1:
-            ok = np.ones(n, dtype=bool)
-            for j, (den, vec) in enumerate(phis):
-                if j > stage:
-                    break
-                ok &= vec <= _max_numerator(Fraction(1, stage), den)
-            current = current * ok
-        total = int(np.sum(current))
-        counts.append(total)
-        if total == 0 and died is None:
+        if k > 1:  # the chain step d(x_{k-2}, x_{k-1}) <= 2^{2-k}, then the
+            # values at stage k - 1: conditions 0 .. k - 1 within 1/(k - 1)
+            alive = alive @ (sd.dmat <= _max_numerator(
+                Fraction(1, 2 ** (k - 2)), sd.den))
+            for den, vec in phis[:k]:
+                alive = alive * (vec <= _max_numerator(Fraction(1, k - 1), den))
+        counts.append(int(alive.sum()))
+        if not counts[-1]:
             died = k
             break
-        alive = current
     return TreeReport(tuple(counts), died, depth)
 
 
@@ -342,8 +316,8 @@ def _refined(classes, tables):
 
 def _dendrograms(A, B):
     """Per sort, the ball orders of A and B (see _dendrogram), with
-    their joins ranked on one scale, when every sort of both is an
-    ultrametric; else None."""
+    their joins ranked on one scale, as (order, levels, merges) from
+    _ball_merges, when every sort of both is an ultrametric; else None."""
     trees = {}
     for s, sa in A.sorts.items():
         sb = B.sorts[s]
@@ -352,7 +326,7 @@ def _dendrograms(A, B):
         if tb is None:
             return None
         ja, jb = _ranks(ta[1], sa.den, tb[1], sb.den)
-        trees[s] = (ta[0], ja), (tb[0], jb)
+        trees[s] = (ta[0], *_ball_merges(ja)), (tb[0], *_ball_merges(jb))
     return trees
 
 
@@ -386,7 +360,7 @@ def _canonical_map(A, B, trees, classes, tables):
         if k + 1 < len(trees):
             n = len(pa)
             c = np.empty(2 * n, np.int64)
-            c[pa] = c[n + np.array(pb, np.intp)] = np.arange(n)
+            c[pa] = c[n + pb] = np.arange(n)
             classes = _refined({**classes, s: c}, tables)
             if isinstance(classes, Refusal):
                 return None
@@ -403,16 +377,14 @@ def _tree_refined(trees, classes, tables):
     order; None when the two sides differ."""
     while True:
         new, orders = {}, {}
-        for s, ((oa, ja), (ob, jb)) in trees.items():
-            c, n = classes[s], len(oa)
+        for s, (ta, tb) in trees.items():
+            c, n = classes[s], len(ta[0])
             codes: dict = {}
-            ka, pa, xa = _canonical(oa, ja, c[:n], codes)
-            kb, pb, xb = _canonical(ob, jb, c[n:], codes)
+            ka, pa, ra = _canonical(*ta, c[:n], codes)
+            kb, pb, rb = _canonical(*tb, c[n:], codes)
             if ka != kb:
                 return None
-            ids: dict = {}
-            new[s] = np.array([ids.setdefault(x, len(ids)) for x in xa + xb],
-                              np.int64)
+            new[s] = _numbered(np.hstack((ra, rb)))
             orders[s] = pa, pb
         if all(new[s].max(initial=0) == c.max(initial=0)
                for s, c in classes.items()):
@@ -422,46 +394,33 @@ def _tree_refined(trees, classes, tables):
             return None
 
 
-def _canonical(order, join, colour, codes: dict):
+def _canonical(order, levels, merges, colour, codes: dict):
     """AHU code of an ultrametric sort's ball tree, its points coloured;
-    its points in canonical order; and per point, the codes of the balls
-    around it, innermost first.  order and join come from
-    _ultrametric_order, join as ranks common to both structures.  A ball
-    is a contiguous run of the order, labelled by its largest join, and
-    its children are the runs between the joins that reach that label.  A
-    point's code is its colour and a ball's is its label with its
-    children's codes, sorted; `codes` numbers them alike for both
-    structures, so equal numbers mean isomorphic coloured trees."""
+    its points in canonical order; and the code of each point's ball at
+    every level, one row per level, the points' own codes first.  order,
+    levels and merges come from _ball_merges, on joins ranked on a scale
+    common to both structures.  A point's code is its colour, and a
+    u-ball's is u with its children's codes, sorted, also when it has a
+    single child; `codes` numbers them alike for both structures, so equal
+    numbers mean isomorphic coloured trees.  The canonical order sorts the
+    balls of each level by code, equal codes by position, from the root
+    down."""
     n = len(order)
     if not n:
-        return codes.setdefault((), len(codes)), [], []
-    around = [[] for _ in range(n)]
-    done = []  # (code, points in canonical order) of finished balls
-    todo = [(0, n, None, 0)]
-    while todo:
-        lo, hi, label, kids = todo.pop()
-        if kids:  # every child of the ball is done
-            parts = sorted(done[-kids:], key=itemgetter(0))
-            del done[-kids:]
-            code = codes.setdefault((label, *(k for k, _ in parts)),
-                                    len(codes))
-            pts = [p for _, ps in parts for p in ps]
-            for p in pts:
-                around[p].append(code)
-            done.append((code, pts))
-        elif hi - lo == 1:
-            p = int(order[lo])
-            code = codes.setdefault(int(colour[p]), len(codes))
-            around[p].append(code)
-            done.append((code, [p]))
-        else:
-            inner = join[lo + 1:hi]
-            label = int(inner.max())
-            cuts = [lo, *(lo + 1 + np.flatnonzero(inner == label)).tolist(),
-                    hi]
-            todo.append((lo, hi, label, len(cuts) - 1))
-            todo.extend((a, b, None, 0) for a, b in zip(cuts, cuts[1:]))
-    return (*done[0], list(map(tuple, around)))
+        return codes.setdefault((), len(codes)), order, np.zeros((1, 0),
+                                                                 np.int64)
+    kids = [codes.setdefault(k, len(codes)) for k in colour[order].tolist()]
+    ball = np.arange(n)  # the ball of each position at the current level
+    keys = [ball, np.array(kids)]
+    for u, idx in zip(levels.tolist(), merges):
+        cuts = idx.tolist() + [len(kids)]
+        kids = [codes.setdefault((u, *sorted(kids[a:b])), len(codes))
+                for a, b in zip(cuts, cuts[1:])]
+        ball = np.searchsorted(idx, ball, side="right") - 1
+        keys += [ball, np.array(kids)[ball]]
+    rows = np.empty((len(keys) // 2, n), np.int64)
+    rows[:, order] = keys[1::2]
+    return kids[0], order[np.lexsort(keys)], rows
 
 
 def _ranks(ta, da: int, tb, db: int):
@@ -496,13 +455,7 @@ def _settle(classes, tables):
             keys[s].append(_profile(ta, tb, m, args, classes))
     new = {}
     for s, cols in keys.items():
-        key = cols[0]
-        for col in cols[1:]:
-            top = int(col.max(initial=0)) + 1
-            if (int(key.max(initial=0)) + 1) * top >= 2**62:
-                key = np.unique(key, return_inverse=True)[1]
-            key = key * top + col
-        new[s] = key = np.unique(key, return_inverse=True)[1]
+        new[s] = key = _numbered(cols)
         n = len(key) // 2
         ca, cb = (np.bincount(h, minlength=2 * n) for h in (key[:n], key[n:]))
         if (ca != cb).any():
@@ -511,6 +464,19 @@ def _settle(classes, tables):
                            f"sort {s}: invariant class {k} has {ca[k]} "
                            f"points in A but {cb[k]} in B")
     return new
+
+
+def _numbered(cols):
+    """Ids 0, 1, ... of the points by their values in the columns cols
+    (equal ids for equal values in every column), in the order of those
+    values, the first column first."""
+    key = cols[0]
+    for col in cols[1:]:
+        top = int(col.max(initial=0)) + 1
+        if (int(key.max(initial=0)) + 1) * top >= 2**62:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * top + col
+    return np.unique(key, return_inverse=True)[1]
 
 
 def _profile(ta, tb, m: int, args, classes):

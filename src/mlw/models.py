@@ -459,6 +459,20 @@ def _bottom_identity(s: tuple) -> tuple:
     return tuple(_strip_tag(x) for x in s)
 
 
+def _colour_preds(colours, rows: int, cols: int, mods: dict) -> dict:
+    """The colour predicates P{i}_{j} of D1, i < rows and j < cols, given
+    each point's colour (i, j): P{i}_{j} is 0 exactly on colour (i, j), 1
+    elsewhere, and (i+1)-Lipschitz; its modulus goes into mods."""
+    ci, cj = np.array(colours, dtype=np.int64).T
+    preds = {}
+    for i in range(rows):
+        for j in range(cols):
+            off = (ci != i) | (cj != j)
+            preds[f"P{i}_{j}"] = (("D1",), (1, off.astype(np.int64)))
+            mods[f"P{i}_{j}"] = Modulus.lipschitz(i + 1)
+    return preds
+
+
 def build_M(depth: int, branch: int, pair_branch: int = 2, top_depth: int = 2,
             top_branch: int = 2, top_pair: int = 1, top_copies: int = 1,
             k: KFamily | None = None, colours: int | None = None,
@@ -499,13 +513,10 @@ def build_M(depth: int, branch: int, pair_branch: int = 2, top_depth: int = 2,
                 if u:
                     nodes.append(s + (("g", c, u[0]),) + u[1:])
     if extend_to is not None:
-        reach = {}
+        reach = {s: len(s) for s in nodes}  # the height of its deepest leaf
         for s in sorted(nodes, key=len, reverse=True):
-            best = len(s)
-            for t in nodes:
-                if len(t) == len(s) + 1 and t[:len(s)] == s:
-                    best = max(best, reach[t])
-            reach[s] = best
+            if s:
+                reach[s[:-1]] = max(reach[s[:-1]], reach[s])
         nodes = [s for s in nodes if reach[s] >= extend_to]
         bottom_set &= set(nodes)
     nodes.sort(key=node_key)
@@ -525,13 +536,8 @@ def build_M(depth: int, branch: int, pair_branch: int = 2, top_depth: int = 2,
         kv = kfn.value(_bottom_identity(s[:-1]), K.base)
         return (i, kv + s[-1][2])
 
-    ci, cj = np.array([colour_of(s) for s in nodes], dtype=np.int64).T
-    preds = {}
-    for i in range(depth + 1):
-        for j in range(jmax + 1):
-            off = (ci != i) | (cj != j)  # 0 exactly on colour (i, j)
-            preds[f"P{i}_{j}"] = (("D1",), (1, off.astype(np.int64)))
-            mods[f"P{i}_{j}"] = Modulus.lipschitz(i + 1)
+    preds = _colour_preds([colour_of(s) for s in nodes], depth + 1,
+                          jmax + 1, mods)
 
     points = {"D1": names}
     metric = {"D1": _prefix_table(nodes)}
@@ -695,21 +701,14 @@ def canonical_truncation(family: KFamily, m: int, r: int, mu: int = 2,
         root_kids.extend((tid, "omega") for tid, _ in children)
     root_tid = canon.intern((0, 0), _merge_children(root_kids))
 
-    names: list[str] = []
-    levels: list[int] = []
     cols: list = []
-    parents: list[int] = []
     paths: list[tuple] = []
     state = {"armed": perturb}
 
-    def emit(tid, parent, level, path):
-        idx = len(names)
-        names.append(f"n{idx}")
+    def emit(tid, path):
         col, children = canon.records[tid]
-        levels.append(level)
-        cols.append((level, col[1]) if isinstance(col, tuple) else
-                    ((level, col) if col is not None else None))
-        parents.append(parent)
+        cols.append((-1, -1) if col is None else
+                    (len(path), col[1] if isinstance(col, tuple) else col))
         paths.append(path)
         counts = [(ctid, mu if mult == "omega" else mult, mult == "omega")
                   for ctid, mult in children]
@@ -728,39 +727,16 @@ def canonical_truncation(family: KFamily, m: int, r: int, mu: int = 2,
         slot = 0
         for ctid, count, _ in counts:
             for _ in range(count):
-                emit(ctid, idx, level + 1, path + (slot,))
+                emit(ctid, path + (slot,))
                 slot += 1
-        return idx
 
-    emit(root_tid, -1, 0, ())
-    _cap_check(len(names), cap, "canonical truncation")
-    n = len(names)
-
-    # ancestor index at each level via parent pointers
-    anc_of = [[i] * m for i in range(n)]
-    for i in range(n):
-        j = i
-        while j != -1:
-            anc_of[i][levels[j]] = j
-            j = parents[j]
-
-    # f_k maps a point to its level-k ancestor, or to itself below level k
-    anc = np.array(anc_of, dtype=np.int64).reshape(n, m)
-    fns = {}
-    mods = {}
-    for k in range(r):
-        fns[f"f{k}"] = (("D1",), "D1", anc[:, k] if k < m else np.arange(n))
-        mods[f"f{k}"] = Modulus.lipschitz(1)
-    ci, cj = np.array([c or (-1, -1) for c in cols], dtype=np.int64).T
-    preds = {}
-    for i in range(r):
-        lip = Modulus.lipschitz(i + 1)
-        for j in range(r):
-            off = (ci != i) | (cj != j)  # 0 exactly on colour (i, j)
-            preds[f"P{i}_{j}"] = (("D1",), (1, off.astype(np.int64)))
-            mods[f"P{i}_{j}"] = lip
+    emit(root_tid, ())
+    _cap_check(len(paths), cap, "canonical truncation")
+    fns, mods = _level_maps(paths, r - 1, "D1")
+    preds = _colour_preds(cols, r, r, mods)
     return FiniteStructure.build(
-        {"D1": names}, {"D1": _prefix_table(paths)}, fns, preds, mods,
+        {"D1": [f"n{i}" for i in range(len(paths))]},
+        {"D1": _prefix_table(paths)}, fns, preds, mods,
         {"label": f"canon(m={m},r={r},mu={mu},l={l},perturb={int(perturb)})",
          "depth": m - 1, "types": len(canon.records),
          "roles": len(canon.memo), "density": {"D1": None}})

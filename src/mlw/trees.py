@@ -433,10 +433,7 @@ def _trunc(t: SymbolicTree, depth: int, branch: int) -> set:
                 if len(s) <= depth
                 and all(v < branch for l in s for v in _letter_ints(l))}
     if t.kind == "full":
-        out = {()}
-        for d in range(1, depth + 1):
-            out |= set(product(range(branch), repeat=d))
-        return out
+        return set(box_nodes(depth, branch))
     if t.kind == "chain":
         return {(0,) * k for k in range(min(t.n, depth) + 1)}
     if t.kind == "comb":

@@ -13,14 +13,16 @@ from mlw import analysis
 from mlw.analysis import (IsoWitness, Refusal, Sublanguage, eq_evidence,
                           find_iso, realization_tree, realizes, verify_iso,
                           verify_iso_on_domain)
-from mlw.conditions import (PartialType, closed, normalize_condition,
-                             type_and, type_or)
+from mlw.conditions import (PartialType, _closed_formula, closed,
+                             normalize_condition, type_and, type_or)
 from mlw.formulas import App, Dist, Rat, Var, fmonus, parse_formula, prenex
 from mlw.models import (build_M, build_M4, build_N, build_N2, build_N3,
-                        build_model, build_type, relabel)
+                        build_model, build_type, canonical_truncation,
+                        parse_kfamily, relabel)
 from mlw.moduli import Modulus
 from mlw.structures import (FiniteStructure, FnTable, PredTable, SortData,
-                            _max_numerator, check_structure, eval_table)
+                            _max_numerator, check_structure, eval_formula,
+                            eval_table)
 from mlw.trees import build_tree, truncate
 
 
@@ -151,6 +153,51 @@ def test_realization_tree_counts(n33):
     assert rep.level_counts[0] == 1
     assert rep.has_full_path == (rep.died_at is None)
     assert len(rep.level_counts) >= 2
+
+
+def _enumerated_tree(M, t, depth):
+    """(level_counts, died_at) of t's chain tree on M's sort D1, by listing
+    every k-tuple of points whose point at each stage i >= 1 meets
+    conditions 0 .. i within 1/i and lies within 2^(1-i) of the point
+    before it."""
+    sd = M.sorts["D1"]
+    conds = [_closed_formula(c) for c in t.fragment(depth)]
+    value = [[eval_formula(f, M, {"x0": p}) for f in conds]
+             for p in sd.points]
+    meets = [[all(v <= Fraction(1, i) for v in vals[:i + 1]) for vals in value]
+             for i in range(1, depth)]  # meets[i - 1][p]: stage i at p
+    near = [[[Fraction(int(d), sd.den) <= Fraction(1, 2 ** (i - 1))
+              for d in row] for row in sd.dmat] for i in range(1, depth)]
+    counts = [1]
+    for k in range(1, depth + 1):
+        counts.append(sum(
+            all(meets[i - 1][x[i]] and near[i - 1][x[i - 1]][x[i]]
+                for i in range(1, k))
+            for x in product(range(sd.size), repeat=k)))
+        if not counts[-1]:
+            return tuple(counts), k
+    return tuple(counts), None
+
+
+# condition 2 leaves only the root from stage 2 on, and condition 0 drops
+# the root at stage 3, so the tree dies at level 4
+DIES = PartialType((("x0", "D1"),), tuple(closed(parse_formula(f)) for f in (
+    "monus(1/2, d(f0(x0), x0))", "d(x0, x0)", "d(f0(x0), x0)")), None, "dies")
+
+
+@pytest.mark.parametrize("spec,depths", [
+    ("N(depth=2,branch=2)", (1, 2, 3)), ("N(depth=3,branch=2)", (1, 2, 3, 4)),
+    ("M(depth=3,branch=1)", (1, 2, 3, 4))])
+@pytest.mark.parametrize("kind", ["s0_branch", "finite"])
+def test_realization_tree_matches_enumerated_chains(spec, depths, kind):
+    M = build_model(spec)
+    t = build_type("s0_branch", sort="D1") if kind == "s0_branch" else DIES
+    for depth in depths:
+        rep = realization_tree(M, t, depth)
+        assert (rep.level_counts, rep.died_at) == \
+            _enumerated_tree(M, t, depth), depth
+    if kind == "finite" and depth == 4:
+        assert rep.died_at == 4
 
 
 def test_eq_evidence_worked_bound(n22):
@@ -588,16 +635,22 @@ def _ultrametric_structures(draw):
     """A one-sort structure of up to five points whose metric is an
     ultrametric, with a unary predicate P, a binary predicate Q and a
     unary function f.  Either the metric comes from two nested random
-    partitions and P, Q and f are random, or there are two balls of k
-    points, P is constant and f and Q pair each point of one ball with one
-    of the other (and a fifth point with itself): colour refinement cannot
-    tell one such pairing from another, so the canonical map often breaks
-    it and the search has to take over."""
-    paired = draw(st.booleans())
-    if not paired:
+    partitions and P, Q and f are random; or it is fixed, with a ball
+    {p0, p1} that is also the only ball inside its 2-ball, and P, Q and f
+    are random; or there are two balls of k points, P is constant and f
+    and Q pair each point of one ball with one of the other (and a fifth
+    point with itself): colour refinement cannot tell one such pairing
+    from another, so the canonical map often breaks it and the search has
+    to take over."""
+    kind = draw(st.sampled_from(("random", "chain", "paired")))
+    paired = kind == "paired"
+    if kind == "random":
         n = draw(st.integers(0, 5))
         top, sub = (draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
                     for _ in range(2))
+    elif kind == "chain":
+        n = draw(st.integers(4, 5))
+        top, sub = [0, 0] + [1] * (n - 2), [0, 0, 0] + [1] * (n - 3)
     else:
         k, extra = draw(st.integers(1, 2)), draw(st.integers(0, 1))
         n = 2 * k + extra
@@ -637,12 +690,19 @@ def test_canonical_form_matches_exhaustive_search(A, B, seed, relabel):
         assert verify_iso(A, B, Sublanguage.full(A), got) == []
 
 
+# the criterion-7 family's canonical truncation, as kfamily_check builds it
+TRUNCATION = "canonical_truncation(C7,m=4,r=4)"
+
+
 @pytest.mark.parametrize("spec", [
     "N(depth=3,branch=3)", "N(depth=4,branch=3)", "M(depth=3,branch=3)",
     "Projection(depth=3,branch=2)", "M4(depth=2,branch=2)",
-    "N2(depth=3,branch=2)", "N3(depth=2,branch=2)"])
+    "N2(depth=3,branch=2)", "N3(depth=2,branch=2)", TRUNCATION,
+    "M(depth=6,branch=3,top_depth=4,top_branch=4,top_pair=1,extend_to=5)"])
 def test_canonical_form_decides_relabelled_constructors(spec, searches):
-    A = build_model(spec)
+    A = canonical_truncation(parse_kfamily(
+        "base=4\nmult=omega <2.0,1.0>=2\nmult=omega\n"), 4, 4, mu=2) \
+        if spec == TRUNCATION else build_model(spec)
     rng = random.Random(spec)
     for _ in range(3):
         B = _shuffled(A, rng)
