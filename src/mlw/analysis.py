@@ -89,7 +89,7 @@ def realization_tree(M: FiniteStructure, t: PartialType,
             alive = alive @ (sd.dmat <= _max_numerator(
                 Fraction(1, 2 ** (k - 2)), sd.den))
             for den, vec in phis[:k]:
-                alive = alive * (vec <= _max_numerator(Fraction(1, k - 1), den))
+                alive *= vec <= _max_numerator(Fraction(1, k - 1), den)
         counts.append(int(alive.sum()))
         if not counts[-1]:
             died = k
@@ -407,8 +407,7 @@ def _canonical(order, levels, merges, colour, codes: dict):
     down."""
     n = len(order)
     if not n:
-        return codes.setdefault((), len(codes)), order, np.zeros((1, 0),
-                                                                 np.int64)
+        return codes.setdefault((), len(codes)), order, np.zeros((1, 0), int)
     kids = [codes.setdefault(k, len(codes)) for k in colour[order].tolist()]
     ball = np.arange(n)  # the ball of each position at the current level
     keys = [ball, np.array(kids)]
