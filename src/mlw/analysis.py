@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conditions import PartialType, _closed_formula
 from .formulas import Formula, Quant, _modulus_for_var, summary
 from .structures import (FiniteStructure, _ball_merges, _bind_rows,
                          _first_hit, _max_numerator, _table, _table_env,
@@ -17,19 +16,20 @@ from .structures import (FiniteStructure, _ball_merges, _bind_rows,
 from .values import ONE, ZERO
 
 
-def _resolve_vars(t: PartialType, M: FiniteStructure):
+def _resolve_vars(t: "PartialType", M: FiniteStructure):
     return [(v, s or M.only_sort()) for v, s in t.variables]
 
 
 # --------------------------------------------------------------------------
 # Realization
 
-def realizes(M: FiniteStructure, t: PartialType, n: int | None = None,
+def realizes(M: FiniteStructure, t: "PartialType", n: int | None = None,
              tol: Fraction = ZERO) -> list[tuple[str, ...]]:
     """All tuples whose every fragment condition evaluates ≤ tol, in
     lexicographic point-index order.  Once fewer rows of the first
     variable survive than are bound, each later condition is evaluated at
     the surviving rows only."""
+    from .conditions import _closed_formula
     variables = _resolve_vars(t, M)
     conds = t.conds if n is None else t.fragment(n)
     forms = [_closed_formula(c) for c in conds]
@@ -66,7 +66,7 @@ class TreeReport:
         return self.died_at is None
 
 
-def realization_tree(M: FiniteStructure, t: PartialType,
+def realization_tree(M: FiniteStructure, t: "PartialType",
                      depth: int) -> TreeReport:
     """Levels of the chain-realization tree for a unary type: a level-k node
     is a k-tuple satisfying the k-th chain fragment (values within 1/i at
@@ -76,6 +76,7 @@ def realization_tree(M: FiniteStructure, t: PartialType,
     wide levels stay cheap and no count wraps around."""
     if len(t.variables) != 1:
         raise ValueError("realization_tree requires a unary type")
+    from .conditions import _closed_formula
     v, sort = t.variables[0]
     sort = sort or M.only_sort()
     sd = M.sorts[sort]

@@ -24,7 +24,14 @@ from .formulas import (App, Conn, Const, Dist, Formula, Pred, Quant, Rat,
 from .moduli import Modulus
 from .values import ONE, ZERO, parse_rational, show_rational
 
-_MAX_DEN = 2**40  # guard against int64 overflow in scaled arithmetic
+_INT64_MAX = 2**63 - 1
+
+
+def _int_type(bound: int):
+    """np.int64 if every integer in [-1 - bound, bound] fits int64, else
+    object (Python ints): the one place that picks either.  Values lie in
+    [0, den], so a den that fits int64 keeps them, scaled to it, in int64."""
+    return np.int64 if bound <= _INT64_MAX else object
 
 
 @dataclass(frozen=True)
@@ -80,27 +87,25 @@ class FiniteStructure:
         or (den, int ndarray) or (den, dist, levels) (see _id_metric)};
         functions: {name: (arg_sorts, out_sort, callable(*names) -> name,
         or an int ndarray of output point indices)};  predicates: {name:
-        (arg_sorts, callable(*names) -> Fraction or (den, int ndarray))}."""
+        (arg_sorts, callable(*names) -> Fraction or (den, int ndarray))}.
+        The tables are int64, so every den must fit int64."""
         sorts: dict[str, SortData] = {}
         for s, names in points.items():
             names = tuple(names)
             idx = {a: i for i, a in enumerate(names)}
             if len(idx) != len(names):
                 raise ValueError(f"duplicate point names in sort {s}")
-            spec, tree = metric[s], None
-            if isinstance(spec, tuple) and len(spec) == 3:
-                den, dmat, tree = _id_metric(*spec, len(names))
-            elif isinstance(spec, tuple):
-                den, dmat = spec
-                dmat = np.asarray(dmat, dtype=np.int64)
-            else:
-                n = len(names)
+            spec, tree, n = metric[s], None, len(names)
+            if not isinstance(spec, tuple):  # a callable
                 vals = [[spec(a, b) for b in names] for a in names]
                 den = math.lcm(*(q.denominator for row in vals for q in row))
-                dmat = np.array([[int(q * den) for q in row] for row in vals],
-                                dtype=np.int64).reshape(n, n)
-            if den >= _MAX_DEN:
+                spec = den, [[int(q * den) for q in row] for row in vals]
+            if _int_type(spec[0]) is object:
                 raise ValueError(f"metric denominator too large for sort {s}")
+            if len(spec) == 3:
+                den, dmat, tree = _id_metric(*spec, n)
+            else:
+                den, dmat = spec[0], np.asarray(spec[1], np.int64).reshape(n, n)
             sorts[s] = SortData(names, den, dmat, idx, tree)
 
         fns: dict[str, FnTable] = {}
@@ -126,29 +131,25 @@ class FiniteStructure:
         for name, (arg_sorts, fn) in (predicates or {}).items():
             arg_sorts = tuple(arg_sorts)
             shape = tuple(sorts[s].size for s in arg_sorts)
-            if isinstance(fn, tuple):
-                den, table = fn
-                table = np.asarray(table, dtype=np.int64)
-                if table.shape != shape:
-                    raise ValueError(f"predicate {name} table shape mismatch")
-                if table.size and (table.min() < 0 or table.max() > den):
-                    raise ValueError(
-                        f"predicate {name} value outside [0,1]")
-                preds[name] = PredTable(arg_sorts, den, table)
-                continue
-            vals = np.empty(shape, dtype=object)
-            for combo in product(*(range(k) for k in shape)):
-                names_in = tuple(sorts[s].points[i] for s, i in zip(arg_sorts, combo))
-                q = Fraction(fn(*names_in))
-                if not (0 <= q <= 1):
-                    raise ValueError(f"predicate {name} value {q} outside [0,1]")
-                vals[combo] = q
-            den = math.lcm(*(q.denominator for q in vals.flat))
-            if den >= _MAX_DEN:
+            if not isinstance(fn, tuple):  # a callable
+                vals = np.empty(shape, dtype=object)
+                for combo in product(*(range(k) for k in shape)):
+                    names_in = tuple(sorts[s].points[i] for s, i in zip(arg_sorts, combo))
+                    q = Fraction(fn(*names_in))
+                    if not (0 <= q <= 1):
+                        raise ValueError(f"predicate {name} value {q} outside [0,1]")
+                    vals[combo] = q
+                den = math.lcm(*(q.denominator for q in vals.flat))
+                fn = den, np.array([int(q * den) for q in vals.flat],
+                                   object).reshape(shape)
+            den, table = fn
+            if _int_type(den) is object:
                 raise ValueError(f"predicate denominator too large for {name}")
-            table = np.empty(shape, dtype=np.int64)
-            for combo in product(*(range(k) for k in shape)):
-                table[combo] = int(vals[combo] * den)
+            table = np.asarray(table, dtype=np.int64)
+            if table.shape != shape:
+                raise ValueError(f"predicate {name} table shape mismatch")
+            if table.size and (table.min() < 0 or table.max() > den):
+                raise ValueError(f"predicate {name} value outside [0,1]")
             preds[name] = PredTable(arg_sorts, den, table)
 
         return FiniteStructure(sorts, fns, preds, dict(moduli or {}),
@@ -243,9 +244,6 @@ def _pair_name(sd: SortData, i, j) -> str:
     return f"({sd.points[i]}, {sd.points[j]})"
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
 def _allowed(mod: Modulus, u, den: int) -> Fraction:
     """omega at the distance u / den; a negative distance (itself a metric
     violation) allows no change."""
@@ -253,10 +251,10 @@ def _allowed(mod: Modulus, u, den: int) -> Fraction:
 
 
 def _max_numerator(q: Fraction, den: int, strict: bool = False) -> int:
-    """The largest integer a with a / den <= q (a / den < q when strict),
-    capped at the int64 range: for an int64 table, `table <= a` is exactly
-    `table / den <= q` (or `< q`), with no product to wrap around."""
-    return min((q.numerator * den - strict) // q.denominator, _INT64_MAX)
+    """The largest integer a with a / den <= q (a / den < q when strict):
+    `table <= a` is exactly `table / den <= q` (or `< q`), with no product
+    to wrap around; numpy compares an int64 table with any Python int."""
+    return (q.numerator * den - strict) // q.denominator
 
 
 def _narrow(lo: int, hi: int):
@@ -264,11 +262,11 @@ def _narrow(lo: int, hi: int):
     integer in [lo, hi], or object (Python ints) past int64: the dtype a
     scan copies its table to, from the range of the values and of the
     sums or differences it forms, so that nothing wraps around."""
-    for t in (np.uint8, np.int16, np.int32, np.int64):
+    for t in (np.uint8, np.int16, np.int32):
         info = np.iinfo(t)
         if info.min <= lo and hi <= info.max:
             return t
-    return object
+    return _int_type(max(-1 - lo, hi))
 
 
 def _first_hit(mask: np.ndarray):
@@ -282,16 +280,16 @@ def _first_hit(mask: np.ndarray):
 def _thresholds(mod: Modulus, levels: np.ndarray, den: int, dden: int,
                 memo: dict | None = None) -> np.ndarray:
     """floor(omega(u / den) * dden) for each distance level u of an integer
-    array, as an int64 array: the largest table change (scaled by dden) the
-    modulus allows at that distance, so `change > threshold` is exactly
-    `change / dden > omega`.  What _max_numerator(_allowed(mod, u, den),
-    dden) gives, negative u clamped to 0 and the int64 cap included.
+    array: the largest table change (scaled by dden) the modulus allows at
+    that distance, so `change > threshold` is exactly `change / dden >
+    omega`.  What _max_numerator(_allowed(mod, u, den), dden) gives,
+    negative u clamped to 0.
 
     Exact per linear piece of omega: on the piece from (r0, w0) to (r1, w1),
     which holds the levels with r0 < u / den <= r1, omega(u / den) * dden
     = (a * u + b) / c in integers.  Levels past den take omega(1).  The
-    products stay in int64 while a Python-int bound says they fit, and
-    are taken in Python ints past that.
+    products are taken in the integer type of a bound on them (_int_type),
+    and the thresholds, in [0, dden], come back in int64 when dden fits.
 
     The lines depend on (mod, den, dden) only; memo, a dict, keeps them
     for the next call with the same three."""
@@ -305,13 +303,10 @@ def _thresholds(mod: Modulus, levels: np.ndarray, den: int, dden: int,
     piece = np.searchsorted(ends, u)
     # the largest u on a sloped piece, at least 1 so that a fits as well
     umax = max(min(int(u.max(initial=0)), den), 1)
-    if max(map(abs, a)) * umax + max(map(abs, b)) <= _INT64_MAX \
-            and max(c) <= _INT64_MAX:
-        a, b, c = (np.array(x, dtype=np.int64)[piece] for x in (a, b, c))
-        return (a * u + b) // c
-    a, b, c = (np.array(x, dtype=object)[piece] for x in (a, b, c))
-    return np.minimum((a * u.astype(object) + b) // c,
-                      _INT64_MAX).astype(np.int64)
+    t = _int_type(max(max(map(abs, a)) * umax + max(map(abs, b)), max(c)))
+    a, b, c = (np.array(x, dtype=t)[piece] for x in (a, b, c))
+    return ((a * u.astype(t, copy=False) + b) // c).astype(_int_type(dden),
+                                                          copy=False)
 
 
 def _lines(mod: Modulus, den: int, dden: int):
@@ -481,7 +476,7 @@ def _levels(sd: SortData):
     level are looked up per pair.  When the den + 1 levels 0 .. den are no
     more than the pairs, index is D clipped to them: _thresholds reads a
     negative distance as 0, and a distance past den allows omega(1) as den
-    does.  Larger dens (up to 2^40) take the sorted distinct distances."""
+    does.  Larger dens take the sorted distinct distances."""
     D, den = sd.dmat, sd.den
     if den + 1 <= D.size:
         return np.arange(den + 1), np.clip(D, 0, den)
@@ -661,12 +656,14 @@ def _check(M: FiniteStructure, certify: bool) -> list[str]:
 # Exact evaluation (vectorized over quantifier axes)
 
 def _align(a, b):
-    """Two (den, value) pairs over their common denominator; a side whose
-    den already is that denominator is returned as it is."""
+    """Two (den, value) pairs over their common denominator L; a side whose
+    den already is L is returned as it is.  Past int64, both sides become
+    object arrays of Python ints, at least 1-d: numpy returns a 0-d result
+    as a bare int, which its ufuncs refuse past int64."""
     (da, va), (db, vb) = a, b
     L = da if da == db else math.lcm(da, db)
-    if L >= _MAX_DEN:
-        raise ValueError("denominator overflow during evaluation")
+    if _int_type(L) is object:
+        va, vb = (np.atleast_1d(v).astype(object) for v in (va, vb))
     return (L, va if L == da else va * (L // da),
             vb if L == db else vb * (L // db))
 
@@ -743,21 +740,16 @@ def _ev(f: Formula, M: FiniteStructure, env, depth: int, total: int):
             a, b = f.params
             den, v = vals[0]
             nden = den * a.denominator * b.denominator
-            if nden >= _MAX_DEN:
-                raise ValueError("denominator overflow in affine connective")
-            # nv = A·v + B·den, clamped to [0, nden]; in int64 only while
-            # the Python-int bound on |A·v| + |B·den| stays below 2^63
+            # nv = A·v + B·den, clamped to [0, nden], in the integer type
+            # of the Python-int bound on |A·v| + |B·den| and on nden
             A, B = a.numerator * b.denominator, b.numerator * a.denominator
             if not isinstance(v, np.ndarray):
                 nv = min(max(A * int(v) + B * den, 0), nden)
                 g = math.gcd(nv, nden)
                 return nden // g, nv // g
             vmax = max(int(np.abs(v).max(initial=0)), 1)
-            if abs(A) * vmax + abs(B) * den <= _INT64_MAX:
-                nv = np.clip(A * v + B * den, 0, nden)
-            else:
-                nv = np.clip(v.astype(object) * A + B * den, 0,
-                             nden).astype(np.int64)
+            t = _int_type(max(abs(A) * vmax + abs(B) * den, nden))
+            nv = np.clip(v.astype(t, copy=False) * A + B * den, 0, nden)
             g = math.gcd(int(np.gcd.reduce(np.ravel(nv))), nden)
             return nden // g, nv // g
         raise ValueError(f.op)
@@ -1087,6 +1079,8 @@ def load_structure(path: str, validate: bool = True) -> FiniteStructure:
         den = math.lcm(*(v.denominator for v in values.values()))
         scaled = {q: v.numerator * (den // v.denominator)
                   for q, v in values.items()}
+        if _int_type(max([den, *map(abs, scaled.values())])) is object:
+            raise ValueError(f"metric denominator too large for sort {s}")
         vals = np.fromiter(map(scaled.get, texts, repeat(0)), np.int64, m)
         rows, cols, vals = rows[used], cols[used], vals[used]
         dmat = np.zeros((n, n), dtype=np.int64)

@@ -1,6 +1,7 @@
 """Source checks over `mlw`: every public top-level function and class has
 a caller, every parameter is read, rationals are compared through one exact
-helper, and a first hit is taken through one helper too.
+helper, and a first hit is taken, and an integer type chosen, through one
+helper each.
 
 A name counts as used when some code outside its own definition refers to
 it: a name, an attribute, an import or a string (the benchmark's tracer
@@ -72,6 +73,37 @@ def test_fractions_are_compared_through_one_helper():
                     any(_scales_by_fraction(x) for x in ast.walk(node)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, "cross-multiplied comparison: " + ", ".join(found)
+
+
+def _reads_int64_bound(node: ast.AST) -> bool:
+    """`_INT64_MAX` read, or `np.iinfo(np.int64)` called."""
+    if isinstance(node, ast.Name):
+        return node.id == "_INT64_MAX" and isinstance(node.ctx, ast.Load)
+    return isinstance(node, ast.Call) and \
+        ast.unparse(node.func) in ("np.iinfo", "numpy.iinfo") and \
+        any(ast.unparse(a) in ("np.int64", "numpy.int64") for a in node.args)
+
+
+def test_integer_types_are_chosen_by_one_helper():
+    """`structures._int_type(bound)` alone picks between int64 and Python
+    ints: nothing else reads the int64 bound, and no den is refused as a
+    "denominator overflow" (evaluation is exact at any den)."""
+    found = [str(p) for p in sorted((ROOT / "src").rglob("*.py"))
+             if "denominator overflow" in p.read_text()]
+    helpers = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [ast.parse(path.read_text(), str(path))]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.FunctionDef) and node.name == "_int_type":
+                helpers += 1
+                continue
+            if _reads_int64_bound(node):
+                found.append(f"{path.name}:{node.lineno}")
+            stack.extend(ast.iter_child_nodes(node))
+    assert helpers == 1
+    assert not found, "int64 bound read outside _int_type: " + \
+        ", ".join(found)
 
 
 def _lists_every_hit(node: ast.AST) -> bool:

@@ -183,6 +183,29 @@ def test_bad_metric_line_is_a_data_error(tmp_path, capsys):
     assert "a, zz in sort s" in capsys.readouterr().err
 
 
+def test_metric_past_int64_is_a_data_error(tmp_path, capsys):
+    """A metric entry over 2^70 scales the table past int64: refused
+    before the table is filled, as a data error."""
+    big = str(tmp_path / "big.model")
+    Path(big).write_text("[sorts]\nA\n[points]\nA a\nA b\n[metric]\n"
+                         f"A a b {2**70 - 1}/{2**70}\n")
+    for argv in (("model", "check", "--ctor", big),
+                 ("eval", "--model", big, "--formula", "d(x0,x0)",
+                  "--assign", "x0=a")):
+        assert main(list(argv)) == 2
+        assert capsys.readouterr().err == \
+            "error: metric denominator too large for sort A\n"
+
+
+def test_eval_past_the_old_denominator_ceiling(capsys):
+    """N(25,1)'s den times 1517 passes 2^40: the exact value comes out."""
+    code, out = run(capsys, "eval", "--model", "N(depth=25,branch=1)",
+                    "--formula", "min(d(x0,<>),1/1517)",
+                    "--assign", "x0=<0,0,0>")
+    assert code == 0
+    assert out == "1/1517 [eval_formula(N(depth=25,branch=1))]\n"
+
+
 # --------------------------------------------------------------------------
 # Every verb in process: each imports its layers when it runs, so a missing
 # import shows only when that verb runs.
@@ -369,7 +392,8 @@ for argv in (["model", "build", "--ctor", "N(depth=2,branch=2)",
              ["model", "check", "--ctor", "n22.model"],
              ["model", "check", "--ctor", "M4(depth=2,branch=2)"],
              ["eval", "--bounds", "--model", "n22.model", "--formula",
-              "sup x1 . d(x0,x1)", "--assign", "x0=<>"]):
+              "sup x1 . d(x0,x1)", "--assign", "x0=<>"],
+             ["iso", "--a", "n22.model", "--b", "n22.model"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert mlw.cli.main(argv) == 0, argv
     assert "mlw.conditions" not in sys.modules, f"conditions loaded by {argv}"

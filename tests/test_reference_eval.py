@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mlw.analysis import realizes
@@ -135,11 +135,13 @@ def ref_realizes(M, t, n=None, tol=ZERO):
 @st.composite
 def denominators(draw):
     """A pool of denominators for one structure and its formulas: powers
-    of two up to 2^39 with small integers (lcms stay small), or one
-    arbitrary denominator up to 2^40 - 1 with 1."""
+    of two up to 2^62 with small integers, or one arbitrary denominator up
+    to 2^62 with 1.  Common denominators pass 2^63 (3 * 2^62, an affine
+    map's coefficient dens times a table's, or two pools' dens), where
+    evaluation leaves int64 for Python ints."""
     if draw(st.booleans()):
-        return [1, 2, 3, 6] + [2 ** draw(st.integers(0, 39)) for _ in range(3)]
-    return [1, draw(st.integers(1, 2**40 - 1))]
+        return [1, 2, 3, 6] + [2 ** draw(st.integers(0, 62)) for _ in range(3)]
+    return [1, draw(st.integers(1, 2**62))]
 
 
 @st.composite
@@ -241,16 +243,6 @@ def formulas(draw, scope, depth, pool, quantifiers=True):
 FREE = [("x0", "A"), ("x1", "B")]
 
 
-def _exact(run):
-    """run(), or a rejected example when the evaluator refuses a common
-    denominator of 2^40 or more (the reference has no such limit)."""
-    try:
-        return run()
-    except ValueError as e:
-        assume("denominator overflow" not in str(e))
-        raise
-
-
 # --------------------------------------------------------------------------
 # Differential tests
 
@@ -259,7 +251,7 @@ def test_eval_table_and_eval_formula_match_the_reference(data):
     pool = data.draw(denominators())
     M = data.draw(structures(pool))
     f = formulas(data.draw, FREE, data.draw(st.integers(1, 4)), pool)
-    den, table = _exact(lambda: eval_table(f, M, FREE))
+    den, table = eval_table(f, M, FREE)
     assert table.shape == (M.sorts["A"].size, M.sorts["B"].size)
     for i, j in np.ndindex(table.shape):
         want = ref_eval(f, M, {"x0": ("A", i), "x1": ("B", j)})
@@ -267,8 +259,7 @@ def test_eval_table_and_eval_formula_match_the_reference(data):
         names = {"x0": M.sorts["A"].points[i], "x1": M.sorts["B"].points[j]}
         assert eval_formula(f, M, names) == want
     sentence = sup("x0", inf("x1", f, "B"), "A")
-    assert _exact(lambda: eval_formula(sentence, M)) == \
-        ref_eval(sentence, M, {})
+    assert eval_formula(sentence, M) == ref_eval(sentence, M, {})
 
 
 @given(st.data())
@@ -282,15 +273,14 @@ def test_one_formula_object_on_structures_of_other_dens(data):
                  pools[0] + pools[1])
     sentence = sup("x0", inf("x1", f, "B"), "A")
     for M in Ms + Ms[:1]:
-        den, table = _exact(lambda: eval_table(f, M, FREE))
+        den, table = eval_table(f, M, FREE)
         for i, j in np.ndindex(table.shape):
             want = ref_eval(f, M, {"x0": ("A", i), "x1": ("B", j)})
             assert Fraction(int(table[i, j]), den) == want
             names = {"x0": M.sorts["A"].points[i],
                      "x1": M.sorts["B"].points[j]}
             assert eval_formula(f, M, names) == want
-        assert _exact(lambda: eval_formula(sentence, M)) == \
-            ref_eval(sentence, M, {})
+        assert eval_formula(sentence, M) == ref_eval(sentence, M, {})
 
 
 def test_one_formula_object_on_two_dens():
@@ -305,25 +295,37 @@ def test_one_formula_object_on_two_dens():
                 ref_eval(f, M, {"x0": ("A", i)})
 
 
-@pytest.mark.parametrize("den", [2**40, 2**40 + 1, 2**41])
-def test_equal_denominators_past_the_limit_still_overflow(den):
-    """Two values over one den of 2^40 or more, from a directly built
-    PredTable (FiniteStructure.build refuses such a den), are not returned
-    as they are: the common den is refused as an lcm past the limit is."""
+@pytest.mark.parametrize("dp, dr", [(2**40, 2**40), (2**62, 2**62),
+                                     (2**41, 3**26)])
+def test_common_denominators_past_int64_are_exact(dp, dr):
+    """Predicates P and R over dens of 2^40 and more, rationals over them
+    and over 3, and every connective: a common den of 3 * 2^62, or the
+    lcm of the coprime 2^41 and 3^26 (past 2^82), is taken in Python
+    ints, and the values, scalar or tabled, match the reference."""
     A = FiniteStructure.build({"A": ["a", "b"]},
                               {"A": (1, np.array([[0, 1], [1, 0]]))}).sorts
-    P = PredTable(("A",), den, np.array([1, den - 1], dtype=np.int64))
-    M = FiniteStructure(A, {}, {"P": P})
+    P = PredTable(("A",), dp, np.array([1, dp - 1], dtype=np.int64))
+    R = PredTable(("A",), dr, np.array([dr // 3, 2], dtype=np.int64))
+    M = FiniteStructure(A, {}, {"P": P, "R": R})
     x = Var("x0")
-    for f in (fmax(Pred("P", (x,)), Pred("P", (x,))),
-              fmonus(Pred("P", (x,)), Pred("P", (x,))),
-              fmin(Rat(Fraction(1, den)), Rat(Fraction(1, den))),
-              sup("x0", fmax(Pred("P", (x,)), Pred("P", (x,))))):
-        with pytest.raises(ValueError, match="denominator overflow"):
-            eval_table(f, M, [("x0", "A")] if summary(f).free else [])
-    # one such value on its own needs no common den
-    assert eval_formula(Pred("P", (x,)), M, {"x0": "b"}) == \
-        Fraction(den - 1, den)
+    p, r = Pred("P", (x,)), Pred("R", (x,))
+    third, small = Rat(Fraction(1, 3)), Rat(Fraction(5, dr))
+    big = fmax(fmin(Rat(Fraction(1, dp)), small), fmonus(small, third))
+    tiny = Rat(Fraction(1, dp * dr))  # over a den past int64 on its own
+    for f in (fmax(p, r), fmin(p, r), fmonus(p, r), fmonus(r, p),
+              fmax(p, third), neg(fmin(r, third)), cut(3, fmax(p, third)),
+              fmax(fmonus(p, r), fmin(p, third)),
+              affine(Fraction(5, 7), Fraction(1, 11), fmonus(p, r)),
+              fmin(big, neg(big)), affine(Fraction(3, 2), ZERO, big),
+              fmax(neg(tiny), tiny), fmonus(neg(tiny), tiny),
+              sup("x0", fmax(p, r)), inf("x0", fmin(r, third))):
+        for i, name in enumerate("ab"):
+            assert eval_formula(f, M, {"x0": name}) == \
+                ref_eval(f, M, {"x0": ("A", i)})
+        if summary(f).free:
+            den, table = eval_table(f, M, [("x0", "A")])
+            assert [Fraction(int(v), den) for v in table] == \
+                [ref_eval(f, M, {"x0": ("A", i)}) for i in range(2)]
 
 
 def test_quantifiers_over_a_one_point_sort():
@@ -362,10 +364,10 @@ def test_single_surviving_row_matches_the_gather_and_the_reference(data):
     M = data.draw(structures(pool))
     variables = FREE[:data.draw(st.integers(1, 2))]
     f = formulas(data.draw, variables, data.draw(st.integers(0, 3)), pool)
-    full_den, full = _exact(lambda: eval_table(f, M, variables))
+    full_den, full = eval_table(f, M, variables)
     for i in range(M.sorts["A"].size):
-        ((rows, den, table),) = _exact(lambda: list(
-            _eval_blocks(f, M, variables, blocks=[np.array([i])])))
+        ((rows, den, table),) = _eval_blocks(f, M, variables,
+                                             blocks=[np.array([i])])
         assert table.shape == (1,) + full.shape[1:]
         for idx in np.ndindex(table.shape):
             want = Fraction(int(full[(i,) + idx[1:]]), full_den)
@@ -395,7 +397,7 @@ def test_realizes_matches_the_reference(data):
             affine(data.draw(small), data.draw(small), f) for f in fs]
     t = PartialType(tuple(variables), tuple(closed(f) for f in fs))
     n = data.draw(st.sampled_from((None, len(fs) - 1, 1)))
-    assert _exact(lambda: realizes(M, t, n, tol)) == ref_realizes(M, t, n, tol)
+    assert realizes(M, t, n, tol) == ref_realizes(M, t, n, tol)
 
 
 @given(st.data())
@@ -480,7 +482,7 @@ def test_eval_bounds_matches_the_reference(data):
     f = data.draw(prenex(pool))
     i, j = (data.draw(st.integers(0, M.sorts[s].size - 1)) for s in "AB")
     names = {"x0": M.sorts["A"].points[i], "x1": M.sorts["B"].points[j]}
-    res = _exact(lambda: eval_bounds(f, M, names))
+    res = eval_bounds(f, M, names)
     assert (res.lo, res.hi, res.notes) == \
         ref_bounds(f, M, {"x0": ("A", i), "x1": ("B", j)})
 
@@ -512,7 +514,7 @@ def test_quantifiers_the_matrix_ignores_widen_nothing(data):
         padded = Quant(kind, var, sort, padded)
     i, j = (data.draw(st.integers(0, M.sorts[s].size - 1)) for s in "AB")
     names = {"x0": M.sorts["A"].points[i], "x1": M.sorts["B"].points[j]}
-    got = _exact(lambda: eval_bounds(padded, M, names))
+    got = eval_bounds(padded, M, names)
     want = eval_bounds(f, M, names)
     assert (got.lo, got.hi, got.notes) == (want.lo, want.hi, want.notes)
     assert (got.lo, got.hi, got.notes) == \

@@ -192,7 +192,8 @@ def test_table_predicate_over_empty_sort_builds():
     assert check_structure(M) == []
 
 
-@given(st.integers(1, 2**40), st.integers(1, 3**40), st.booleans(), st.data())
+@given(st.integers(1, 2**63 - 1), st.integers(1, 3**40), st.booleans(),
+       st.data())
 def test_max_numerator_matches_fraction_comparison(den, qden, strict, data):
     q = Fraction(data.draw(st.integers(0, qden)), qden)
     a = q.numerator * den // q.denominator
@@ -221,7 +222,7 @@ def _coefficient(data):
                     data.draw(st.sampled_from((1, 2, 3, 7, 2**10, 3**7))))
 
 
-@given(st.integers(1, 2**40 - 1), st.data())
+@given(st.integers(1, 2**63 - 1), st.data())
 def test_affine_matches_fraction_arithmetic(den, data):
     a, b = _coefficient(data), _coefficient(data)
     vals = data.draw(st.lists(st.integers(0, den), min_size=1, max_size=6))
@@ -231,10 +232,28 @@ def test_affine_matches_fraction_arithmetic(den, data):
         {}, {"P": (("A",), (den, np.array(vals, dtype=np.int64)))})
     f = affine(a, b, Pred("P", (Var("x0"),)))
     want = [min(max(a * Fraction(v, den) + b, ZERO), ONE) for v in vals]
-    if den * a.denominator * b.denominator >= 2**40:
-        with pytest.raises(ValueError, match="denominator overflow"):
-            eval_table(f, M, [("x0", "A")])
-        return
     tden, table = eval_table(f, M, [("x0", "A")])
     assert [Fraction(int(v), tden) for v in table] == want
     assert [eval_formula(f, M, {"x0": p}) for p in pts] == want
+
+
+def test_build_takes_dens_up_to_int64():
+    """Stored tables are int64: a den of 2^63 - 1 builds, and 2^63 is
+    refused, from a callable and from a table, for a metric and for a
+    predicate."""
+    pts, discrete = {"A": ["a", "b"]}, (1, np.array([[0, 1], [1, 0]]))
+    for den in (2**63 - 1, 2**63):
+        q = Fraction(1, den)
+        specs = [({"A": lambda x, y: q * (x != y)}, {}),
+                 ({"A": (den, np.array([[0, 1], [1, 0]]))}, {}),
+                 ({"A": discrete}, {"P": (("A",), lambda x: q)}),
+                 ({"A": discrete}, {"P": (("A",), (den, np.array([0, 1])))})]
+        for metric, preds in specs:
+            if den == 2**63:
+                with pytest.raises(ValueError, match="denominator too large"):
+                    FiniteStructure.build(pts, metric, None, preds)
+                continue
+            M = FiniteStructure.build(pts, metric, None, preds)
+            built = M.predicates["P"] if preds else M.sorts["A"]
+            table = built.table if preds else built.dmat
+            assert (built.den, table.dtype) == (den, np.int64)

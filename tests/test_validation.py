@@ -372,18 +372,21 @@ def _reference_thresholds(mod, us, den, dden) -> list[int]:
 @given(threshold_cases())
 @example((Modulus.lipschitz(1), 2**40 - 1, 2**40, [0, 1, 2**39, 2**40 - 1]))
 @example((Modulus.lipschitz(Fraction(3, 2)), 3, 2**62, [0, 1, 2, 3, 7]))
+@example((Modulus.lipschitz(Fraction(1, 3)), 3, 2**63 + 3, [0, 1, 2, 3, 7]))
 def test_integer_thresholds_match_fractions(case):
     mod, den, dden, us = case
     got = _thresholds(mod, np.array(us, dtype=np.int64), den, dden)
-    assert got.dtype == np.int64
-    assert got.tolist() == _reference_thresholds(mod, us, den, dden)
+    want = _reference_thresholds(mod, us, den, dden)
+    assert got.tolist() == want
+    if dden < 2**63:  # the thresholds lie in [0, dden]
+        assert got.dtype == np.int64
 
 
 @settings(max_examples=150)
 @given(threshold_cases(), st.integers(0, 40))
 def test_integer_thresholds_past_int64(case, bits):
     """With the int64 bound lowered to 2^bits, most cases take the Python-
-    int fallback; the reference caps at the same bound."""
+    int path, and thresholds past the bound stay Python ints."""
     mod, den, dden, us = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(structures_mod, "_INT64_MAX", 2**bits - 1)
@@ -803,3 +806,52 @@ def test_modulus_report_orders_negative_distances():
     assert report == _check(M, certify=False) == _loop_report(M)
     assert "modulus violation: P argument 0 at pair (a, c): input distance " \
         "-2 allows change 0, table changes by 1" in report
+
+
+# --------------------------------------------------------------------------
+# Denominators near and past int64
+
+def _scaled_pair(k: int, corrupt: bool) -> FiniteStructure:
+    """An ultrametric U (den 3) with a predicate P and an isometry f, and a
+    6-cycle C (den 3) with a predicate Q, every den and table value times
+    k.  Corrupted: P breaks its modulus at (a, b) and C the triangle
+    inequality at (c0, c2) via c1."""
+    U = np.array([[0, 1, 3, 3], [1, 0, 3, 3], [3, 3, 0, 2], [3, 3, 2, 0]])
+    i = np.arange(6)
+    C = np.minimum(np.abs(i[:, None] - i), 6 - np.abs(i[:, None] - i))
+    P, Q = np.array([0, 1, 3, 3]), np.array([0, 1, 2, 3, 2, 1])
+    if corrupt:
+        P[1], C[0, 2], C[2, 0] = 3, 3, 3
+    two = Modulus.lipschitz(2)
+    return FiniteStructure.build(
+        {"U": list("abcd"), "C": [f"c{j}" for j in range(6)]},
+        {"U": (3 * k, U * k), "C": (3 * k, C * k)},
+        {"f": (("U",), "U", np.array([1, 0, 3, 2]))},
+        {"P": (("U",), (3 * k, P * k)), "Q": (("C",), (3 * k, Q * k))},
+        {"f": Modulus.lipschitz(1), "P": two, "Q": two})
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_dens_near_int64_validate_as_small_ones(corrupt):
+    """Scaled by 2^61, the dens are 3 * 2^61: the triangle scan's sums and
+    the thresholds' products (2 * den) pass int64 and are taken in
+    Python ints, and the report is the unscaled one."""
+    want = check_structure(_scaled_pair(1, corrupt))
+    assert bool(want) == corrupt
+    M = _scaled_pair(2**61, corrupt)
+    assert check_structure(M) == _check(M, certify=False) == want
+
+
+def test_predicate_den_past_int64_is_checked_exactly():
+    """A PredTable built directly with den 2^63 and values outside
+    [0, den]: the change of 2^63 over a distance of 1 is exactly what
+    omega allows, and one more is reported."""
+    A = FiniteStructure.build({"A": ["a", "b"]},
+                              {"A": (1, np.array([[0, 1], [1, 0]]))}).sorts
+    for top, want in ((2**62, []), (2**62 + 1, [
+            "modulus violation: P argument 0 at pair (a, b): input distance "
+            "1 allows change 1, table changes by 9223372036854775809/"
+            "9223372036854775808"])):
+        P = PredTable(("A",), 2**63, np.array([-2**62, top]))
+        M = FiniteStructure(A, {}, {"P": P}, {"P": Modulus.lipschitz(1)})
+        assert check_structure(M) == _check(M, certify=False) == want
