@@ -197,13 +197,15 @@ def _cmd_iso(args) -> int:
     from .models import canonical_truncation, kfamily_check, load_kfamily
     if args.family:
         fam = load_kfamily(args.family)
-        rows = kfamily_check(fam, l=args.l or 1, m=args.m, r=args.r, mu=args.mu)
+        cap = {} if args.cap is None else {"cap": args.cap}
+        rows = kfamily_check(fam, l=args.l or 1, m=args.m, r=args.r,
+                             mu=args.mu, **cap)
         for row in rows:
             print(f"{row['clause']}: {'ok' if row['ok'] else 'FAIL'} - "
                   f"{row['detail']} [kfamily_check]")
-        A = canonical_truncation(fam, args.m, args.r, mu=args.mu)
+        A = canonical_truncation(fam, args.m, args.r, mu=args.mu, **cap)
         B = canonical_truncation(fam, args.m, args.r, mu=args.mu, l=args.l,
-                                 perturb=args.perturb)
+                                 perturb=args.perturb, **cap)
         label = (f"canonical_truncation(m={args.m}, r={args.r}, mu={args.mu}, "
                  f"l={args.l}, perturb={args.perturb})")
     else:

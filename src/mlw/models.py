@@ -742,10 +742,11 @@ def canonical_truncation(family: KFamily, m: int, r: int, mu: int = 2,
          "roles": len(canon.memo), "density": {"D1": None}})
 
 
-def kfamily_check(K: KFamily, l: int, m: int, r: int, mu: int = 2) -> list[dict]:
+def kfamily_check(K: KFamily, l: int, m: int, r: int, mu: int = 2,
+                  cap: int = POINT_CAP) -> list[dict]:
     """Finite surrogates of the family laws: recurrence and
     variation-closure by annotation counting, pruning-exchange both ways by
-    isomorphism search on canonical truncations."""
+    isomorphism search on canonical truncations (of at most cap points)."""
     from .analysis import IsoWitness, find_iso
     rows = []
     bad = [i for i, f in enumerate(K.functions) if f.mult != "omega"]
@@ -770,8 +771,8 @@ def kfamily_check(K: KFamily, l: int, m: int, r: int, mu: int = 2) -> list[dict]
         ok, detail = True, []
         for idx, f in enumerate(K.functions):
             sub = KFamily(K.base, (f,))
-            A = canonical_truncation(sub, m, r, mu, l=la)
-            B = canonical_truncation(sub, m, r, mu, l=lb)
+            A = canonical_truncation(sub, m, r, mu, l=la, cap=cap)
+            B = canonical_truncation(sub, m, r, mu, l=lb, cap=cap)
             res = find_iso(A, B)
             if isinstance(res, IsoWitness):
                 detail.append(f"function {idx}: matched (i={idx})")

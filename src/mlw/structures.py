@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +21,8 @@ from operator import itemgetter
 import numpy as np
 
 from .formulas import (App, Conn, Const, Dist, Formula, Pred, Quant, Rat,
-                       SymbolModuli, Var, _modulus_for_var, summary)
+                       SymbolModuli, Var, _memo_on_formula, _modulus_for_var,
+                       summary)
 from .moduli import Modulus
 from .values import ONE, ZERO, parse_rational, show_rational
 
@@ -42,6 +44,15 @@ class SortData:
     index: dict[str, int] = field(compare=False)
     # (order, join) of an ultrametric built from level ids (see _id_metric)
     tree: tuple | None = field(default=None, compare=False, repr=False)
+    # every entry in [0, den], which exact evaluation needs (None: read
+    # off dmat); check_structure reports a table outside that range
+    bounded: bool | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.bounded is None:
+            D = self.dmat
+            object.__setattr__(self, "bounded", not D.size or (
+                0 <= D.min() and D.max() <= self.den))
 
     @property
     def size(self) -> int:
@@ -103,10 +114,11 @@ class FiniteStructure:
             if _int_type(spec[0]) is object:
                 raise ValueError(f"metric denominator too large for sort {s}")
             if len(spec) == 3:
-                den, dmat, tree = _id_metric(*spec, n)
+                den, dmat, tree, bounded = _id_metric(*spec, n)
             else:
                 den, dmat = spec[0], np.asarray(spec[1], np.int64).reshape(n, n)
-            sorts[s] = SortData(names, den, dmat, idx, tree)
+                bounded = None
+            sorts[s] = SortData(names, den, dmat, idx, tree, bounded)
 
         fns: dict[str, FnTable] = {}
         for name, (arg_sorts, out_sort, fn) in (functions or {}).items():
@@ -206,8 +218,9 @@ def _agreement(levels) -> np.ndarray:
 
 
 def _id_metric(den: int, dist, levels, n: int):
-    """The read-only distance table of a (den, dist, levels) metric and,
-    when it is an ultrametric with values in [0, 1], its certificate.
+    """The read-only distance table of a (den, dist, levels) metric, when
+    it is an ultrametric with values in [0, 1] its certificate, and True
+    when its values lie in [0, 1] (else None, for SortData to read off).
 
     levels holds one id vector per level: two points that agree on exactly
     k leading levels are at distance dist[k] / den, each point at 0 from
@@ -232,9 +245,10 @@ def _id_metric(den: int, dist, levels, n: int):
                                       axis=0).sum(axis=0)
     join = np.zeros(n, dtype=np.int64)
     join[1:] = dist[agree]
-    ok = ((np.diff(dist) <= 0).all() and 0 <= dist.min() <= dist.max() <= den
-          and (agree < len(levels)).all() and (join[1:] > 0).all())
-    return den, dmat, (order, join) if ok else None
+    bounded = 0 <= dist.min() <= dist.max() <= den or None  # dmat's values
+    ok = bounded and (np.diff(dist) <= 0).all() and (
+        agree < len(levels)).all() and (join[1:] > 0).all()
+    return den, dmat, (order, join) if ok else None, bounded
 
 
 # --------------------------------------------------------------------------
@@ -654,129 +668,216 @@ def _check(M: FiniteStructure, certify: bool) -> list[str]:
 
 # --------------------------------------------------------------------------
 # Exact evaluation (vectorized over quantifier axes)
+#
+# A value is (den, v), v a Python int or an integer ndarray scaled by den.
+# Axes count from the right: in a formula of quantifier depth D, the
+# variable of a quantifier at depth d runs along the axis at offset D - d,
+# and eval_table's listed variables along the offsets above D.
+
+class _Axis:
+    """A variable bound to a whole axis, at offset off from the right; tail
+    indexes one dimension of a table into that place."""
+    __slots__ = ("off", "tail")
+
+    def __init__(self, off: int):
+        self.off, self.tail = off, (slice(None),) + (None,) * (off - 1)
+
+
+def _read(T, args):
+    """T at its arguments: point indices, whole axes (_Axis) and index
+    arrays.  Points and distinct axes read a view of T, transposed into the
+    order of the axes (a Python int when no axis is left); index arrays,
+    or an axis given twice, gather."""
+    if len(args) == 2 and type(args[0]) is int and type(args[1]) is _Axis:
+        return T[(args[0],) + args[1].tail]  # a row of a distance table
+    offs = sorted((a.off for a in args if type(a) is _Axis), reverse=True)
+    if len(set(offs)) < len(offs) or np.ndarray in map(type, args):
+        return T[tuple(np.arange(n)[a.tail] if type(a) is _Axis else a
+                       for n, a in zip(T.shape, args))]
+    idx = [a for a in args if type(a) is not _Axis]
+    if not offs:
+        return int(T[tuple(idx)])
+    T = T.transpose(sorted(range(len(args)), key=lambda k: -getattr(
+        args[k], "off", math.inf)))  # the points first, then the axes
+    for off, nxt in zip(offs, offs[1:] + [0]):
+        idx += (slice(None),) + (None,) * (off - nxt - 1)
+    return T[tuple(idx)]
+
 
 def _align(a, b):
     """Two (den, value) pairs over their common denominator L; a side whose
-    den already is L is returned as it is.  Past int64, both sides become
-    object arrays of Python ints, at least 1-d: numpy returns a 0-d result
-    as a bare int, which its ufuncs refuse past int64."""
+    den already is L is returned as it is.  Past int64, arrays become
+    object arrays of Python ints."""
     (da, va), (db, vb) = a, b
-    L = da if da == db else math.lcm(da, db)
+    if da == db:
+        return da, va, vb
+    L = math.lcm(da, db)
     if _int_type(L) is object:
-        va, vb = (np.atleast_1d(v).astype(object) for v in (va, vb))
+        va, vb = (v.astype(object) if type(v) is np.ndarray else v
+                  for v in (va, vb))
     return (L, va if L == da else va * (L // da),
             vb if L == db else vb * (L // db))
 
 
-def _ev_term(t, M: FiniteStructure, env):
-    """Index array (broadcastable) plus the sort of the term."""
-    kind = type(t)  # exact types, as summary reads them
-    if kind is Var:
-        if t.name not in env:
-            raise ValueError(f"unbound variable {t.name}")
-        return env[t.name]
-    if kind is Const:
-        s, i = M.constant(t.name)
-        return s, i
-    if kind is App:
-        fn = M.functions.get(t.fn)
-        if fn is None:
-            raise ValueError(f"unknown function symbol {t.fn}")
-        args = []
-        for a, s in zip(t.args, fn.arg_sorts):
-            sa, ia = _ev_term(a, M, env)
-            if sa != s:
-                raise ValueError(f"sort mismatch in argument of {t.fn}: "
-                                 f"{sa} where {s} expected")
-            args.append(ia)
-        return fn.out_sort, fn.table[tuple(args)]
-    raise TypeError(t)
-
-
-def _ev(f: Formula, M: FiniteStructure, env, depth: int, total: int):
-    """Returns (den, value) with value an int or int ndarray scaled by den."""
-    kind = type(f)  # exact types, as summary reads them
-    if kind is Rat:
-        return f.value.denominator, f.value.numerator
-    if kind is Dist:
-        (s1, i1), (s2, i2) = _ev_term(f.left, M, env), _ev_term(f.right, M, env)
-        if s1 != s2:
-            raise ValueError(f"d across sorts {s1} and {s2}")
-        sd = M.sorts[s1]
-        return sd.den, sd.dmat[i1, i2]
-    if kind is Pred:
-        pr = M.predicates.get(f.name)
-        if pr is None:
-            raise ValueError(f"unknown predicate symbol {f.name}")
-        if len(f.args) != len(pr.arg_sorts):
-            raise ValueError(f"arity mismatch for {f.name}")
-        args = []
-        for a, s in zip(f.args, pr.arg_sorts):
-            sa, ia = _ev_term(a, M, env)
-            if sa != s:
-                raise ValueError(f"sort mismatch in argument of {f.name}")
-            args.append(ia)
-        return pr.den, pr.table[tuple(args)]
-    if kind is Conn:
-        vals = [_ev(a, M, env, depth, total) for a in f.args]
-        if f.op in ("max", "min"):
-            den, out = vals[0]
-            npop = np.maximum if f.op == "max" else np.minimum
-            for v in vals[1:]:
-                den, a, b = _align((den, out), v)
-                out = npop(a, b)
-            return den, out
-        if f.op == "neg":
-            den, v = vals[0]
-            return den, den - v
-        if f.op == "monus":
-            den, a, b = _align(vals[0], vals[1])
-            return den, np.maximum(a - b, 0)
-        if f.op == "cut":
-            m = f.params[0]
-            den, a, b = _align(vals[0], (m, 1))
-            return den, np.maximum(a - b, 0)
-        if f.op == "affine":
-            a, b = f.params
-            den, v = vals[0]
-            nden = den * a.denominator * b.denominator
-            # nv = A·v + B·den, clamped to [0, nden], in the integer type
-            # of the Python-int bound on |A·v| + |B·den| and on nden
-            A, B = a.numerator * b.denominator, b.numerator * a.denominator
-            if not isinstance(v, np.ndarray):
-                nv = min(max(A * int(v) + B * den, 0), nden)
-                g = math.gcd(nv, nden)
-                return nden // g, nv // g
-            vmax = max(int(np.abs(v).max(initial=0)), 1)
-            t = _int_type(max(abs(A) * vmax + abs(B) * den, nden))
-            nv = np.clip(v.astype(t, copy=False) * A + B * den, 0, nden)
-            g = math.gcd(int(np.gcd.reduce(np.ravel(nv))), nden)
-            return nden // g, nv // g
-        raise ValueError(f.op)
-    if kind is Quant:
-        sort = f.sort or M.only_sort()
-        n = M.sorts[sort].size
-        if n == 0:
-            raise ValueError(f"quantifier over empty sort {sort}")
-        shape = (1,) * depth + (n,) + (1,) * (total - depth - 1)
-        sub = dict(env)
-        sub[f.var] = (sort, np.arange(n).reshape(shape))
-        den, v = _ev(f.body, M, sub, depth + 1, total)
-        if isinstance(v, np.ndarray) and v.ndim > depth and v.shape[depth] > 1:
-            red = np.maximum if f.kind == "sup" else np.minimum
-            v = red.reduce(v, axis=depth, keepdims=True)
+def _apply(g: Conn, vals):
+    """The connective g on its arguments' (den, value) pairs; two Python
+    ints combine in Python ints."""
+    op, (den, v) = g.op, vals[0]
+    if op == "neg":
+        return den, den - v
+    if op in ("monus", "cut"):  # max(u - w, 0)
+        den, u, w = _align(vals[0], (g.params[0], 1) if op == "cut"
+                           else vals[1])
+        op, vals = "max", [(den, u - w), (den, 0)]
+    if op in ("max", "min"):
+        den, v = vals[0]
+        for w in vals[1:]:
+            den, v, w = _align((den, v), w)
+            if type(v) is np.ndarray or type(w) is np.ndarray:
+                v = (np.maximum if op == "max" else np.minimum)(v, w)
+            else:
+                v = max(v, w) if op == "max" else min(v, w)
         return den, v
-    raise TypeError(f)
+    a, b = g.params  # affine
+    nden = den * a.denominator * b.denominator
+    # nv = A·v + B·den, clamped to [0, nden], in the integer type of the
+    # Python-int bound on |A·v| + |B·den| and on nden
+    A, B = a.numerator * b.denominator, b.numerator * a.denominator
+    if type(v) is not np.ndarray:
+        nv = min(max(A * v + B * den, 0), nden)
+        c = math.gcd(nv, nden)
+        return nden // c, nv // c
+    vmax = max(int(np.abs(v).max(initial=0)), 1)
+    t = _int_type(max(abs(A) * vmax + abs(B) * den, nden))
+    nv = np.clip(v.astype(t, copy=False) * A + B * den, 0, nden)
+    c = math.gcd(int(np.gcd.reduce(np.ravel(nv))), nden)
+    return nden // c, nv // c
+
+
+def _closure(g, kids, D: int, d: int):
+    """The closure run(M, env) of the node g at quantifier depth d of a
+    formula of depth D, over its children's closures (a constant child is
+    its (den, value)); env maps variables to (sort, a point index, an _Axis
+    or an index array).  A term's closure returns (sort, point indices), a
+    formula's (den, value), and a connective of constants its value."""
+    kind = type(g)
+    if kind is Conn:
+        if g.op not in ("max", "min", "neg", "monus", "cut", "affine"):
+            raise ValueError(g.op)
+        if not any(map(callable, kids)):
+            return _apply(g, kids)
+        return lambda M, env: _apply(
+            g, [k(M, env) if callable(k) else k for k in kids])
+    if kind is Var or kind is Const:
+        def run(M, env):
+            if kind is Const:
+                return M.constant(g.name)
+            if g.name not in env:
+                raise ValueError(f"unbound variable {g.name}")
+            return env[g.name]
+    elif kind is Dist:
+        left, right = kids
+
+        def run(M, env):
+            (s, a), (s2, b) = left(M, env), right(M, env)
+            if s != s2:
+                raise ValueError(f"d across sorts {s} and {s2}")
+            sd = M.sorts[s]
+            if not sd.bounded:
+                raise ValueError(f"sort {s} has distances outside [0,1]")
+            return sd.den, _read(sd.dmat, (a, b))
+    elif kind is Quant:
+        axis, off = _Axis(D - d), D - d
+        red, pick = ((np.maximum, np.ndarray.argmax) if g.kind == "sup"
+                     else (np.minimum, np.ndarray.argmin))
+
+        def run(M, env):
+            s = g.sort or M.only_sort()
+            if not M.sorts[s].size:
+                raise ValueError(f"quantifier over empty sort {s}")
+            den, v = kids[0](M, {**env, g.var: (s, axis)}) \
+                if callable(kids[0]) else kids[0]
+            if type(v) is np.ndarray:  # reduced along the axis
+                n = v.shape[-off] if v.ndim >= off else 1
+                if v.size == n:  # to one value: an int
+                    v = v.reshape(-1)
+                    v = int(v[pick(v)])
+                elif n > 1:
+                    v = red.reduce(v, axis=-off, keepdims=True)
+            return den, v
+    else:  # a function application or a predicate
+        fn = kind is App
+        name = g.fn if fn else g.name
+
+        def run(M, env):
+            sorts, args = zip(*[k(M, env) for k in kids]) if kids \
+                else ((), ())
+            table = (M.functions if fn else M.predicates).get(name)
+            if table is None:
+                raise ValueError(f"unknown symbol {name}")
+            if sorts != table.arg_sorts:
+                raise ValueError(f"{name} takes sorts {table.arg_sorts}, "
+                                 f"given {sorts}")
+            return (table.out_sort if fn else table.den,
+                    _read(table.table, args))
+    return run
+
+
+def _shared(run, k: int):
+    """run, evaluated once per scope of a plan call: kept in env under the
+    slot number k (variables are named by strings)."""
+    def once(M, env):
+        if k not in env:
+            env[k] = run(M, env)
+        return env[k]
+    return once
+
+
+@_memo_on_formula
+def _plan(f: Formula):
+    """f compiled once per formula object into a closure (Feeley & Lapalme
+    1987), or a constant (den, value); nothing of a model is kept in it.
+    Structurally equal subterms are interned bottom-up into one slot
+    (hash-consing, Filliatre & Conchon 2006), keyed by kind, symbol,
+    parameters and children's slots, a variable by its binder's depth and
+    sort; a slot read twice is evaluated once per call."""
+    slots, nodes = {}, []  # key -> slot; per slot (node, children, depth)
+
+    def intern(g, scope, d):
+        kind = type(g)
+        if kind is Var:
+            kids, key = (), (kind, g.name, scope.get(g.name))
+        elif kind is Quant:
+            kids = (intern(g.body, {**scope, g.var: (d, g.sort)}, d + 1),)
+            key = kind, g.kind, g.var, g.sort, d, kids
+        elif kind is Rat or kind is Const:
+            kids, key = (), (kind, g.value if kind is Rat else g.name)
+        else:
+            kids = tuple([intern(a, scope, d) for a in (
+                (g.left, g.right) if kind is Dist else g.args)])
+            key = kind, (g.op, g.params) if kind is Conn else getattr(
+                g, "fn", None) or getattr(g, "name", None), kids
+        k = slots.setdefault(key, len(slots))
+        if k == len(nodes):
+            nodes.append((g, kids, d))
+        return k
+
+    root, D = intern(f, {}, 0), summary(f).depth
+    reads = Counter(k for _, kids, _ in nodes for k in kids)
+    built = []
+    for k, (g, kids, d) in enumerate(nodes):  # children first
+        run = (g.value.denominator, g.value.numerator) if type(g) is Rat \
+            else _closure(g, [built[j] for j in kids], D, d)
+        built.append(_shared(run, k) if reads[k] > 1 and callable(run)
+                     else run)
+    return built[root]
 
 
 def eval_formula(f: Formula, M: FiniteStructure, assignment=None) -> Fraction:
     """Exact value of f on M.  assignment maps free variable names to point
     names (sort resolved from annotations, or the unique sort)."""
     info = summary(f)
-    env = _bind(info.free, M, assignment)
-    den, v = _ev(f, M, env, 0, max(info.depth, 1))
-    if isinstance(v, np.ndarray):
-        v = int(v.reshape(-1)[0])
+    den, v = _table(f, M, _bind(info.free, M, assignment), [], info.depth)
     return Fraction(int(v), den)
 
 
@@ -785,9 +886,9 @@ def eval_table(f: Formula, M: FiniteStructure, variables,
     """Exact values of f for all point combinations of the listed free
     variables at once.  variables: [(name, sort)], one numpy axis each in
     order; remaining free variables come from assignment.  Returns
-    (den, table) with table integer-valued, scaled by den."""
-    _, den, table = next(_eval_blocks(f, M, variables, assignment))
-    return den, table
+    (den, table) with table integer-valued, scaled by den, and read-only
+    (it may be a view of the structure's own tables)."""
+    return next(_eval_blocks(f, M, variables, assignment))[1:]
 
 
 def _eval_blocks(f: Formula, M: FiniteStructure, variables, assignment=None,
@@ -798,17 +899,21 @@ def _eval_blocks(f: Formula, M: FiniteStructure, variables, assignment=None,
     no listed variable), one block of every row, with rows None."""
     variables = [(v, s or M.only_sort()) for v, s in variables]
     env, total = _table_env([f], M, variables, assignment)
+    shape = [M.sorts[s].size for _, s in variables]
     for rows in (blocks if variables and blocks is not None else [None]):
         if rows is not None:
             _bind_rows(env, variables, total, rows)
-        yield (rows, *_table(f, M, env, variables, total))
+            shape[0] = len(rows)
+        den, v = _table(f, M, env, variables, total)
+        yield rows, den, np.broadcast_to(v, tuple(shape))
 
 
 def _table_env(fs, M: FiniteStructure, variables, assignment=None):
     """The environment eval_table evaluates the formulas fs in: variable j
-    of the listed (name, sort) pairs along axis j of total axes, where
-    total leaves room for the deepest of fs's quantifiers, and the other
-    free variables at the points assignment names.  Returns (env, total)."""
+    of the listed (name, sort) pairs along the axis at offset total - j,
+    where total leaves room for the deepest of fs's quantifiers, and the
+    other free variables at the points assignment names.  Returns (env,
+    total)."""
     free, depth = {}, 0
     for f in fs:
         info = summary(f)
@@ -824,34 +929,31 @@ def _table_env(fs, M: FiniteStructure, variables, assignment=None):
     missing = set(free) - listed - set(env)
     if missing:
         raise ValueError(f"unbound variables {sorted(missing)}")
-    total = max(len(variables) + depth, 1)
+    total = len(variables) + depth
     for j, (name, sort) in enumerate(variables):
-        n = M.sorts[sort].size
-        env[name] = (sort, np.arange(n).reshape(
-            (1,) * j + (n,) + (1,) * (total - j - 1)))
+        env[name] = (sort, _Axis(total - j))
     return env, total
 
 
 def _bind_rows(env, variables, total: int, rows: np.ndarray):
     """Bind the first listed variable to the given rows, an index array,
-    along the first of total axes."""
+    along the axis at offset total."""
     name, sort = variables[0]
     env[name] = (sort, rows.reshape((-1,) + (1,) * (total - 1)))
 
 
 def _table(f: Formula, M: FiniteStructure, env, variables, total: int):
-    """(den, table) of f, one axis per listed variable, over the points
-    env binds them to.  Each row is evaluated on its own, but den is that
-    of the rows evaluated (the affine connective divides out the gcd of
-    their values), so compare only through _max_numerator with this den."""
-    r = len(variables)
-    den, v = _ev(f, M, env, r, total)
-    shape = tuple(env[name][1].shape[j]
-                  for j, (name, _) in enumerate(variables))
-    full = shape + (1,) * (total - r)
-    if np.shape(v) != full:
-        v = np.broadcast_to(np.asarray(v), full)
-    return den, v.reshape(shape)
+    """(den, value) of f over the points env binds the listed variables to,
+    unbroadcast: the value has at most one axis per listed variable, in
+    their order from the right, and broadcasts against the table.  Each
+    row is evaluated on its own, but den is that of the rows evaluated
+    (the affine connective divides out the gcd of their values), so
+    compare only through _max_numerator with this den."""
+    run = _plan(f)
+    den, v = run(M, dict(env)) if callable(run) else run
+    if type(v) is np.ndarray:  # drop the quantifiers' axes, reduced to 1
+        v = v.reshape(v.shape[:max(v.ndim - total + len(variables), 0)])
+    return den, v
 
 
 def _bind(free: dict, M: FiniteStructure, assignment):

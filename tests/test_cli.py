@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from mlw.cli import main
+from mlw.models import default_kfamily, save_kfamily
 from mlw.structures import FiniteStructure, save_structure
 
 
@@ -356,6 +357,22 @@ def test_iso_family_mode_needs_no_pair(tmp_path, capsys):
     code, out = run(capsys, "iso", "--family", str(fam), "--m", "3",
                     "--r", "4", "--l", "1")
     assert code == 0 and out.splitlines()[-1].startswith("isomorphic [")
+
+
+def test_iso_family_mode_takes_the_global_cap(tmp_path, capsys):
+    """--cap reaches kfamily_check and both canonical truncations: the
+    default family at m = r = 4 needs 1829-1901 points, past the default
+    cap of 1500, which still applies without --cap."""
+    fam = tmp_path / "def.kfamily"
+    save_kfamily(default_kfamily(), str(fam))
+    argv = ["iso", "--family", str(fam), "--m", "4", "--r", "4", "--l"]
+    code, out = run(capsys, *argv, "1")
+    assert code == 2 and out == ""
+    code, out = run(capsys, "--cap", "2000", *argv, "1")
+    assert code == 0 and out.splitlines()[-1].startswith("isomorphic [")
+    # pruned at level 2, the truncations differ: a refusal, not a cap error
+    code, out = run(capsys, "--cap", "2000", *argv, "2")
+    assert code == 1 and "sort D1: 1901 vs 1829" in out
 
 
 # --------------------------------------------------------------------------

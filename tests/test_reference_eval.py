@@ -7,7 +7,7 @@ connectives as written in `mlw.formulas`; it knows nothing of common
 denominators, int64 or broadcasting."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -21,8 +21,10 @@ from mlw.formulas import (App, Conn, Const, Dist, Pred, Quant, Rat, Var,
                           _modulus_for_var, affine, cut, fmax, fmin, fmonus,
                           inf, neg, summary, sup)
 from mlw.moduli import Modulus
-from mlw.structures import (FiniteStructure, PredTable, _eval_blocks,
-                            eval_bounds, eval_formula, eval_table)
+import mlw.structures
+from mlw.structures import (FiniteStructure, FnTable, PredTable, SortData,
+                            _eval_blocks, eval_bounds, eval_formula,
+                            eval_table)
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -527,3 +529,121 @@ def test_reference_agrees_on_a_constructor_type(m_small, tol):
     type, so a fault shared by the random generators does not hide."""
     t = build_type("s_m", 1, 3)
     assert realizes(m_small, t, tol=tol) == ref_realizes(m_small, t, tol=tol)
+
+
+# --------------------------------------------------------------------------
+# Evaluation plans: axis views, gathers and shared slots
+
+def _plan_structure(den, seed=0):
+    """One sort A of 4 points with an asymmetric table in [0, den] (no
+    metric axioms) that the caller may still write to, f: A -> A, P(A)
+    and a ternary R(A, A, A)."""
+    rng = np.random.default_rng(seed)
+    names = ["a0", "a1", "a2", "a3"]
+    dmat = rng.integers(0, 7, (4, 4)) * (den // 6)
+    A = SortData(tuple(names), den, dmat, {a: i for i, a in enumerate(names)})
+    return FiniteStructure(
+        {"A": A}, {"f": FnTable(("A",), "A", np.array([2, 0, 0, 3]))},
+        {"P": PredTable(("A",), den, rng.integers(0, 7, 4) * (den // 6)),
+         "R": PredTable(("A",) * 3, den,
+                        rng.integers(0, 7, (4, 4, 4)) * (den // 6))})
+
+
+def _plan_bodies():
+    """Open formulas in x0, x1, x2 built to break the axis shortcuts:
+    arguments in every order, a variable given twice, functions applied
+    to axes, and a subterm repeated."""
+    x0, x1, x2 = (Var(f"x{k}", "A") for k in range(3))
+    f = lambda t: App("f", (t,))  # noqa: E731
+    out = [Dist(x1, x0), Dist(x0, x1), Dist(x0, x0), Dist(f(x0), x1),
+           Dist(x1, f(x1)), Dist(f(x1), f(x0)), Pred("P", (f(x1),)),
+           Pred("R", (x0, x0, x1)), Pred("R", (x1, x0, x1)),
+           Pred("R", (f(x0), x2, x0)),
+           fmin(fmonus(Rat(Fraction(1, 3)), Dist(x0, x1)), Dist(x0, x1)),
+           fmax(Dist(x0, x1), sup("x1", Dist(x0, x1), "A"))]
+    out += [Pred("R", p) for p in ((x0, x1, x2), (x0, x2, x1), (x1, x0, x2),
+                                   (x1, x2, x0), (x2, x0, x1), (x2, x1, x0))]
+    return out
+
+
+def _plan_cases():
+    """(formula, its free variables) for each body: the body itself and
+    the body under sup/inf over its variables, in every nesting."""
+    for body in _plan_bodies():
+        free = sorted(summary(body).free)
+        yield body, free
+        for k in range(1, len(free) + 1):
+            for bound in permutations(free, k):
+                f = body
+                for v, q in zip(reversed(bound), (sup, inf, sup)):
+                    f = q(v, f, "A")
+                yield f, [v for v in free if v not in bound]
+
+
+@pytest.mark.parametrize("den", [6, 2**62])
+def test_plans_match_the_reference_on_views_and_gathers(den):
+    """Every case of _plan_cases, with its free variables listed in every
+    order (views), at single points (eval_formula), and with the first
+    listed variable bound to rows (gathers), on the same formula objects
+    at den 6 and at den 2^62, where 1/3 takes values past int64; the
+    structure's tables are unchanged afterwards and the tables
+    eval_table returns are read-only."""
+    cases = list(_plan_cases())
+    for M in (_plan_structure(den), _plan_structure(6, seed=1)):
+        before = [M.sorts["A"].dmat.copy(),
+                  *(p.table.copy() for p in M.predicates.values())]
+        for f, free in cases:
+            for order in permutations(free):
+                variables = [(v, "A") for v in order]
+                tden, table = eval_table(f, M, variables)
+                assert table.shape == (4,) * len(order)
+                assert not table.flags.writeable
+                for idx in np.ndindex(table.shape):
+                    env = {v: ("A", i) for v, i in zip(order, idx)}
+                    want = ref_eval(f, M, env)
+                    assert Fraction(int(table[idx]), tden) == want, (f, idx)
+                    names = {v: f"a{i}" for v, i in zip(order, idx)}
+                    assert eval_formula(f, M, names) == want
+                if order:
+                    rows = np.array([3, 1])
+                    ((_, rden, part),) = _eval_blocks(f, M, variables,
+                                                      blocks=[rows])
+                    for idx in np.ndindex(part.shape):
+                        full = (int(rows[idx[0]]),) + idx[1:]
+                        assert Fraction(int(part[idx]), rden) == \
+                            Fraction(int(table[full]), tden)
+        after = [M.sorts["A"].dmat, *(p.table for p in M.predicates.values())]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
+
+def test_structurally_equal_subterms_share_one_slot(monkeypatch):
+    """d(x0, x1), written twice as distinct objects, is read once per
+    call; the same text under a quantifier that binds x1 is another
+    slot, read apart and giving the reference."""
+    reads = []
+    read = mlw.structures._read
+    monkeypatch.setattr(mlw.structures, "_read",
+                        lambda T, args: reads.append(1) or read(T, args))
+    M = _plan_structure(6)
+    d = lambda: Dist(Var("x0", "A"), Var("x1", "A"))  # noqa: E731
+    shared = fmin(fmonus(Rat(Fraction(1, 3)), d()), d())
+    apart = fmax(d(), sup("x1", d(), "A"))
+    for f, want in ((shared, 1), (sup("x1", shared, "A"), 1), (apart, 2)):
+        for names in ({"x0": "a1", "x1": "a2"}, {"x0": "a3", "x1": "a0"}):
+            reads.clear()
+            got = eval_formula(f, M, names)
+            assert len(reads) == want
+            assert got == ref_eval(f, M, {v: ("A", int(p[1]))
+                                          for v, p in names.items()})
+
+
+def test_eval_table_never_writes_into_the_structure():
+    """A table that is a view of dmat or of a predicate table is
+    read-only, although the structure's own arrays are writable here."""
+    M = _plan_structure(6)
+    assert M.sorts["A"].dmat.flags.writeable
+    for f in (Dist(Var("x0", "A"), Var("x1", "A")), Pred("P", (Var("x0"),))):
+        variables = [(v, "A") for v in sorted(summary(f).free)]
+        _, table = eval_table(f, M, variables)
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 5

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from mlw.formulas import Dist, Pred, Var, affine, parse_formula
 from mlw.moduli import Modulus
-from mlw.structures import (FiniteStructure, _max_numerator, check_structure,
-                            eval_bounds, eval_formula, eval_table,
-                            load_structure, save_structure)
+from mlw.structures import (FiniteStructure, SortData, _max_numerator,
+                            check_structure, eval_bounds, eval_formula,
+                            eval_table, load_structure, save_structure)
 from mlw.values import ONE, ZERO
 
 
@@ -257,3 +257,33 @@ def test_build_takes_dens_up_to_int64():
             built = M.predicates["P"] if preds else M.sorts["A"]
             table = built.table if preds else built.dmat
             assert (built.den, table.dtype) == (den, np.int64)
+
+
+def test_distances_outside_the_unit_interval_are_not_evaluated():
+    """Exact evaluation needs every distance in [0, den]: 2^62 over den 3
+    scaled to the common den 15 of max(d, 1/5) would wrap around in int64
+    (to 2^62/15).  Such a sort builds, check_structure reports it, and
+    evaluating a distance over it is refused, naming the sort; a sort in
+    range, built or a SortData made directly, evaluates."""
+    M = FiniteStructure.build({"A": ["a", "b"]},
+                              {"A": (3, [[0, 2**62], [2**62, 0]])})
+    assert "metric: entry outside [0,1] in sort A" in check_structure(M)
+    f = parse_formula("max(d(x0,x1), 1/5)")
+    with pytest.raises(ValueError, match="sort A has distances outside"):
+        eval_formula(f, M, {"x0": "a", "x1": "b"})
+    with pytest.raises(ValueError, match="sort A"):
+        eval_table(f, M, [("x0", "A"), ("x1", "A")])
+    assert eval_formula(parse_formula("1/5"), M) == Fraction(1, 5)
+    assert not M.sorts["A"].bounded
+    sd = SortData(("a", "b"), 3, np.array([[0, 2], [2, 0]]), {"a": 0, "b": 1})
+    assert sd.bounded
+    assert eval_formula(f, FiniteStructure({"A": sd}),
+                        {"x0": "a", "x1": "b"}) == Fraction(2, 3)
+    negative = SortData(("a",), 1, np.array([[-1]]), {"a": 0})
+    assert not negative.bounded
+    for bad in ({"A": (3, [[0, -1], [-1, 0]])},
+                {"A": (3, [4, 0], [[0, 1]])}):  # from level ids: 4 > den
+        assert not FiniteStructure.build({"A": ["a", "b"]}, bad) \
+            .sorts["A"].bounded
+    assert FiniteStructure.build({"A": ["a", "b"]},
+                                 {"A": (3, [3, 0], [[0, 1]])}).sorts["A"].bounded

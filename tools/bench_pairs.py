@@ -1,21 +1,26 @@
-"""Compare two checkouts on one workload over interleaved pairs of runs.
+"""Compare two checkouts on workloads over interleaved pairs of runs.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload scan \
-        --seeds 81-90 [--seconds 10]
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR \
+        --workload scan[,search,...] --seeds 81-90 [--seconds 10]
 
-For each seed, runs `perfbench/run.py --workload W --seed S --seconds T`
-once in each checkout, one run at a time; the side that runs first
-alternates from pair to pair (the parent first on the first pair), so a
-drifting host weighs on both sides alike.  Then prints, for every
-end-to-end metric the repository's BENCHMARK.json lists:
+For each workload in turn and each seed, runs `perfbench/run.py
+--workload W --seed S --seconds T` once in each checkout, one run at a
+time; the side that runs first alternates from pair to pair (the parent
+first on the first pair), so a drifting host weighs on both sides alike.
+Then prints, per workload, for every end-to-end metric the repository's
+BENCHMARK.json lists:
 
 - a per-pair table, parent → change, with the side that ran first;
 - the pairs in which the change is better (BENCHMARK.json's "better");
 - each side's median and quartiles, and the median gain against the
-  parent's interquartile range.
+  parent's interquartile range;
+- `worse past bound` when the change's median is worse than the
+  parent's by more than the metric's bound (a fraction of the parent's
+  median), `within bound` otherwise.
 
 A claimed gain should win at least 9 pairs of 10 and move the median by
-more than the parent's interquartile range.  Quartiles are the
+more than the parent's interquartile range; no metric should read
+`worse past bound`.  Quartiles are the
 `statistics.quantiles(n=4, method="inclusive")` cut points."""
 
 from __future__ import annotations
@@ -58,6 +63,15 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def worse_past_bound(metric: dict, parent: float, change: float) -> bool:
+    """Whether the change's median is worse than the parent's by more
+    than the metric's bound, a fraction of the parent's median."""
+    slack = metric["bound"] * abs(parent)
+    if metric["better"] == "higher":
+        return change < parent - slack
+    return change > parent + slack
+
+
 def report(metrics: list[dict], pairs: list[tuple]) -> str:
     """The per-metric tables and summaries of pairs (seed, first, parent
     run, change run)."""
@@ -80,7 +94,9 @@ def report(metrics: list[dict], pairs: list[tuple]) -> str:
                   f"parent: median {pm:.6g} [q1 {p1:.6g}, q3 {p3:.6g}]",
                   f"change: median {cm:.6g} [q1 {c1:.6g}, q3 {c3:.6g}]",
                   f"median gain {gain:.6g} against a parent IQR of "
-                  f"{p3 - p1:.6g}", ""]
+                  f"{p3 - p1:.6g}",
+                  "worse past bound" if worse_past_bound(m, pm, cm)
+                  else "within bound", ""]
     return "\n".join(lines)
 
 
@@ -88,28 +104,31 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="checkout of the parent commit")
     ap.add_argument("change", help="checkout of the change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, type=lambda s: s.split(","),
+                    help="a workload, or a comma-separated list of them")
     ap.add_argument("--seeds", required=True, type=seeds,
                     help="seeds, as A-B, a list, or both: 81-90 or 1,3,7-8")
     ap.add_argument("--seconds", type=float, default=10)
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
-    pairs = []
-    for k, seed in enumerate(args.seeds):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        got = {}
-        for side in order:
-            got[side] = run(getattr(args, side), args.workload, seed,
-                            args.seconds)
-            print(f"seed {seed} {side}: correct {got[side]['correct']}",
-                  file=sys.stderr)
-        pairs.append((seed, order[0], got["parent"], got["change"]))
-    print(f"# {args.workload}, {len(pairs)} pairs, --seconds {args.seconds:g}"
-          f"\n\ncorrect: parent "
-          f"{sum(p['correct'] for _, _, p, _ in pairs)}/{len(pairs)}, change "
-          f"{sum(c['correct'] for _, _, _, c in pairs)}/{len(pairs)}\n")
-    print(report(metrics, pairs))
+    for workload in args.workload:
+        pairs = []
+        for k, seed in enumerate(args.seeds):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            got = {}
+            for side in order:
+                got[side] = run(getattr(args, side), workload, seed,
+                                args.seconds)
+                print(f"{workload} seed {seed} {side}: correct "
+                      f"{got[side]['correct']}", file=sys.stderr)
+            pairs.append((seed, order[0], got["parent"], got["change"]))
+        print(f"# {workload}, {len(pairs)} pairs, --seconds "
+              f"{args.seconds:g}\n\ncorrect: parent "
+              f"{sum(p['correct'] for _, _, p, _ in pairs)}/{len(pairs)}, "
+              f"change {sum(c['correct'] for _, _, _, c in pairs)}/"
+              f"{len(pairs)}\n")
+        print(report(metrics, pairs), flush=True)
     return 0
 
 
