@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -677,10 +676,17 @@ def _check(M: FiniteStructure, certify: bool) -> list[str]:
 class _Axis:
     """A variable bound to a whole axis, at offset off from the right; tail
     indexes one dimension of a table into that place."""
-    __slots__ = ("off", "tail")
+    __slots__ = ("off", "tail", "ranges")
 
     def __init__(self, off: int):
         self.off, self.tail = off, (slice(None),) + (None,) * (off - 1)
+        self.ranges = {}  # n -> the points 0 .. n - 1 along the axis
+
+    def points(self, n: int) -> np.ndarray:
+        """The axis over n points as an index array, for a gather."""
+        if n not in self.ranges:
+            self.ranges[n] = np.arange(n)[self.tail]
+        return self.ranges[n]
 
 
 def _read(T, args):
@@ -690,10 +696,11 @@ def _read(T, args):
     or an axis given twice, gather."""
     if len(args) == 2 and type(args[0]) is int and type(args[1]) is _Axis:
         return T[(args[0],) + args[1].tail]  # a row of a distance table
+    kinds = [type(a) for a in args]
     offs = sorted((a.off for a in args if type(a) is _Axis), reverse=True)
-    if len(set(offs)) < len(offs) or np.ndarray in map(type, args):
-        return T[tuple(np.arange(n)[a.tail] if type(a) is _Axis else a
-                       for n, a in zip(T.shape, args))]
+    if np.ndarray in kinds or len(set(offs)) < len(offs):
+        return T[tuple(a.points(n) if k is _Axis else a
+                       for n, a, k in zip(T.shape, args, kinds))]
     idx = [a for a in args if type(a) is not _Axis]
     if not offs:
         return int(T[tuple(idx)])
@@ -719,26 +726,8 @@ def _align(a, b):
             vb if L == db else vb * (L // db))
 
 
-def _apply(g: Conn, vals):
-    """The connective g on its arguments' (den, value) pairs; two Python
-    ints combine in Python ints."""
-    op, (den, v) = g.op, vals[0]
-    if op == "neg":
-        return den, den - v
-    if op in ("monus", "cut"):  # max(u - w, 0)
-        den, u, w = _align(vals[0], (g.params[0], 1) if op == "cut"
-                           else vals[1])
-        op, vals = "max", [(den, u - w), (den, 0)]
-    if op in ("max", "min"):
-        den, v = vals[0]
-        for w in vals[1:]:
-            den, v, w = _align((den, v), w)
-            if type(v) is np.ndarray or type(w) is np.ndarray:
-                v = (np.maximum if op == "max" else np.minimum)(v, w)
-            else:
-                v = max(v, w) if op == "max" else min(v, w)
-        return den, v
-    a, b = g.params  # affine
+def _affine(a: Fraction, b: Fraction, den: int, v):
+    """clamp01(a * u + b) at the value u = v / den."""
     nden = den * a.denominator * b.denominator
     # nv = A·v + B·den, clamped to [0, nden], in the integer type of the
     # Python-int bound on |A·v| + |B·den| and on nden
@@ -754,6 +743,39 @@ def _apply(g: Conn, vals):
     return nden // c, nv // c
 
 
+def _connective(g: Conn, kids):
+    """The closure of a connective over its arguments' closures or
+    constant (den, value) pairs, or its value when every argument is a
+    constant.  Two Python ints combine in Python ints."""
+    op, (a, *b) = g.op, kids
+    if op in ("max", "min"):
+        npop, pyop = (np.maximum, max) if op == "max" else (np.minimum, min)
+
+        def run(M, env):
+            den, v = a(M, env) if callable(a) else a
+            for k in b:
+                den, v, w = _align((den, v), k(M, env) if callable(k) else k)
+                v = npop(v, w) if type(v) is np.ndarray or \
+                    type(w) is np.ndarray else pyop(v, w)
+            return den, v
+    elif op in ("neg", "affine", "monus", "cut"):
+        def run(M, env):
+            den, v = a(M, env) if callable(a) else a
+            if op == "neg":
+                return den, den - v
+            if op == "affine":
+                return _affine(*g.params, den, v)
+            w = (g.params[0], 1) if op == "cut" else \
+                b[0](M, env) if callable(b[0]) else b[0]
+            den, v, w = _align((den, v), w)
+            v = v - w  # monus: max(v - w, 0)
+            return den, np.maximum(v, 0) if type(v) is np.ndarray \
+                else max(v, 0)
+    else:
+        raise ValueError(op)
+    return run if any(map(callable, kids)) else run(None, None)
+
+
 def _closure(g, kids, D: int, d: int):
     """The closure run(M, env) of the node g at quantifier depth d of a
     formula of depth D, over its children's closures (a constant child is
@@ -761,13 +783,10 @@ def _closure(g, kids, D: int, d: int):
     or an index array).  A term's closure returns (sort, point indices), a
     formula's (den, value), and a connective of constants its value."""
     kind = type(g)
+    if kind is Rat:
+        return g.value.denominator, g.value.numerator
     if kind is Conn:
-        if g.op not in ("max", "min", "neg", "monus", "cut", "affine"):
-            raise ValueError(g.op)
-        if not any(map(callable, kids)):
-            return _apply(g, kids)
-        return lambda M, env: _apply(
-            g, [k(M, env) if callable(k) else k for k in kids])
+        return _connective(g, kids)
     if kind is Var or kind is Const:
         def run(M, env):
             if kind is Const:
@@ -841,7 +860,8 @@ def _plan(f: Formula):
     (hash-consing, Filliatre & Conchon 2006), keyed by kind, symbol,
     parameters and children's slots, a variable by its binder's depth and
     sort; a slot read twice is evaluated once per call."""
-    slots, nodes = {}, []  # key -> slot; per slot (node, children, depth)
+    slots, nodes, reads = {}, [], []  # key -> slot; per slot (node,
+    # children, depth) and the number of parents' reads
 
     def intern(g, scope, d):
         kind = type(g)
@@ -851,7 +871,8 @@ def _plan(f: Formula):
             kids = (intern(g.body, {**scope, g.var: (d, g.sort)}, d + 1),)
             key = kind, g.kind, g.var, g.sort, d, kids
         elif kind is Rat or kind is Const:
-            kids, key = (), (kind, g.value if kind is Rat else g.name)
+            kids, key = (), (kind, g.value.as_integer_ratio() if kind is Rat
+                             else g.name)
         else:
             kids = tuple([intern(a, scope, d) for a in (
                 (g.left, g.right) if kind is Dist else g.args)])
@@ -860,14 +881,14 @@ def _plan(f: Formula):
         k = slots.setdefault(key, len(slots))
         if k == len(nodes):
             nodes.append((g, kids, d))
+            reads.append(0)
+            for j in kids:
+                reads[j] += 1
         return k
 
-    root, D = intern(f, {}, 0), summary(f).depth
-    reads = Counter(k for _, kids, _ in nodes for k in kids)
-    built = []
+    root, D, built = intern(f, {}, 0), summary(f).depth, []
     for k, (g, kids, d) in enumerate(nodes):  # children first
-        run = (g.value.denominator, g.value.numerator) if type(g) is Rat \
-            else _closure(g, [built[j] for j in kids], D, d)
+        run = _closure(g, [built[j] for j in kids], D, d)
         built.append(_shared(run, k) if reads[k] > 1 and callable(run)
                      else run)
     return built[root]
