@@ -141,7 +141,7 @@ def _memo_on_formula(fn):
     functools.cached_property keeps an attribute: the nodes are frozen
     dataclasses whose eq and hash read their fields only, so the stored
     result changes neither.  fn's result is shared by every later call
-    and must not be mutated."""
+    and must not be mutated; memo.key names it in f.__dict__."""
     key = "_memo_" + fn.__name__
 
     @wraps(fn)
@@ -150,6 +150,7 @@ def _memo_on_formula(fn):
         if out is None:
             out = f.__dict__[key] = fn(f)
         return out
+    memo.key = key
     return memo
 
 

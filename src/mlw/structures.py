@@ -814,7 +814,7 @@ def _closure(g, kids, D: int, d: int):
             s = g.sort or M.only_sort()
             if not M.sorts[s].size:
                 raise ValueError(f"quantifier over empty sort {s}")
-            den, v = kids[0](M, {**env, g.var: (s, axis)}) \
+            den, v = kids[0](M, {**env, g.var: (s, axis), _SLOTS: {}}) \
                 if callable(kids[0]) else kids[0]
             if type(v) is np.ndarray:  # reduced along the axis
                 n = v.shape[-off] if v.ndim >= off else 1
@@ -842,14 +842,19 @@ def _closure(g, kids, D: int, d: int):
     return run
 
 
-def _shared(run, k: int):
-    """run, evaluated once per scope of a plan call: kept in env under the
-    slot number k (variables are named by strings)."""
+def _shared(run):
+    """run, evaluated once per scope (a quantifier's body, or a plan call
+    outside every quantifier): the value is kept in the scope's
+    env[_SLOTS], under the closure itself."""
     def once(M, env):
-        if k not in env:
-            env[k] = run(M, env)
-        return env[k]
+        slots = env[_SLOTS]
+        if once not in slots:
+            slots[once] = run(M, env)
+        return slots[once]
     return once
+
+
+_SLOTS = "#slots"  # the env key of a scope's shared values
 
 
 @_memo_on_formula
@@ -861,11 +866,14 @@ def _plan(f: Formula):
     parameters and children's slots, a variable by its binder's depth and
     sort; a slot read twice is evaluated once per call."""
     slots, nodes, reads = {}, [], []  # key -> slot; per slot (node,
-    # children, depth) and the number of parents' reads
+    # children, depth, plan compiled before) and its parents' reads
 
     def intern(g, scope, d):
         kind = type(g)
-        if kind is Var:
+        done = g.__dict__.get(_plan.key) if g is not f else None
+        if done is not None:  # compiled before: one slot, as it is
+            kids, key = (), (id(g), *map(scope.get, summary(g).free))
+        elif kind is Var:
             kids, key = (), (kind, g.name, scope.get(g.name))
         elif kind is Quant:
             kids = (intern(g.body, {**scope, g.var: (d, g.sort)}, d + 1),)
@@ -880,16 +888,17 @@ def _plan(f: Formula):
                 g, "fn", None) or getattr(g, "name", None), kids
         k = slots.setdefault(key, len(slots))
         if k == len(nodes):
-            nodes.append((g, kids, d))
+            nodes.append((g, kids, d, done))
             reads.append(0)
             for j in kids:
                 reads[j] += 1
         return k
 
     root, D, built = intern(f, {}, 0), summary(f).depth, []
-    for k, (g, kids, d) in enumerate(nodes):  # children first
-        run = _closure(g, [built[j] for j in kids], D, d)
-        built.append(_shared(run, k) if reads[k] > 1 and callable(run)
+    for k, (g, kids, d, run) in enumerate(nodes):  # children first
+        if run is None:
+            run = _closure(g, [built[j] for j in kids], D, d)
+        built.append(_shared(run) if reads[k] > 1 and callable(run)
                      else run)
     return built[root]
 
@@ -926,7 +935,11 @@ def _eval_blocks(f: Formula, M: FiniteStructure, variables, assignment=None,
             _bind_rows(env, variables, total, rows)
             shape[0] = len(rows)
         den, v = _table(f, M, env, variables, total)
-        yield rows, den, np.broadcast_to(v, tuple(shape))
+        if type(v) is np.ndarray and v.shape == tuple(shape):
+            v.flags.writeable = False  # it may be a view of a table
+        else:
+            v = np.broadcast_to(v, tuple(shape))
+        yield rows, den, v
 
 
 def _table_env(fs, M: FiniteStructure, variables, assignment=None):
@@ -971,7 +984,7 @@ def _table(f: Formula, M: FiniteStructure, env, variables, total: int):
     (the affine connective divides out the gcd of their values), so
     compare only through _max_numerator with this den."""
     run = _plan(f)
-    den, v = run(M, dict(env)) if callable(run) else run
+    den, v = run(M, {**env, _SLOTS: {}}) if callable(run) else run
     if type(v) is np.ndarray:  # drop the quantifiers' axes, reduced to 1
         v = v.reshape(v.shape[:max(v.ndim - total + len(variables), 0)])
     return den, v
