@@ -689,6 +689,9 @@ class _Axis:
         return self.ranges[n]
 
 
+_axis = lru_cache(maxsize=None)(_Axis)  # one marker per offset
+
+
 def _read(T, args):
     """T at its arguments: point indices, whole axes (_Axis) and index
     arrays.  Points and distinct axes read a view of T, transposed into the
@@ -744,9 +747,8 @@ def _affine(a: Fraction, b: Fraction, den: int, v):
 
 
 def _connective(g: Conn, kids):
-    """The closure of a connective over its arguments' closures or
-    constant (den, value) pairs, or its value when every argument is a
-    constant.  Two Python ints combine in Python ints."""
+    """The closure of a connective, or its value when every argument is a
+    constant; two Python ints combine in Python ints."""
     op, (a, *b) = g.op, kids
     if op in ("max", "min"):
         npop, pyop = (np.maximum, max) if op == "max" else (np.minimum, min)
@@ -778,10 +780,8 @@ def _connective(g: Conn, kids):
 
 def _closure(g, kids, D: int, d: int):
     """The closure run(M, env) of the node g at quantifier depth d of a
-    formula of depth D, over its children's closures (a constant child is
-    its (den, value)); env maps variables to (sort, a point index, an _Axis
-    or an index array).  A term's closure returns (sort, point indices), a
-    formula's (den, value), and a connective of constants its value."""
+    formula of depth D over its children's: (sort, point indices) for a
+    term, (den, value) for a formula, or that pair for a constant."""
     kind = type(g)
     if kind is Rat:
         return g.value.denominator, g.value.numerator
@@ -806,7 +806,7 @@ def _closure(g, kids, D: int, d: int):
                 raise ValueError(f"sort {s} has distances outside [0,1]")
             return sd.den, _read(sd.dmat, (a, b))
     elif kind is Quant:
-        axis, off = _Axis(D - d), D - d
+        axis, off = _axis(D - d), D - d
         red, pick = ((np.maximum, np.ndarray.argmax) if g.kind == "sup"
                      else (np.minimum, np.ndarray.argmin))
 
@@ -843,9 +843,8 @@ def _closure(g, kids, D: int, d: int):
 
 
 def _shared(run):
-    """run, evaluated once per scope (a quantifier's body, or a plan call
-    outside every quantifier): the value is kept in the scope's
-    env[_SLOTS], under the closure itself."""
+    """run, evaluated once per scope (a quantifier's body, or the plan's
+    call) and kept in the scope's env[_SLOTS]."""
     def once(M, env):
         slots = env[_SLOTS]
         if once not in slots:
@@ -869,23 +868,29 @@ def _plan(f: Formula):
     # children, depth, plan compiled before) and its parents' reads
 
     def intern(g, scope, d):
-        kind = type(g)
-        done = g.__dict__.get(_plan.key) if g is not f else None
-        if done is not None:  # compiled before: one slot, as it is
-            kids, key = (), (id(g), *map(scope.get, summary(g).free))
-        elif kind is Var:
+        kind, done = type(g), None
+        if kind is Var:
             kids, key = (), (kind, g.name, scope.get(g.name))
+        elif kind is Const:
+            kids, key = (), (kind, g.name)
+        elif kind is App:
+            kids = tuple([intern(a, scope, d) for a in g.args])
+            key = kind, g.fn, kids
+        elif g is not f and _plan.key in g.__dict__:  # compiled before:
+            done = g.__dict__[_plan.key]  # one slot, as it is
+            kids, key = (), (id(g), *map(scope.get, summary(g).free))
         elif kind is Quant:
             kids = (intern(g.body, {**scope, g.var: (d, g.sort)}, d + 1),)
             key = kind, g.kind, g.var, g.sort, d, kids
-        elif kind is Rat or kind is Const:
-            kids, key = (), (kind, g.value.as_integer_ratio() if kind is Rat
-                             else g.name)
-        else:
+        elif kind is Conn:
+            kids = tuple([intern(a, scope, d) for a in g.args])
+            key = kind, g.op, *[p.as_integer_ratio() for p in g.params], kids
+        elif kind is Rat:
+            kids, key = (), (kind, g.value.as_integer_ratio())
+        else:  # a distance or a predicate
             kids = tuple([intern(a, scope, d) for a in (
                 (g.left, g.right) if kind is Dist else g.args)])
-            key = kind, (g.op, g.params) if kind is Conn else getattr(
-                g, "fn", None) or getattr(g, "name", None), kids
+            key = kind, getattr(g, "name", None), kids
         k = slots.setdefault(key, len(slots))
         if k == len(nodes):
             nodes.append((g, kids, d, done))
@@ -965,7 +970,7 @@ def _table_env(fs, M: FiniteStructure, variables, assignment=None):
         raise ValueError(f"unbound variables {sorted(missing)}")
     total = len(variables) + depth
     for j, (name, sort) in enumerate(variables):
-        env[name] = (sort, _Axis(total - j))
+        env[name] = (sort, _axis(total - j))
     return env, total
 
 

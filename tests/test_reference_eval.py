@@ -647,3 +647,36 @@ def test_eval_table_never_writes_into_the_structure():
         _, table = eval_table(f, M, variables)
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 5
+
+
+def test_plans_reuse_subformulas_compiled_before(monkeypatch):
+    """A formula evaluated before is one slot of a later formula, also
+    where a quantifier binds one of its free variables, so its shared
+    values are kept per scope; a chain of conjunctions, each evaluated
+    in turn as forge evaluates them, compiles each new part only."""
+    M = _plan_structure(6)
+    x0, x1 = Var("x0", "A"), Var("x1", "A")
+    g = fmin(fmonus(Rat(Fraction(1, 3)), Dist(x0, x1)), Dist(x0, x1))
+    assert eval_formula(g, M, {"x0": "a1", "x1": "a2"}) == \
+        ref_eval(g, M, {"x0": ("A", 1), "x1": ("A", 2)})
+    for f in (fmax(g, sup("x1", g, "A")), fmin(inf("x1", g, "A"), g),
+              sup("x1", fmax(g, inf("x0", g, "A")), "A")):
+        for i, j in product(range(4), repeat=2):
+            assert eval_formula(f, M, {"x0": f"a{i}", "x1": f"a{j}"}) == \
+                ref_eval(f, M, {"x0": ("A", i), "x1": ("A", j)})
+    built = []
+    closure = mlw.structures._closure
+    monkeypatch.setattr(mlw.structures, "_closure",
+                        lambda *a: built.append(a[0]) or closure(*a))
+    chain, steps = Rat(ZERO), []
+    for k in range(1, 9):
+        part = fmonus(Dist(Var(f"x{k - 1}", "A"), Var(f"x{k}", "A")),
+                      Rat(Fraction(1, k + 1)))
+        chain = fmax(chain, sup(f"x{k}", part, "A")) if k % 2 else \
+            fmax(chain, part)
+        free = sorted(summary(chain).free)
+        built.clear()
+        assert eval_formula(chain, M, {v: "a3" for v in free}) == \
+            ref_eval(chain, M, {v: ("A", 3) for v in free})
+        steps.append(len(built))
+    assert max(steps) <= 8  # of the 40 slots of the last chain
