@@ -10,9 +10,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .formulas import (App, Const, Dist, Formula, Pred, Rat, Var,
-                       _max_var_index, absdiff, affine, fmax, fmin, fmonus,
-                       formula_modulus, free_vars, ftsum, inf, neg, show,
-                       subst, sup, var_sorts)
+                       _max_var_index, _memo_on_formula, absdiff, affine,
+                       fmax, fmin, fmonus, formula_modulus, free_vars, ftsum,
+                       inf, neg, show, subst, sup, var_sorts)
 from .moduli import Modulus
 from .trees import (FiniteTree, _alphabet_cut, box_nodes, ell,
                     enumerate_trees, node_name)
@@ -138,6 +138,7 @@ def _rename_apart(t: PartialType, s: PartialType) -> PartialType:
     return PartialType(new_vars, new_conds, gen, s.label)
 
 
+@_memo_on_formula  # one formula object, and so one plan, per condition
 def _closed_formula(c: Condition) -> Formula:
     n = normalize_condition(c)
     if n.kind != "closed":

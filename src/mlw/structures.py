@@ -847,9 +847,9 @@ def _shared(run):
     call) and kept in the scope's env[_SLOTS]."""
     def once(M, env):
         slots = env[_SLOTS]
-        if once not in slots:
-            slots[once] = run(M, env)
-        return slots[once]
+        if run not in slots:
+            slots[run] = run(M, env)
+        return slots[run]
     return once
 
 
@@ -863,7 +863,9 @@ def _plan(f: Formula):
     Structurally equal subterms are interned bottom-up into one slot
     (hash-consing, Filliatre & Conchon 2006), keyed by kind, symbol,
     parameters and children's slots, a variable by its binder's depth and
-    sort; a slot read twice is evaluated once per call."""
+    sort; a slot read twice is evaluated once per call and scope.  A
+    subformula evaluated before keeps its plan, one slot here: its
+    quantifiers' axes lie below those of the quantifiers around it."""
     slots, nodes, reads = {}, [], []  # key -> slot; per slot (node,
     # children, depth, plan compiled before) and its parents' reads
 
@@ -900,6 +902,7 @@ def _plan(f: Formula):
         return k
 
     root, D, built = intern(f, {}, 0), summary(f).depth, []
+    del intern  # a reference cycle, left to the garbage collector else
     for k, (g, kids, d, run) in enumerate(nodes):  # children first
         if run is None:
             run = _closure(g, [built[j] for j in kids], D, d)
