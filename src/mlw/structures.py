@@ -676,20 +676,10 @@ def _check(M: FiniteStructure, certify: bool) -> list[str]:
 class _Axis:
     """A variable bound to a whole axis, at offset off from the right; tail
     indexes one dimension of a table into that place."""
-    __slots__ = ("off", "tail", "ranges")
+    __slots__ = ("off", "tail")
 
     def __init__(self, off: int):
         self.off, self.tail = off, (slice(None),) + (None,) * (off - 1)
-        self.ranges = {}  # n -> the points 0 .. n - 1 along the axis
-
-    def points(self, n: int) -> np.ndarray:
-        """The axis over n points as an index array, for a gather."""
-        if n not in self.ranges:
-            self.ranges[n] = np.arange(n)[self.tail]
-        return self.ranges[n]
-
-
-_axis = lru_cache(maxsize=None)(_Axis)  # one marker per offset
 
 
 def _read(T, args):
@@ -702,7 +692,7 @@ def _read(T, args):
     kinds = [type(a) for a in args]
     offs = sorted((a.off for a in args if type(a) is _Axis), reverse=True)
     if np.ndarray in kinds or len(set(offs)) < len(offs):
-        return T[tuple(a.points(n) if k is _Axis else a
+        return T[tuple(np.arange(n)[a.tail] if k is _Axis else a
                        for n, a, k in zip(T.shape, args, kinds))]
     idx = [a for a in args if type(a) is not _Axis]
     if not offs:
@@ -806,7 +796,7 @@ def _closure(g, kids, D: int, d: int):
                 raise ValueError(f"sort {s} has distances outside [0,1]")
             return sd.den, _read(sd.dmat, (a, b))
     elif kind is Quant:
-        axis, off = _axis(D - d), D - d
+        axis, off = _Axis(D - d), D - d
         red, pick = ((np.maximum, np.ndarray.argmax) if g.kind == "sup"
                      else (np.minimum, np.ndarray.argmin))
 
@@ -973,7 +963,7 @@ def _table_env(fs, M: FiniteStructure, variables, assignment=None):
         raise ValueError(f"unbound variables {sorted(missing)}")
     total = len(variables) + depth
     for j, (name, sort) in enumerate(variables):
-        env[name] = (sort, _axis(total - j))
+        env[name] = (sort, _Axis(total - j))
     return env, total
 
 
