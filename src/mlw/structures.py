@@ -43,15 +43,17 @@ class SortData:
     index: dict[str, int] = field(compare=False)
     # (order, join) of an ultrametric built from level ids (see _id_metric)
     tree: tuple | None = field(default=None, compare=False, repr=False)
-    # every entry in [0, den], which exact evaluation needs (None: read
-    # off dmat); check_structure reports a table outside that range
+    # every entry in [0, den], which exact evaluation needs; None until
+    # in_range reads it off dmat (check_structure reports it either way)
     bounded: bool | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
+    def in_range(self) -> bool:
+        """bounded, read off dmat the first time it is asked for."""
         if self.bounded is None:
             D = self.dmat
-            object.__setattr__(self, "bounded", not D.size or (
-                0 <= D.min() and D.max() <= self.den))
+            object.__setattr__(self, "bounded", bool(not D.size or (
+                0 <= D.min() and D.max() <= self.den)))
+        return self.bounded
 
     @property
     def size(self) -> int:
@@ -219,7 +221,7 @@ def _agreement(levels) -> np.ndarray:
 def _id_metric(den: int, dist, levels, n: int):
     """The read-only distance table of a (den, dist, levels) metric, when
     it is an ultrametric with values in [0, 1] its certificate, and True
-    when its values lie in [0, 1] (else None, for SortData to read off).
+    when its values lie in [0, 1] (else None, for SortData.in_range).
 
     levels holds one id vector per level: two points that agree on exactly
     k leading levels are at distance dist[k] / den, each point at 0 from
@@ -792,7 +794,7 @@ def _closure(g, kids, D: int, d: int):
             if s != s2:
                 raise ValueError(f"d across sorts {s} and {s2}")
             sd = M.sorts[s]
-            if not sd.bounded:
+            if not (sd.bounded or sd.in_range()):
                 raise ValueError(f"sort {s} has distances outside [0,1]")
             return sd.den, _read(sd.dmat, (a, b))
     elif kind is Quant:

@@ -274,16 +274,17 @@ def test_distances_outside_the_unit_interval_are_not_evaluated():
     with pytest.raises(ValueError, match="sort A"):
         eval_table(f, M, [("x0", "A"), ("x1", "A")])
     assert eval_formula(parse_formula("1/5"), M) == Fraction(1, 5)
-    assert not M.sorts["A"].bounded
+    assert not M.sorts["A"].in_range()
     sd = SortData(("a", "b"), 3, np.array([[0, 2], [2, 0]]), {"a": 0, "b": 1})
-    assert sd.bounded
+    assert sd.bounded is None and sd.in_range()
     assert eval_formula(f, FiniteStructure({"A": sd}),
                         {"x0": "a", "x1": "b"}) == Fraction(2, 3)
     negative = SortData(("a",), 1, np.array([[-1]]), {"a": 0})
-    assert not negative.bounded
+    assert not negative.in_range()
     for bad in ({"A": (3, [[0, -1], [-1, 0]])},
                 {"A": (3, [4, 0], [[0, 1]])}):  # from level ids: 4 > den
         assert not FiniteStructure.build({"A": ["a", "b"]}, bad) \
-            .sorts["A"].bounded
+            .sorts["A"].in_range()
+    # a constructed sort records it from its dist entries, at build time
     assert FiniteStructure.build({"A": ["a", "b"]},
                                  {"A": (3, [3, 0], [[0, 1]])}).sorts["A"].bounded
