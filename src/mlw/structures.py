@@ -741,7 +741,7 @@ def _affine(a: Fraction, b: Fraction, den: int, v):
 def _connective(g: Conn, kids):
     """The closure of a connective, or its value when every argument is a
     constant; two Python ints combine in Python ints."""
-    op, (a, *b) = g.op, kids
+    op, a, b = g.op, kids[0], kids[1:]
     if op in ("max", "min"):
         npop, pyop = (np.maximum, max) if op == "max" else (np.minimum, min)
 
@@ -860,6 +860,7 @@ def _plan(f: Formula):
     quantifiers' axes lie below those of the quantifiers around it."""
     slots, nodes, reads = {}, [], []  # key -> slot; per slot (node,
     # children, depth, plan compiled before) and its parents' reads
+    memo = _plan.key
 
     def intern(g, scope, d):
         kind, done = type(g), None
@@ -870,23 +871,25 @@ def _plan(f: Formula):
         elif kind is App:
             kids = tuple([intern(a, scope, d) for a in g.args])
             key = kind, g.fn, kids
-        elif g is not f and _plan.key in g.__dict__:  # compiled before:
-            done = g.__dict__[_plan.key]  # one slot, as it is
+        elif g is not f and memo in g.__dict__:  # compiled before:
+            done = g.__dict__[memo]  # one slot, as it is
             kids, key = (), (id(g), *map(scope.get, summary(g).free))
         elif kind is Quant:
             kids = (intern(g.body, {**scope, g.var: (d, g.sort)}, d + 1),)
             key = kind, g.kind, g.var, g.sort, d, kids
         elif kind is Conn:
             kids = tuple([intern(a, scope, d) for a in g.args])
-            key = kind, g.op, *[p.as_integer_ratio() for p in g.params], kids
+            key = kind, g.op, g.params and tuple(
+                [p.as_integer_ratio() for p in g.params]), kids
         elif kind is Rat:
             kids, key = (), (kind, g.value.as_integer_ratio())
         else:  # a distance or a predicate
             kids = tuple([intern(a, scope, d) for a in (
                 (g.left, g.right) if kind is Dist else g.args)])
             key = kind, getattr(g, "name", None), kids
-        k = slots.setdefault(key, len(slots))
-        if k == len(nodes):
+        k = slots.get(key)
+        if k is None:
+            k = slots[key] = len(nodes)
             nodes.append((g, kids, d, done))
             reads.append(0)
             for j in kids:
@@ -897,7 +900,8 @@ def _plan(f: Formula):
     del intern  # a reference cycle, left to the garbage collector else
     for k, (g, kids, d, run) in enumerate(nodes):  # children first
         if run is None:
-            run = _closure(g, [built[j] for j in kids], D, d)
+            run = _closure(g, [built[j] for j in kids] if kids else kids,
+                           D, d)
         built.append(_shared(run) if reads[k] > 1 and callable(run)
                      else run)
     return built[root]
