@@ -194,18 +194,19 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_iso(args) -> int:
     from .analysis import IsoWitness, find_iso
-    from .models import canonical_truncation, kfamily_check, load_kfamily
+    from .models import (POINT_CAP, canonical_truncation, kfamily_check,
+                         load_kfamily)
     if args.family:
         fam = load_kfamily(args.family)
-        cap = {} if args.cap is None else {"cap": args.cap}
+        cap = POINT_CAP if args.cap is None else args.cap
         rows = kfamily_check(fam, l=args.l or 1, m=args.m, r=args.r,
-                             mu=args.mu, **cap)
+                             mu=args.mu, cap=cap)
         for row in rows:
             print(f"{row['clause']}: {'ok' if row['ok'] else 'FAIL'} - "
                   f"{row['detail']} [kfamily_check]")
-        A = canonical_truncation(fam, args.m, args.r, mu=args.mu, **cap)
+        A = canonical_truncation(fam, args.m, args.r, mu=args.mu, cap=cap)
         B = canonical_truncation(fam, args.m, args.r, mu=args.mu, l=args.l,
-                                 perturb=args.perturb, **cap)
+                                 perturb=args.perturb, cap=cap)
         label = (f"canonical_truncation(m={args.m}, r={args.r}, mu={args.mu}, "
                  f"l={args.l}, perturb={args.perturb})")
     else:
