@@ -731,11 +731,13 @@ def _affine(a: Fraction, b: Fraction, den: int, v):
         nv = min(max(A * v + B * den, 0), nden)
         c = math.gcd(nv, nden)
         return nden // c, nv // c
-    vmax = max(int(np.abs(v).max(initial=0)), 1)
+    vmax = max(int(v.max(initial=0)), -int(v.min(initial=0)), 1)
     t = _int_type(max(abs(A) * vmax + abs(B) * den, nden))
-    nv = np.clip(v.astype(t, copy=False) * A + B * den, 0, nden)
-    c = math.gcd(int(np.gcd.reduce(np.ravel(nv))), nden)
-    return nden // c, nv // c
+    nv = v.astype(t, copy=False) * A
+    nv += B * den
+    np.minimum(np.maximum(nv, 0, out=nv), nden, out=nv)
+    c = math.gcd(int(np.gcd.reduce(nv, axis=None)), nden)
+    return nden // c, nv // c if c > 1 else nv
 
 
 def _connective(g: Conn, kids):
@@ -762,8 +764,8 @@ def _connective(g: Conn, kids):
             w = (g.params[0], 1) if op == "cut" else \
                 b[0](M, env) if callable(b[0]) else b[0]
             den, v, w = _align((den, v), w)
-            v = v - w  # monus: max(v - w, 0)
-            return den, np.maximum(v, 0) if type(v) is np.ndarray \
+            v = v - w  # monus: max(v - w, 0), in place on the fresh v - w
+            return den, np.maximum(v, 0, out=v) if type(v) is np.ndarray \
                 else max(v, 0)
     else:
         raise ValueError(op)
