@@ -899,7 +899,7 @@ def _plan(f: Formula):
         return k
 
     root, D, built = intern(f, {}, 0), summary(f).depth, []
-    del intern  # a reference cycle, left to the garbage collector else
+    del intern  # it refers to itself: free the cycle now, not at a collection
     for k, (g, kids, d, run) in enumerate(nodes):  # children first
         if run is None:
             run = _closure(g, [built[j] for j in kids] if kids else kids,
