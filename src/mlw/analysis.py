@@ -11,8 +11,8 @@ import numpy as np
 
 from .formulas import Formula, Quant, _modulus_for_var, summary
 from .structures import (FiniteStructure, _ball_merges, _bind_rows,
-                         _first_hit, _max_numerator, _table, _table_env,
-                         _ultrametric_order, eval_table)
+                         _first_hit, _max_numerator, _sorted_agreement,
+                         _table, _table_env, _ultrametric_order, eval_table)
 from .values import ONE, ZERO
 
 
@@ -218,13 +218,15 @@ def find_iso(A: FiniteStructure, B: FiniteStructure,
     Colour refinement of the joint point classes of A and B (McKay &
     Piperno, "Practical graph isomorphism, II", 2014) splits them by the
     functions, the predicates and the fixed points of each unary
-    endofunction.  When every sort of both structures is an ultrametric
-    (see _ultrametric_order), the canonical form comes first: AHU codes
-    (Aho, Hopcroft & Ullman 1974) of each sort's ball tree, with the
-    classes as colours, carry the metric; the canonical point orders of A
-    and B, zipped, give one map, and verify_iso checks it.  Otherwise, or
-    when the codes differ or the check fails, the complete search decides
-    (see _search), starting from the classes already refined."""
+    endofunction.  When each sort's reference side (one that carries its
+    tree, else A) is an ultrametric, the canonical form comes first: AHU
+    codes (Aho, Hopcroft & Ullman 1974) of each sort's ball tree, the
+    other side's balls read off the reference's levels, uncertified (see
+    _dendrograms), carry the metric with the classes as colours; the
+    canonical orders of A and B, zipped, give one map, and verify_iso
+    checks it.  Otherwise, or when the codes differ or the check fails,
+    the complete search decides (see _search), starting from the classes
+    already refined: verify_iso and _search carry exactness."""
     if L0 is None:
         L0 = Sublanguage(frozenset(A.functions) & frozenset(B.functions),
                          frozenset(A.predicates) & frozenset(B.predicates))
@@ -248,30 +250,39 @@ def find_iso(A: FiniteStructure, B: FiniteStructure,
 
 
 def _symbol_tables(A, B, L0: Sublanguage):
-    """(name, argument sorts, output sort of a function, A's table, B's)
-    for each function and predicate of L0, and a 0/1 table of the fixed
-    points of each unary endofunction."""
+    """The tables (see _entry) of each symbol of L0, and a 0/1 table of the
+    fixed points of each unary endofunction.  B's function values are
+    offset by the output sort's size, so they index the joint classes."""
     tables = []
     for name in sorted(L0.functions):
         fa, fb = A.functions[name], B.functions[name]
-        tables.append((name, fa.arg_sorts, fa.out_sort, fa.table, fb.table))
+        n = A.sorts[fa.out_sort].size
+        tables.append(_entry(name, fa.arg_sorts, fa.out_sort, fa.table,
+                             fb.table + n))
         if fa.arg_sorts == (fa.out_sort,):
-            ids = np.arange(len(fa.table))
-            tables.append((f"{name} fixed", fa.arg_sorts, None,
-                           fa.table == ids, fb.table == ids))
+            ids = np.arange(n)
+            tables.append(_entry(f"{name} fixed", fa.arg_sorts, None,
+                                 fa.table == ids, fb.table == ids))
     for name in sorted(L0.predicates):
         pa, pb = A.predicates[name], B.predicates[name]
-        tables.append((name, pa.arg_sorts, None,
-                       *_ranks(pa.table, pa.den, pb.table, pb.den)))
+        tables.append(_entry(name, pa.arg_sorts, None,
+                             *_ranks(pa.table, pa.den, pb.table, pb.den)))
     return tables
+
+
+def _entry(name, args, out, ta, tb):
+    """(name, argument sorts, output sort of a function, A's table, B's,
+    and for a unary table its joint column: A's values, then B's)."""
+    return (name, args, out, ta, tb,
+            np.concatenate((ta, tb)) if len(args) == 1 else None)
 
 
 def _search(A, B, L0: Sublanguage, classes, tables):
     """The complete search: refine the joint classes by the metric as well
     as the tables, then individualize one A point at a time against each B
     point of its class, backtracking on an explicit stack."""
-    metric = [(f"metric {s}", (s, s), None,
-               *_ranks(sd.dmat, sd.den, B.sorts[s].dmat, B.sorts[s].den))
+    metric = [_entry(f"metric {s}", (s, s), None,
+                     *_ranks(sd.dmat, sd.den, B.sorts[s].dmat, B.sorts[s].den))
               for s, sd in A.sorts.items()]
     tables = metric + tables
     new = _refined(classes, tables)
@@ -296,7 +307,7 @@ def _search(A, B, L0: Sublanguage, classes, tables):
             if j is None:
                 stack.pop()
                 continue
-            new = _settle(base, _sliced(tables, s, i, j))
+            new = _settle(base, _sliced(tables, s, i, j, len(base[s]) // 2))
             if isinstance(new, Refusal):
                 new = None
     return Refusal("backtracking exhausted",
@@ -316,19 +327,37 @@ def _refined(classes, tables):
 
 
 def _dendrograms(A, B):
-    """Per sort, the ball orders of A and B (see _dendrogram), with
-    their joins ranked on one scale, as (order, levels, merges) from
-    _ball_merges, when every sort of both is an ultrametric; else None."""
+    """Per sort, A's and B's balls as (order, levels, merges) from
+    _ball_merges, joins ranked on the reference side's levels; None when a
+    reference is no ultrametric.  The reference is a side that carries its
+    tree, else A, certified by _dendrogram.  The other side's balls, read
+    off the reference's levels (see _balls_at), are not certified: a wrong
+    ball makes the codes differ or the map fail verify_iso; _search decides."""
     trees = {}
     for s, sa in A.sorts.items():
         sb = B.sorts[s]
-        ta = _dendrogram(sa)
-        tb = _dendrogram(sb) if ta is not None else None
-        if tb is None:
+        flip = sa.tree is None and sb.tree is not None
+        ref, other = (sb, sa) if flip else (sa, sb)
+        if (tree := _dendrogram(ref)) is None:
             return None
-        ja, jb = _ranks(ta[1], sa.den, tb[1], sb.den)
-        trees[s] = (ta[0], *_ball_merges(ja)), (tb[0], *_ball_merges(jb))
+        levels = np.unique(tree[1][1:])
+        pair = ((tree[0], *_ball_merges(np.searchsorted(levels, tree[1]))),
+                _balls_at(other, levels, ref.den))
+        trees[s] = pair[::-1] if flip else pair
     return trees
+
+
+def _balls_at(sd, levels, den: int):
+    """(order, levels, merges) of sd's balls at the distances levels / den,
+    joins ranked on levels.  A point's u-ball is named by its first point
+    within floor(u * sd.den / den) / sd.den, exactly u / den; points that
+    agree on k levels from the coarsest join at the k-th coarsest (rank
+    len(levels) when k = 0).  For an ultrametric these are its balls."""
+    cuts = [u * sd.den // den for u in levels[::-1].tolist()]
+    order, agree = _sorted_agreement(np.array(  # first, the sort as one ball
+        [np.zeros(sd.size, np.intp)] +
+        [(sd.dmat <= u).argmax(axis=1) for u in cuts]))
+    return order, *_ball_merges(np.concatenate(([0], len(cuts) + 1 - agree)))
 
 
 def _dendrogram(sd):
@@ -347,52 +376,41 @@ def _dendrogram(sd):
 def _canonical_map(A, B, trees, classes, tables):
     """The map that zips the canonical point orders of A's and B's ball
     trees, or None when the two sides differ.  classes must be refined by
-    the tables.  Sorts go one at a time: once a sort is zipped, each of
-    its pairs gets a class of its own, and the refinement carries that to
-    the sorts still to come."""
-    mapping = {}
-    for k, s in enumerate(trees):
-        got = _tree_refined(trees, classes, tables)
-        if got is None:
-            return None
-        classes, (pa, pb) = got[0], got[1][s]
-        na, nb = A.sorts[s].points, B.sorts[s].points
-        mapping[s] = {na[a]: nb[b] for a, b in zip(pa, pb)}
-        if k + 1 < len(trees):
-            n = len(pa)
-            c = np.empty(2 * n, np.int64)
-            c[pa] = c[n + pb] = np.arange(n)
-            classes = _refined({**classes, s: c}, tables)
-            if isinstance(classes, Refusal):
-                return None
-    return IsoWitness(mapping)
-
-
-def _tree_refined(trees, classes, tables):
-    """Refine the joint classes, already refined by the tables, by each
-    sort's coloured ball tree and by the tables until no class splits.
-    Points of a sort whose balls have the same codes, from the point up to
-    the root, are swapped by an isometry that keeps the colours, so these
-    codes split a class at least as finely as the metric's profile would.
-    Returns the classes and, per sort, A's and B's points in canonical
-    order; None when the two sides differ."""
+    the tables.  Each round codes the sorts that refinement split since
+    they were coded (codes split a class at least as finely as the metric's
+    profile, and coding the classes they gave splits nothing), then
+    refines by the tables.  When none is left, sorts are zipped in turn, up
+    to one whose classes are not single pairs: each of its pairs gets a
+    class of its own for the sorts to come."""
+    mapping, orders, stale = {}, {}, list(trees)
     while True:
-        new, orders = {}, {}
-        for s, (ta, tb) in trees.items():
-            c, n = classes[s], len(ta[0])
-            codes: dict = {}
+        new = dict(classes)
+        for s in stale:
+            (ta, tb), c = trees[s], classes[s]
+            n, codes = len(ta[0]), {}
+            if c.max(initial=0) + 1 == n:  # one pair per class: no codes
+                orders[s] = np.argsort(c[:n]), np.argsort(c[n:])
+                continue
             ka, pa, ra = _canonical(*ta, c[:n], codes)
             kb, pb, rb = _canonical(*tb, c[n:], codes)
             if ka != kb:
                 return None
-            new[s] = _numbered(np.hstack((ra, rb)))
-            orders[s] = pa, pb
-        if all(new[s].max(initial=0) == c.max(initial=0)
-               for s, c in classes.items()):
-            return classes, orders
+            new[s], orders[s] = _numbered(np.hstack((ra, rb))), (pa, pb)
+        for s in [] if stale else [s for s in trees if s not in mapping]:
+            (pa, pb), n = orders[s], len(orders[s][0])
+            na, nb = A.sorts[s].points, B.sorts[s].points
+            mapping[s] = {na[a]: nb[b] for a, b in zip(pa, pb)}
+            if classes[s].max(initial=0) + 1 < n:
+                new[s] = np.empty(2 * n, np.int64)
+                new[s][pa] = new[s][n + pb] = np.arange(n)
+                break
+        if len(mapping) == len(trees):
+            return IsoWitness(mapping)
         classes = _refined(new, tables)
         if isinstance(classes, Refusal):
             return None
+        stale = [s for s in trees if s not in mapping and
+                 classes[s].max(initial=0) != new[s].max(initial=0)]
 
 
 def _canonical(order, levels, merges, colour, codes: dict):
@@ -441,16 +459,18 @@ def _settle(classes, tables):
     class; a 0-ary function puts its output in a class of its own.  Returns
     a Refusal when a 0-ary value or the two sides of a class differ."""
     keys = {s: [c] for s, c in classes.items()}
-    for name, args, out, ta, tb in tables:
+    for name, args, out, ta, tb, joint in tables:
+        if joint is not None:
+            keys[args[0]].append(joint if out is None else classes[out][joint])
+            continue
         if not args and out is not None:
             mark = np.zeros(len(classes[out]), np.int64)
-            mark[[int(ta), len(mark) // 2 + int(tb)]] = 1
+            mark[[int(ta), int(tb)]] = 1
             keys[out].append(mark)
         elif not args and ta != tb:
             return Refusal("label-count invariant", f"{name} differs")
         elif out is not None:
-            c = classes[out]
-            ta, tb = c[ta], c[len(c) // 2 + tb]
+            ta, tb = classes[out][ta], classes[out][tb]
         for m, s in enumerate(args):
             keys[s].append(_profile(ta, tb, m, args, classes))
     new = {}
@@ -469,21 +489,18 @@ def _settle(classes, tables):
 def _numbered(cols):
     """Ids 0, 1, ... of the points by their values in the columns cols
     (equal ids for equal values in every column), in the order of those
-    values, the first column first."""
-    key = cols[0]
-    for col in cols[1:]:
-        top = int(col.max(initial=0)) + 1
-        if (int(key.max(initial=0)) + 1) * top >= 2**62:
-            key = np.unique(key, return_inverse=True)[1]
-        key = key * top + col
-    return np.unique(key, return_inverse=True)[1]
+    values, the first column first: one lexsort of all the columns."""
+    order, agree = _sorted_agreement(np.asarray(cols))
+    ids = np.zeros(len(order), np.int64)
+    ids[order[1:]] = np.cumsum(agree < len(cols))
+    return ids
 
 
 def _profile(ta, tb, m: int, args, classes):
-    """Per point of args[m], A's then B's: its value in a unary table, else
-    an id of the sorted (value, classes of the other arguments) along the
-    point's slice.  Keys of a k-ary table stay below 2^k * cells * max(cells,
-    output points), within int64 for any table that fits in memory."""
+    """Per point of args[m], A's then B's, of a table of two or more
+    arguments: an id of the sorted (value, classes of the other arguments)
+    along the point's slice.  Keys of a k-ary table stay below 2^k * cells
+    * max(cells, output points), within int64 for any table in memory."""
     key = np.stack((ta, tb)).astype(np.int64)
     for k, s in enumerate(args):
         if k != m:
@@ -491,8 +508,6 @@ def _profile(ta, tb, m: int, args, classes):
             shape = [2] + [1] * len(args)
             shape[k + 1] = c.shape[1]
             key = key * (int(c.max(initial=0)) + 1) + c.reshape(shape)
-    if key.ndim == 2:
-        return key.reshape(-1)
     key = np.moveaxis(key, m + 1, 1)
     rows = np.sort(key.reshape(2 * key.shape[1], math.prod(key.shape[2:])))
     ids: dict[bytes, int] = {}
@@ -500,18 +515,18 @@ def _profile(ta, tb, m: int, args, classes):
                     np.int64)
 
 
-def _sliced(tables, s: str, i: int, j: int):
-    """The tables seen from the new pair A's i -> B's j of sort s: the pair
-    itself as a 0-ary function, every table sliced at each argument of
-    sort s, and `f == i` against `f == j` for each function into s."""
-    out = [("pair", (), s, i, j)]
-    for name, args, fout, ta, tb in tables:
+def _sliced(tables, s: str, i: int, j: int, n: int):
+    """The tables seen from the new pair A's i -> B's j of sort s (of n
+    points): the pair itself as a 0-ary function, every table sliced at
+    each argument of sort s, and `f == i` against `f == j` for f into s."""
+    out = [("pair", (), s, i, n + j, None)]
+    for name, args, fout, ta, tb, _ in tables:
         for m, t in enumerate(args):
             if t == s:
-                out.append((name, args[:m] + args[m + 1:], fout,
-                            ta.take(i, axis=m), tb.take(j, axis=m)))
+                out.append(_entry(name, args[:m] + args[m + 1:], fout,
+                                  ta.take(i, axis=m), tb.take(j, axis=m)))
         if fout == s:
-            out.append((name, args, None, ta == i, tb == j))
+            out.append(_entry(name, args, None, ta == i, tb == n + j))
     return out
 
 

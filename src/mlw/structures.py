@@ -49,11 +49,7 @@ class SortData:
 
     def in_range(self) -> bool:
         """bounded, read off dmat the first time it is asked for."""
-        if self.bounded is None:
-            D = self.dmat
-            object.__setattr__(self, "bounded", bool(not D.size or (
-                0 <= D.min() and D.max() <= self.den)))
-        return self.bounded
+        return _in_range(self, self.dmat)
 
     @property
     def size(self) -> int:
@@ -75,9 +71,19 @@ class PredTable:
     arg_sorts: tuple[str, ...]
     den: int
     table: np.ndarray  # int64, entries = den * value
+    # every entry in [0, den], as SortData.bounded
+    bounded: bool | None = field(default=None, compare=False, repr=False)
 
     def value(self, *idx) -> Fraction:
         return Fraction(int(self.table[idx]), self.den)
+
+
+def _in_range(obj, table) -> bool:
+    """obj.bounded, set from table (values den * q) when it is None."""
+    if obj.bounded is None:
+        object.__setattr__(obj, "bounded", bool(not table.size or (
+            0 <= table.min() and table.max() <= obj.den)))
+    return obj.bounded
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ class FiniteStructure:
                 raise ValueError(f"predicate {name} table shape mismatch")
             if table.size and (table.min() < 0 or table.max() > den):
                 raise ValueError(f"predicate {name} value outside [0,1]")
-            preds[name] = PredTable(arg_sorts, den, table)
+            preds[name] = PredTable(arg_sorts, den, table, True)
 
         return FiniteStructure(sorts, fns, preds, dict(moduli or {}),
                                dict(meta or {}))
@@ -218,6 +224,15 @@ def _agreement(levels) -> np.ndarray:
     return delta
 
 
+def _sorted_agreement(levels):
+    """The items sorted by their ids (a row per level, level 0 first), and
+    how many leading levels each sorted item shares with the one before."""
+    order = np.lexsort(levels[::-1])
+    ids = levels[:, order]
+    return order, np.logical_and.accumulate(ids[:, 1:] == ids[:, :-1],
+                                            axis=0).sum(axis=0)
+
+
 def _id_metric(den: int, dist, levels, n: int):
     """The read-only distance table of a (den, dist, levels) metric, when
     it is an ultrametric with values in [0, 1] its certificate, and True
@@ -240,10 +255,7 @@ def _id_metric(den: int, dist, levels, n: int):
     dmat = dist[_agreement(levels)]
     np.fill_diagonal(dmat, 0)
     dmat.flags.writeable = False
-    order = np.lexsort(levels[::-1])
-    ids = levels[:, order]
-    agree = np.logical_and.accumulate(ids[:, 1:] == ids[:, :-1],
-                                      axis=0).sum(axis=0)
+    order, agree = _sorted_agreement(levels)
     join = np.zeros(n, dtype=np.int64)
     join[1:] = dist[agree]
     bounded = 0 <= dist.min() <= dist.max() <= den or None  # dmat's values
@@ -831,6 +843,8 @@ def _closure(g, kids, D: int, d: int):
             if sorts != table.arg_sorts:
                 raise ValueError(f"{name} takes sorts {table.arg_sorts}, "
                                  f"given {sorts}")
+            if not (fn or table.bounded or _in_range(table, table.table)):
+                raise ValueError(f"predicate {name} has values outside [0,1]")
             return (table.out_sort if fn else table.den,
                     _read(table.table, args))
     return run

@@ -731,12 +731,17 @@ def _crossed(link):
 
 
 def test_search_takes_over_when_the_canonical_map_fails(searches):
-    # A and B have the same metric and the same classes, so their canonical
-    # orders agree and the canonical map is the identity, which moves R and
-    # g; swapping c and d is an isomorphism
-    A, B = _crossed({"a": "c", "b": "d"}), _crossed({"a": "d", "b": "c"})
+    # A and B are the same structure, all four points in one class.  A's
+    # Prim order reaches d before c (both at 1 from a and b), while B's
+    # balls, read off A's levels, list c before d; the codes agree, so the
+    # canonical map swaps c and d, which moves R and g, and the identity
+    # is an isomorphism
+    A, B = _crossed({"a": "c", "b": "d"}), _crossed({"a": "c", "b": "d"})
     L0 = Sublanguage.full(A)
-    assert verify_iso(A, B, L0, IsoWitness({"S": {p: p for p in "abcd"}}))
+    assert [A.sorts["S"].points[i] for i in analysis._dendrogram(
+        A.sorts["S"])[0]] == ["a", "b", "d", "c"]
+    assert verify_iso(A, B, L0, IsoWitness(
+        {"S": {"a": "a", "b": "b", "c": "d", "d": "c"}}))
     got = find_iso(A, B)
     assert isinstance(got, IsoWitness)
     assert verify_iso(A, B, L0, got) == []
@@ -796,3 +801,144 @@ def test_refusal_reasons_match_the_search(pair, searches):
     assert got.reason == want.reason
     if pair in ("codes", "cycles"):  # the search decided, from no split
         assert decided and got == want
+
+
+# --------------------------------------------------------------------------
+# find_iso: the side without a reference tree reads its balls off the
+# reference's levels, uncertified
+
+def _leveled(top, sub, f, p):
+    """A one-sort ultrametric built from level ids, so it carries its tree:
+    distance 1 across the top partition, 1/2 across sub, 1/4 inside, with a
+    unary function f and a unary predicate P (in halves)."""
+    n = len(top)
+    return FiniteStructure.build(
+        {"S": [f"s{i}" for i in range(n)]},
+        {"S": (4, [4, 2, 1, 0], [top, sub, list(range(n))])},
+        {"f": (("S",), "S", np.array(f, dtype=np.int64))},
+        {"P": (("S",), (2, np.array(p, dtype=np.int64)))})
+
+
+def _rescaled(M, k: int):
+    """M with its metric and P over k times their denominators, its sort
+    made directly, so carrying no tree."""
+    sd, P = M.sorts["S"], M.predicates["P"]
+    return FiniteStructure(
+        {"S": SortData(sd.points, sd.den * k, sd.dmat * k, sd.index)},
+        M.functions, {"P": PredTable(P.arg_sorts, P.den * k, P.table * k)})
+
+
+@st.composite
+def _level_pairs(draw):
+    """(A, B, how): A from _leveled over up to six points, its f and P
+    random or the identity and 0, and a B whose distances lie on A's
+    levels (or at 0): A relabelled, its metric over another denominator,
+    up to 3 * 2^61; another random ultrametric; A relabelled with one pair
+    moved to another level, or to 0.  Either side may come first, so the
+    tree may be on either."""
+    n, plain = draw(st.integers(1, 6)), draw(st.booleans())
+
+    def parts():
+        top, sub, f, p = (draw(st.lists(st.integers(0, hi), min_size=n,
+                                        max_size=n))
+                          for hi in (1, 1, n - 1, 2))
+        if plain:  # f and P split no class, so the codes decide
+            f, p = range(n), [0] * n
+        return _leveled(top, sub, f, p)
+    A, how = parts(), draw(st.sampled_from(("relabelled", "other", "moved")))
+    if how == "other":
+        B = parts()
+    else:
+        B = _shuffled(A, random.Random(draw(st.integers(0, 2**32 - 1))))
+        if how == "moved" and n > 1:
+            i, j = draw(st.permutations(range(n)))[:2]
+            d = B.sorts["S"].dmat
+            d[i, j] = d[j, i] = draw(st.sampled_from(
+                [v for v in (0, 1, 2, 4) if v != d[i, j]]))
+        B = _rescaled(B, draw(st.sampled_from((1, 3, 3 * 2**59))))
+    return (B, A, how) if draw(st.booleans()) else (A, B, how)
+
+
+@settings(max_examples=200)
+@given(_level_pairs())
+def test_derived_balls_match_the_search(pair):
+    A, B, how = pair
+    got, want = find_iso(A, B), _search_only(A, B)
+    if isinstance(want, IsoWitness):
+        assert isinstance(got, IsoWitness), (how, got)
+        assert verify_iso(A, B, Sublanguage.full(A), got) == []
+    else:  # the refusal comes from the search or the invariant counts
+        assert isinstance(got, Refusal) and got.reason == want.reason, how
+        if got.reason == "backtracking exhausted":
+            assert got == want
+
+
+@pytest.mark.parametrize("k", [1, 3, 3 * 2**59])
+def test_derived_balls_decide_relabelled_copies_at_other_dens(k, searches):
+    """A relabelled copy over k times the denominator, past 2^62 for the
+    largest k, on either side of the tree: the canonical map decides, so
+    the derived balls were the copy's balls.  f and P split no class, so
+    the map rests on the codes alone."""
+    A = _leveled([0, 0, 0, 1, 1, 1], [0, 0, 1, 2, 2, 3], range(6), [1] * 6)
+    B = _rescaled(_shuffled(A, random.Random(k)), k)
+    for X, Y in ((A, B), (B, A), (B, B)):
+        got = find_iso(X, Y)
+        assert isinstance(got, IsoWitness)
+        assert verify_iso(X, Y, Sublanguage.full(X), got) == []
+    assert not searches
+
+
+def test_derived_balls_cut_exactly_past_int64():
+    """At a reference level u / da, a point's ball holds the points within
+    floor(u * db / da) / db on its side: 2^61 - 1 here, while 2^61 is
+    past the level by 2 / (2^124 - 1), which a float cannot see."""
+    da, db, u = 2**62 + 1, 2**62 - 1, 2**61
+    cut = u * db // da
+    assert cut == 2**61 - 1 and float(cut + 1) / db == float(u) / da
+    for entry, rank in ((cut, 0), (cut + 1, 1)):  # 1: above every level
+        sd = SortData(("p", "q"), db, np.array([[0, entry], [entry, 0]]),
+                      {"p": 0, "q": 1})
+        _, levels, _ = analysis._balls_at(sd, np.array([u]), da)
+        assert levels.tolist() == [rank]
+
+
+@pytest.mark.parametrize("spec, points", [("N3(depth=2,branch=2)", 160),
+                                          ("N2(depth=4,branch=3)", 584)])
+def test_canonical_map_codes_a_sort_once_per_split(spec, points, searches,
+                                                   monkeypatch):
+    """Points coded, both sides, on a relabelled copy: a sort is coded
+    again only when the refinement split its classes after it was coded,
+    and not when each of its classes is one pair.  Coding every sort again
+    for each sort, and once more to see nothing split, codes 384 and 876."""
+    coded, canonical = [], analysis._canonical
+
+    def counted(order, *args):
+        coded.append(len(order))
+        return canonical(order, *args)
+    monkeypatch.setattr(analysis, "_canonical", counted)
+    A = build_model(spec)
+    got = find_iso(A, _shuffled(A, random.Random(0)))
+    assert isinstance(got, IsoWitness) and not searches
+    assert sum(coded) == points
+
+
+def _numbered_by_products(cols):
+    """Reference for analysis._numbered: a mixed-radix key per point, one
+    column at a time (renumbered before it could pass 2^62), then one
+    np.unique."""
+    key = cols[0]
+    for col in cols[1:]:
+        top = int(col.max(initial=0)) + 1
+        if (int(key.max(initial=0)) + 1) * top >= 2**62:
+            key = np.unique(key, return_inverse=True)[1]
+        key = key * top + col
+    return np.unique(key, return_inverse=True)[1]
+
+
+@given(st.integers(0, 12).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 2**40), min_size=n, max_size=n),
+    min_size=1, max_size=5)))
+def test_numbered_matches_the_product_keys(rows):
+    cols = [np.array(r, dtype=np.int64) for r in rows]
+    assert analysis._numbered(cols).tolist() == \
+        _numbered_by_products(cols).tolist()

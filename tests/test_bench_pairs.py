@@ -73,3 +73,52 @@ def test_workloads_are_a_comma_separated_list(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "# scan, 2 pairs" in out and "# search, 2 pairs" in out
     assert "worse past bound" not in out
+
+
+def _ten_pairs(parent: list, change: list):
+    """Ten pairs whose runs read the given verdicts_per_s values."""
+    def run(v):
+        return {"metrics": {"verdicts_per_s": {"value": v}}}
+    return [(seed, "parent", run(p), run(c))
+            for seed, (p, c) in enumerate(zip(parent, change))]
+
+
+def test_claim_needs_nine_wins_of_ten_and_a_gain_past_the_iqr():
+    higher = METRICS[0]
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # IQR 4.5
+    shown = [p + 10 for p in parent]
+    assert bench_pairs.gain_shown(higher, _ten_pairs(parent, shown))
+    # nine wins: still shown; eight: not, though the median moves alike
+    assert bench_pairs.gain_shown(
+        higher, _ten_pairs(parent, shown[:9] + [parent[9] - 1]))
+    assert not bench_pairs.gain_shown(
+        higher, _ten_pairs(parent, shown[:8] + [p - 1 for p in parent[8:]]))
+    # ten wins by a median gain of 4 against the parent's IQR of 4.5
+    assert not bench_pairs.gain_shown(higher, _ten_pairs(
+        parent, [p + 4 for p in parent]))
+    # lower is better: the gain is the parent's median less the change's
+    lower = METRICS[1]
+    pairs = [(k, "parent", {"metrics": {"verdict_s_p50": {"value": p}}},
+              {"metrics": {"verdict_s_p50": {"value": p / 2}}})
+             for k, p in enumerate(parent)]
+    assert bench_pairs.gain_shown(lower, pairs)
+
+
+def test_claim_is_printed_after_its_workload(monkeypatch, capsys):
+    names = [m["name"] for m in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def run(checkout, workload, seed, seconds):
+        v = 2.0 if checkout == "C" else 1.0 + seed / 100
+        return {"correct": True,
+                "metrics": {n: {"value": v} for n in names}}
+    monkeypatch.setattr(bench_pairs, "run", run)
+    assert bench_pairs.main(["P", "C", "--workload", "scan,search",
+                             "--seeds", "1-10", "--claim",
+                             "search:verdicts_per_s", "--claim",
+                             "search:verdict_s_p50"]) == 0
+    out = capsys.readouterr().out
+    scan, search = out.split("# search")
+    assert "claim" not in scan
+    assert "claim search:verdicts_per_s: gain shown" in search
+    assert "claim search:verdict_s_p50: gain not shown" in search

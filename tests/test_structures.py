@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from mlw.formulas import Dist, Pred, Var, affine, parse_formula
 from mlw.moduli import Modulus
-from mlw.structures import (FiniteStructure, SortData, _max_numerator,
-                            check_structure, eval_bounds, eval_formula,
-                            eval_table, load_structure, save_structure)
+from mlw.structures import (FiniteStructure, PredTable, SortData,
+                            _max_numerator, check_structure, eval_bounds,
+                            eval_formula, eval_table, load_structure,
+                            save_structure)
 from mlw.values import ONE, ZERO
 
 
@@ -288,3 +289,30 @@ def test_distances_outside_the_unit_interval_are_not_evaluated():
     # a constructed sort records it from its dist entries, at build time
     assert FiniteStructure.build({"A": ["a", "b"]},
                                  {"A": (3, [3, 0], [[0, 1]])}).sorts["A"].bounded
+
+
+def test_predicate_values_outside_the_unit_interval_are_not_evaluated():
+    """A PredTable made directly with a value outside [0, den] would
+    evaluate max(P(x0), 1/5) to 2^62/15 at its first point (5 * 2^62 wraps
+    around in int64); its first evaluation is refused, naming P.  A table
+    in range, made directly, evaluates; a built one records its range."""
+    A = FiniteStructure.build({"A": ["a", "b"]},
+                              {"A": (1, [[0, 1], [1, 0]])}).sorts
+    f = parse_formula("max(P(x0), 1/5)")
+    bad = FiniteStructure(A, {}, {"P": PredTable(("A",), 3,
+                                                 np.array([2**62, 0]))})
+    with pytest.raises(ValueError,
+                       match=r"predicate P has values outside \[0,1\]"):
+        eval_table(f, bad, [("x0", "A")])
+    with pytest.raises(ValueError, match="predicate P"):
+        eval_formula(f, bad, {"x0": "b"})
+    assert bad.predicates["P"].bounded is False
+    ok = PredTable(("A",), 3, np.array([2, 0]))
+    assert ok.bounded is None
+    assert eval_table(f, FiniteStructure(A, {}, {"P": ok}),
+                      [("x0", "A")])[1].tolist() == [10, 3]
+    assert ok.bounded
+    built = FiniteStructure.build({"A": ["a", "b"]},
+                                  {"A": (1, [[0, 1], [1, 0]])}, None,
+                                  {"P": (("A",), (3, np.array([2, 0])))})
+    assert built.predicates["P"].bounded

@@ -1,7 +1,8 @@
 """Compare two checkouts on workloads over interleaved pairs of runs.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR \
-        --workload scan[,search,...] --seeds 81-90 [--seconds 10]
+        --workload scan[,search,...] --seeds 81-90 [--seconds 10] \
+        [--claim search:verdicts_per_s ...]
 
 For each workload in turn and each seed, runs `perfbench/run.py
 --workload W --seed S --seconds T` once in each checkout, one run at a
@@ -20,8 +21,12 @@ BENCHMARK.json lists:
 
 A claimed gain should win at least 9 pairs of 10 and move the median by
 more than the parent's interquartile range; no metric should read
-`worse past bound`.  Quartiles are the
-`statistics.quantiles(n=4, method="inclusive")` cut points."""
+`worse past bound`.  Each `--claim WORKLOAD:METRIC` prints, after that
+workload's tables, `gain shown` when the pairs meet that rule (the change
+better in at least nine tenths of them, and its median gain larger than
+the parent's interquartile range) and `gain not shown` otherwise.
+Quartiles are the `statistics.quantiles(n=4, method="inclusive")` cut
+points."""
 
 from __future__ import annotations
 
@@ -72,16 +77,34 @@ def worse_past_bound(metric: dict, parent: float, change: float) -> bool:
     return change > parent + slack
 
 
+def sides(metric: dict, pairs: list[tuple]):
+    """The metric's parent values, change values, and whether the change
+    is better, pair by pair, over pairs (seed, first, parent run, change
+    run)."""
+    name, higher = metric["name"], metric["better"] == "higher"
+    par = [p["metrics"][name]["value"] for _, _, p, _ in pairs]
+    chg = [c["metrics"][name]["value"] for _, _, _, c in pairs]
+    return par, chg, [c > p if higher else c < p for p, c in zip(par, chg)]
+
+
+def gain_shown(metric: dict, pairs: list[tuple]) -> bool:
+    """Whether the pairs show a gain in the metric: the change better in
+    at least 9 pairs of 10, and its median better than the parent's by
+    more than the parent's interquartile range."""
+    par, chg, better = sides(metric, pairs)
+    (p1, pm, p3), cm = quartiles(par), quartiles(chg)[1]
+    gain = cm - pm if metric["better"] == "higher" else pm - cm
+    return 10 * sum(better) >= 9 * len(pairs) and gain > p3 - p1
+
+
 def report(metrics: list[dict], pairs: list[tuple]) -> str:
     """The per-metric tables and summaries of pairs (seed, first, parent
     run, change run)."""
     lines = []
     for m in metrics:
-        name, higher = m["name"], m["better"] == "higher"
-        par = [p["metrics"][name]["value"] for _, _, p, _ in pairs]
-        chg = [c["metrics"][name]["value"] for _, _, _, c in pairs]
-        better = [c > p if higher else c < p for p, c in zip(par, chg)]
-        lines += [f"## {name} ({m['better']} is better, bound {m['bound']})",
+        par, chg, better = sides(m, pairs)
+        lines += [f"## {m['name']} ({m['better']} is better, "
+                  f"bound {m['bound']})",
                   "", "| seed | first | parent | change | change/parent "
                   "| change better |", "|---|---|---|---|---|---|"]
         for (seed, first, _, _), p, c, b in zip(pairs, par, chg, better):
@@ -89,7 +112,7 @@ def report(metrics: list[dict], pairs: list[tuple]) -> str:
             lines.append(f"| {seed} | {first} | {p:.6g} | {c:.6g} | {ratio} "
                          f"| {'yes' if b else 'no'} |")
         (p1, pm, p3), (c1, cm, c3) = quartiles(par), quartiles(chg)
-        gain = cm - pm if higher else pm - cm
+        gain = cm - pm if m["better"] == "higher" else pm - cm
         lines += ["", f"wins: {sum(better)}/{len(pairs)}",
                   f"parent: median {pm:.6g} [q1 {p1:.6g}, q3 {p3:.6g}]",
                   f"change: median {cm:.6g} [q1 {c1:.6g}, q3 {c3:.6g}]",
@@ -109,9 +132,18 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, type=seeds,
                     help="seeds, as A-B, a list, or both: 81-90 or 1,3,7-8")
     ap.add_argument("--seconds", type=float, default=10)
+    ap.add_argument("--claim", action="append", default=[],
+                    type=lambda s: tuple(s.split(":", 1)),
+                    help="WORKLOAD:METRIC whose gain to judge; repeatable")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
+    by_name = {m["name"]: m for m in metrics}
+    for claim in args.claim:
+        if len(claim) != 2 or claim[0] not in args.workload or \
+                claim[1] not in by_name:
+            ap.error(f"--claim {':'.join(claim)}: not WORKLOAD:METRIC of "
+                     f"a listed workload and a BENCHMARK.json metric")
     for workload in args.workload:
         pairs = []
         for k, seed in enumerate(args.seeds):
@@ -129,6 +161,11 @@ def main(argv=None) -> int:
               f"change {sum(c['correct'] for _, _, _, c in pairs)}/"
               f"{len(pairs)}\n")
         print(report(metrics, pairs), flush=True)
+        for w, name in args.claim:
+            if w == workload:
+                shown = gain_shown(by_name[name], pairs)
+                print(f"claim {w}:{name}: gain {'' if shown else 'not '}"
+                      f"shown", flush=True)
     return 0
 
 
