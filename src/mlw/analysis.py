@@ -10,9 +10,10 @@ from fractions import Fraction
 import numpy as np
 
 from .formulas import Formula, Quant, _modulus_for_var, summary
-from .structures import (FiniteStructure, _ball_merges, _bind_rows,
-                         _first_hit, _max_numerator, _sorted_agreement,
-                         _table, _table_env, _ultrametric_order, eval_table)
+from .structures import (_CERT_CELLS, FiniteStructure, _ball_merges,
+                         _bind_rows, _first_hit, _int_type, _max_numerator,
+                         _sorted_agreement, _table, _table_env,
+                         _ultrametric_order, eval_table)
 from .values import ONE, ZERO
 
 
@@ -134,32 +135,34 @@ def _unequal(a, da: int, b, db: int):
 
 
 def _mismatches(A, B, L0: Sublanguage, idx) -> list[tuple]:
-    """Where the partial map idx (sort -> {A index: B index}) fails to
-    preserve the metric or a table of L0, compared on its domain only.
-    Returns (kind, name, first A-side index tuple) per failing sort or
-    symbol: the metric of each sort of idx first (pairs in the map's
-    order), then the functions and the predicates of L0 by name (argument
-    tuples in increasing index order; a function counts only where its
-    value lies in the domain)."""
-    out = []
-    dom = {}
+    """Where the partial map idx (sort -> (A indices, B indices), its pairs
+    in order) fails to preserve the metric or a table of L0, compared on
+    its domain only.  Returns (kind, name, first A-side index tuple) per
+    failing sort or symbol: the metric of each sort of idx first (pairs in
+    the map's order), then the functions and the predicates of L0 by name
+    (argument tuples in increasing index order; a function counts only
+    where its value lies in the domain).  The metric is compared in blocks
+    of rows of about _CERT_CELLS entries, each gathered from B's rows as it
+    is compared, up to the first block with a mismatch."""
+    out, dom = [], {}
     for s, sd in A.sorts.items():
-        m = idx.get(s, {})
-        keys = np.array(sorted(m), dtype=np.intp)
+        ia, ib = idx.get(s, (np.zeros(0, np.intp),) * 2)
         image = np.full(sd.size, -1, dtype=np.intp)
-        image[keys] = [m[i] for i in keys.tolist()]
-        dom[s] = keys, image
-    for s, m in idx.items():
+        image[ia] = ib
+        dom[s] = np.sort(ia), image
+    for s, (ia, ib) in idx.items():
         sa, sb = A.sorts[s], B.sorts[s]
-        ia = np.fromiter(m, np.intp, len(m))
-        ib = np.fromiter(m.values(), np.intp, len(m))
         # a whole sort in index order (as verify_iso passes it) needs no copy
         whole = len(ia) == sa.size and (ia == np.arange(sa.size)).all()
-        bad = _unequal(sa.dmat if whole else sa.dmat[np.ix_(ia, ia)], sa.den,
-                       sb.dmat[np.ix_(ib, ib)], sb.den)
-        hit = _first_hit(bad)
-        if hit is not None:
-            out.append(("metric", s, (ia[hit[0]], ia[hit[1]])))
+        k = max(1, _CERT_CELLS // max(len(ia), 1))
+        for r in range(0, len(ia), k):
+            rows = sa.dmat[r:r + k] if whole else \
+                np.take(sa.dmat[ia[r:r + k]], ia, axis=1)
+            hit = _first_hit(_unequal(rows, sa.den, np.take(
+                sb.dmat[ib[r:r + k]], ib, axis=1), sb.den))
+            if hit is not None:
+                out.append(("metric", s, (ia[r + hit[0]], ia[hit[1]])))
+                break
     tables = [("function", name, A.functions[name], B.functions[name])
               for name in sorted(L0.functions)]
     tables += [("predicate", name, A.predicates[name], B.predicates[name])
@@ -189,14 +192,13 @@ def _metric_line(A, s, where) -> str:
 def verify_iso(A: FiniteStructure, B: FiniteStructure, L0: Sublanguage,
                w: IsoWitness) -> list[str]:
     """Exactness check of a witness, table by table."""
-    idx: dict[str, dict[int, int]] = {}
+    idx = {}
     for s, sd in A.sorts.items():
-        m = w.mapping.get(s, {})
-        if set(m) != set(sd.points) or \
-                set(m.values()) != set(B.sorts[s].points):
+        m, sb = w.mapping.get(s, {}), B.sorts[s]
+        if set(m) != set(sd.points) or set(m.values()) != set(sb.points):
             return [f"mapping is not a bijection on sort {s}"]
-        idx[s] = dict(sorted((sd.index[a], B.sorts[s].index[b])
-                             for a, b in m.items()))
+        idx[s] = np.arange(sd.size), np.fromiter(
+            (sb.index[m[a]] for a in sd.points), np.intp, sd.size)
     out = []
     for kind, name, where in _mismatches(A, B, L0, idx):
         if kind == "metric":
@@ -350,14 +352,25 @@ def _dendrograms(A, B):
 def _balls_at(sd, levels, den: int):
     """(order, levels, merges) of sd's balls at the distances levels / den,
     joins ranked on levels.  A point's u-ball is named by its first point
-    within floor(u * sd.den / den) / sd.den, exactly u / den; points that
-    agree on k levels from the coarsest join at the k-th coarsest (rank
-    len(levels) when k = 0).  For an ultrametric these are its balls."""
-    cuts = [u * sd.den // den for u in levels[::-1].tolist()]
+    within floor(u * sd.den / den) / sd.den, exactly u / den, read finest
+    level first and each coarser level among the previous level's names
+    only: in an ultrametric, a coarser ball's first point is the first
+    point of one of its finer balls.  Points that agree on k levels from
+    the coarsest join at the k-th coarsest (rank len(levels) when k = 0).
+    For an ultrametric these are its balls."""
+    # reps: the previous level's names, ascending; at: the place among them
+    # of each point's name
+    names, reps, at = [], np.arange(sd.size), np.arange(sd.size)
+    for u in levels.tolist():
+        D = sd.dmat if len(reps) == sd.size else sd.dmat[reps][:, reps]
+        pick = (D <= u * sd.den // den).argmax(axis=1)
+        kept = np.zeros(len(reps), bool)
+        kept[pick] = True
+        reps, at = reps[kept], (np.cumsum(kept) - 1)[pick[at]]
+        names.append(reps[at])
     order, agree = _sorted_agreement(np.array(  # first, the sort as one ball
-        [np.zeros(sd.size, np.intp)] +
-        [(sd.dmat <= u).argmax(axis=1) for u in cuts]))
-    return order, *_ball_merges(np.concatenate(([0], len(cuts) + 1 - agree)))
+        [np.zeros(sd.size, np.intp)] + names[::-1]))
+    return order, *_ball_merges(np.concatenate(([0], len(names) + 1 - agree)))
 
 
 def _dendrogram(sd):
@@ -443,13 +456,17 @@ def _canonical(order, levels, merges, colour, codes: dict):
 
 def _ranks(ta, da: int, tb, db: int):
     """Tables a / da and b / db as the ranks of their values on one exact
-    scale, so that equal ranks mean equal values."""
-    ua, ia = np.unique(ta, return_inverse=True)
-    ub, ib = np.unique(tb, return_inverse=True)
-    qs = [Fraction(int(v), da) for v in ua] + [Fraction(int(v), db) for v in ub]
-    rank = {q: r for r, q in enumerate(sorted(set(qs)))}
-    r = np.array([rank[q] for q in qs], np.int64)
-    return r[:len(ua)][ia].reshape(ta.shape), r[len(ua):][ib].reshape(tb.shape)
+    scale, so that equal ranks mean equal values: one np.unique over both,
+    scaled to lcm(da, db) when the dens differ, in int64 unless a scaled
+    value could pass it."""
+    if da != db:
+        L = math.lcm(da, db)
+        dt = _int_type(max(max(-int(t.min(initial=0)), int(t.max(initial=0)),
+                               1) * (L // d) for t, d in ((ta, da), (tb, db))))
+        ta, tb = ta.astype(dt) * (L // da), tb.astype(dt) * (L // db)
+    _, r = np.unique(np.concatenate((ta.ravel(), tb.ravel())),
+                     return_inverse=True)
+    return r[:ta.size].reshape(ta.shape), r[ta.size:].reshape(tb.shape)
 
 
 def _settle(classes, tables):
@@ -581,11 +598,11 @@ def verify_iso_on_domain(A, B, L0, w: IsoWitness) -> list[str]:
     idx = {}
     for s, m in w.mapping.items():
         try:
-            idx[s] = {A.sorts[s].index[a]: B.sorts[s].index[b]
-                      for a, b in m.items()}
+            idx[s] = np.array([(A.sorts[s].index[a], B.sorts[s].index[b])
+                               for a, b in m.items()], np.intp).reshape(-1, 2).T
         except KeyError as e:
             return [f"unknown point {e} in mapping for sort {s}"]
-        if len(set(idx[s].values())) != len(idx[s]):
+        if len(np.unique(idx[s][1])) != len(m):
             return [f"mapping not injective on sort {s}"]
     for kind, name, where in _mismatches(A, B, L0, idx)[:1]:
         if kind == "metric":

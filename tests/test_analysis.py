@@ -1,5 +1,6 @@
 """Realization scans, isomorphism search, equivalence evidence."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -21,8 +22,8 @@ from mlw.models import (build_M, build_M4, build_N, build_N2, build_N3,
                         parse_kfamily, relabel)
 from mlw.moduli import Modulus
 from mlw.structures import (FiniteStructure, FnTable, PredTable, SortData,
-                            _max_numerator, check_structure, eval_formula,
-                            eval_table)
+                            _ball_merges, _max_numerator, _sorted_agreement,
+                            check_structure, eval_formula, eval_table)
 from mlw.trees import build_tree, truncate
 
 
@@ -410,6 +411,88 @@ def test_verify_iso_on_domain_matches_exact_loops():
         assert verify_iso_on_domain(A, B, L0, part) == want, f"trial {trial}"
         verdicts.add(want[0].split()[0] if want else "")
     assert verdicts == {"", "metric", "function", "predicate"}
+
+
+# --------------------------------------------------------------------------
+# verify_iso: the metric compared in blocks of rows
+
+def _corrupted(A, B, w, entries, k=1):
+    """B with its one sort over k times its den, and each pair (i, j) of A
+    indices in entries moved, on B's side at (w(i), w(j)) only, by 1/(k
+    den): so the exact report names the first entry in the order of the
+    rows compared."""
+    (s, sb), = B.sorts.items()
+    d = sb.dmat * k
+    for i, j in entries:
+        a, b = (sb.index[w.mapping[s][A.sorts[s].points[x]]] for x in (i, j))
+        d[a, b] += 1
+    return FiniteStructure({s: SortData(sb.points, sb.den * k, d, sb.index)},
+                           B.functions, B.predicates, B.moduli, B.meta)
+
+
+# entries by place among the rows compared: at 3 rows per block, 2 ends a
+# block and 3 starts one; the last place is the last row
+PLACES = {"first row": [(0, 5)], "end of a block": [(2, 11)],
+          "start of a block": [(3, 1)],
+          "across a boundary": [(3, 0), (2, 30)],
+          "within one block": [(5, 1), (4, 38)], "last row": [(-1, -2)]}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("place", PLACES)
+def test_blocked_check_reports_as_the_exact_loops(place, k, monkeypatch):
+    """Blocks of three rows; B relabelled, at A's den or twice it."""
+    A = build_model("N(depth=3,branch=3)")
+    n = A.sorts["D1"].size
+    monkeypatch.setattr(analysis, "_CERT_CELLS", 3 * n)
+    B = _shuffled(A, random.Random(place))
+    w, L0 = find_iso(A, B), Sublanguage.full(A)
+    bad = _corrupted(A, B, w, [(i % n, j % n) for i, j in PLACES[place]], k)
+    got = verify_iso(A, bad, L0, w)
+    assert got == _verify_iso_loops(A, bad, L0, w)
+    i, j = (x % n for x in min(PLACES[place]))
+    assert got == [_metric_line(A, i, j)]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("place", PLACES)
+def test_blocked_check_on_a_domain_reports_as_the_exact_loops(
+        place, k, monkeypatch):
+    """A partial map of 20 pairs in a random order, in blocks of three of
+    its rows: the places are the map's."""
+    A = build_model("N(depth=3,branch=3)")
+    monkeypatch.setattr(analysis, "_CERT_CELLS", 3 * 20)
+    rng = random.Random(place)
+    B = _shuffled(A, rng)
+    w, L0 = find_iso(A, B), Sublanguage.full(A)
+    dom = rng.sample(range(A.sorts["D1"].size), 20)
+    names = A.sorts["D1"].points
+    part = IsoWitness({"D1": {names[i]: w.mapping["D1"][names[i]]
+                              for i in dom}})
+    places = [(i % 20, j % 20) for i, j in PLACES[place]]
+    bad = _corrupted(A, B, w, [(dom[i], dom[j]) for i, j in places], k)
+    got = verify_iso_on_domain(A, bad, L0, part)
+    assert got == _on_domain_loops(A, bad, L0, part)
+    i, j = min(places)
+    assert got == [_metric_line(A, dom[i], dom[j])]
+
+
+def test_blocked_check_spans_blocks_unpatched():
+    """781 points: blocks of 2^18 // 781 = 335 rows, three of them; one
+    wrong entry in the last row, so every block is compared."""
+    A = build_model("N(depth=4,branch=5)")
+    assert analysis._CERT_CELLS // A.sorts["D1"].size == 335
+    B = _shuffled(A, random.Random(1))
+    w, L0 = find_iso(A, B), Sublanguage.full(A)
+    bad = _corrupted(A, B, w, [(780, 17)])
+    got = verify_iso(A, bad, L0, w)
+    assert got == _verify_iso_loops(A, bad, L0, w)
+    assert got == [_metric_line(A, 780, 17)]
+
+
+def _metric_line(A, i, j):
+    names = A.sorts["D1"].points
+    return f"metric not preserved at ({names[i]}, {names[j]})"
 
 
 # --------------------------------------------------------------------------
@@ -900,6 +983,87 @@ def test_derived_balls_cut_exactly_past_int64():
                       {"p": 0, "q": 1})
         _, levels, _ = analysis._balls_at(sd, np.array([u]), da)
         assert levels.tolist() == [rank]
+
+
+def _balls_per_level(sd, levels, den):
+    """_balls_at's reference: each level's balls named by their first
+    point over every point, the cut at u / den an exact Fraction."""
+    names = [np.zeros(sd.size, np.intp)] + [
+        (sd.dmat <= _max_numerator(Fraction(u, den), sd.den)).argmax(axis=1)
+        for u in levels[::-1].tolist()]
+    order, agree = _sorted_agreement(np.array(names))
+    return order, *_ball_merges(np.concatenate(([0], len(names) - agree)))
+
+
+BALL_SPECS = ("N(depth=4,branch=3)", "Projection(depth=3,branch=2)",
+              "M4(depth=2,branch=2)", "N2(depth=3,branch=2)")
+
+
+@pytest.mark.parametrize("k", [1, 3, 2**55 + 1])
+@pytest.mark.parametrize("spec", BALL_SPECS)
+def test_balls_among_representatives_match_every_level(spec, k):
+    """Every sort of a relabelled copy, over k times its den, read at the
+    levels of every sort of each model: its own, and others that cut it
+    between its levels."""
+    B = _shuffled(build_model(spec), random.Random(spec))
+    refs = [sd for other in BALL_SPECS
+            for sd in build_model(other).sorts.values()]
+    for sb in B.sorts.values():
+        sb = SortData(sb.points, sb.den * k, sb.dmat * k, sb.index)
+        for ref in refs:
+            levels = np.unique(analysis._dendrogram(ref)[1][1:])
+            got = analysis._balls_at(sb, levels, ref.den)
+            want = _balls_per_level(sb, levels, ref.den)
+            assert all((g == w).all() for g, w in zip(got[:2], want[:2]))
+            assert [m.tolist() for m in got[2]] == \
+                [m.tolist() for m in want[2]]
+
+
+@pytest.mark.parametrize("lengths", [(9,), (4, 5), (3, 6)])
+def test_balls_among_representatives_on_a_cycle(lengths, monkeypatch):
+    """A cycle is no ultrametric, so its balls read among representatives
+    are no balls: the verdict is still the search's."""
+    read, balls_at = [], analysis._balls_at
+
+    def counted(sd, *args):
+        read.append(sd.size)
+        return balls_at(sd, *args)
+    monkeypatch.setattr(analysis, "_balls_at", counted)
+    A, B = _cycles(3, 3, 3), _cycles(*lengths)
+    assert find_iso(A, B) == _search_only(A, B)
+    assert read == [9]
+
+
+def _fraction_ranks(ta, da, tb, db):
+    """_ranks' reference: one Fraction per entry, ranked among both."""
+    qa = [Fraction(int(v), da) for v in ta.flat]
+    qb = [Fraction(int(v), db) for v in tb.flat]
+    rank = {q: r for r, q in enumerate(sorted(set(qa + qb)))}
+    return [rank[q] for q in qa], [rank[q] for q in qb]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([(6, 6), (3, 7), (10, 4), (2**62 - 1, 2**62 + 1),
+                        (2**62, 2**61), (3 * 2**61, 2**61 - 1),
+                        (2**62 + 1, 2**62 + 1)]), st.data())
+def test_ranks_match_fraction_ranks(dens, data):
+    """Equal dens, coprime dens, and dens near 2^62 whose lcm fits int64
+    or not; values c / gcd shared by both sides, anywhere in [-1, den + 1],
+    or anywhere in int64, where a scaled value can pass it."""
+    g = math.gcd(*dens)
+
+    def table(den, shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(st.one_of(
+            st.integers(0, g).map(lambda c: c * (den // g)),
+            st.integers(-1, den + 1), st.integers(-2**63, 2**63 - 1)),
+            min_size=size, max_size=size)), np.int64).reshape(shape)
+    shape = data.draw(st.tuples(st.integers(0, 3), st.integers(1, 3)))
+    ta, tb = table(dens[0], shape), table(dens[1], shape[::-1])
+    ra, rb = analysis._ranks(ta, dens[0], tb, dens[1])
+    assert ra.shape == ta.shape and rb.shape == tb.shape
+    assert (ra.ravel().tolist(), rb.ravel().tolist()) == \
+        _fraction_ranks(ta, dens[0], tb, dens[1])
 
 
 @pytest.mark.parametrize("spec, points", [("N3(depth=2,branch=2)", 160),
