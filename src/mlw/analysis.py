@@ -10,8 +10,8 @@ from fractions import Fraction
 import numpy as np
 
 from .formulas import Formula, Quant, _modulus_for_var, summary
-from .structures import (_CERT_CELLS, FiniteStructure, _ball_merges,
-                         _bind_rows, _first_hit, _int_type, _max_numerator,
+from .structures import (_CERT_CELLS, FiniteStructure, _align, _ball_merges,
+                         _bind_rows, _first_hit, _max_numerator,
                          _sorted_agreement, _table, _table_env,
                          _ultrametric_order, eval_table)
 from .values import ONE, ZERO
@@ -123,15 +123,14 @@ class Refusal:
     detail: str = ""
 
 
-def _unequal(a, da: int, b, db: int):
-    """Mask of a / da != b / db over integer tables, exact in int64: with
-    g = gcd(da, db), p = da / g and q = db / g, a / da == b / db exactly
-    when p | a, q | b and a / p == b / q."""
-    g = math.gcd(da, db)
-    p, q = da // g, db // g
-    if p == q == 1:  # one denominator: the tables compare as they are
-        return a != b
-    return (a % p != 0) | (b % q != 0) | (a // p != b // q)
+def _scaled(da: int, a, db: int, b):
+    """Tables a / da and b / db as integers on one exact scale, through
+    _align, whose int64 holds the scaled values of a table within [-den,
+    den]: at differing dens, a table past that is scaled in Python ints."""
+    if da != db:
+        a, b = (t if not t.size or -d <= t.min() and t.max() <= d
+                else t.astype(object) for t, d in ((a, da), (b, db)))
+    return _align((da, a), (db, b))[1:]
 
 
 def _mismatches(A, B, L0: Sublanguage, idx) -> list[tuple]:
@@ -158,8 +157,9 @@ def _mismatches(A, B, L0: Sublanguage, idx) -> list[tuple]:
         for r in range(0, len(ia), k):
             rows = sa.dmat[r:r + k] if whole else \
                 np.take(sa.dmat[ia[r:r + k]], ia, axis=1)
-            hit = _first_hit(_unequal(rows, sa.den, np.take(
-                sb.dmat[ib[r:r + k]], ib, axis=1), sb.den))
+            x, y = _scaled(sa.den, rows, sb.den,
+                           np.take(sb.dmat[ib[r:r + k]], ib, axis=1))
+            hit = _first_hit(x != y)
             if hit is not None:
                 out.append(("metric", s, (ia[r + hit[0]], ia[hit[1]])))
                 break
@@ -176,7 +176,7 @@ def _mismatches(A, B, L0: Sublanguage, idx) -> list[tuple]:
             image = dom[ta.out_sort][1][va]
             bad = (image >= 0) & (image != vb)
         else:
-            bad = _unequal(va, ta.den, vb, tb.den)
+            bad = np.not_equal(*_scaled(ta.den, va, tb.den, vb))
         hit = _first_hit(bad)
         if hit is not None:
             out.append((kind, name, tuple(k[c] for k, c in zip(keys, hit))))
@@ -352,18 +352,19 @@ def _dendrograms(A, B):
 def _balls_at(sd, levels, den: int):
     """(order, levels, merges) of sd's balls at the distances levels / den,
     joins ranked on levels.  A point's u-ball is named by its first point
-    within floor(u * sd.den / den) / sd.den, exactly u / den, read finest
-    level first and each coarser level among the previous level's names
-    only: in an ultrametric, a coarser ball's first point is the first
-    point of one of its finer balls.  Points that agree on k levels from
-    the coarsest join at the k-th coarsest (rank len(levels) when k = 0).
-    For an ultrametric these are its balls."""
+    within u / den (cut through _max_numerator), read finest level first
+    and each coarser level among the previous level's names only: in an
+    ultrametric, a coarser ball's first point is the first point of one of
+    its finer balls.  Points that agree on k levels from the coarsest join
+    at the k-th coarsest (rank len(levels) when k = 0).  For an
+    ultrametric these are its balls."""
     # reps: the previous level's names, ascending; at: the place among them
     # of each point's name
     names, reps, at = [], np.arange(sd.size), np.arange(sd.size)
     for u in levels.tolist():
         D = sd.dmat if len(reps) == sd.size else sd.dmat[reps][:, reps]
-        pick = (D <= u * sd.den // den).argmax(axis=1)
+        cut = _max_numerator(Fraction(u, den), sd.den)
+        pick = (D <= cut).argmax(axis=1)
         kept = np.zeros(len(reps), bool)
         kept[pick] = True
         reps, at = reps[kept], (np.cumsum(kept) - 1)[pick[at]]
@@ -456,14 +457,9 @@ def _canonical(order, levels, merges, colour, codes: dict):
 
 def _ranks(ta, da: int, tb, db: int):
     """Tables a / da and b / db as the ranks of their values on one exact
-    scale, so that equal ranks mean equal values: one np.unique over both,
-    scaled to lcm(da, db) when the dens differ, in int64 unless a scaled
-    value could pass it."""
-    if da != db:
-        L = math.lcm(da, db)
-        dt = _int_type(max(max(-int(t.min(initial=0)), int(t.max(initial=0)),
-                               1) * (L // d) for t, d in ((ta, da), (tb, db))))
-        ta, tb = ta.astype(dt) * (L // da), tb.astype(dt) * (L // db)
+    scale (_scaled), so that equal ranks mean equal values: one np.unique
+    over both."""
+    ta, tb = _scaled(da, ta, db, tb)
     _, r = np.unique(np.concatenate((ta.ravel(), tb.ravel())),
                      return_inverse=True)
     return r[:ta.size].reshape(ta.shape), r[ta.size:].reshape(tb.shape)

@@ -23,8 +23,8 @@ from .formulas import (Conn, Const, Dist, Formula, Quant, Rat, Var,
                        _memo_on_formula, absdiff, affine, fmax, fmonus,
                        free_vars, map_terms, show, subst)
 from .structures import (FiniteStructure, _eval_blocks, _first_hit,
-                         _max_numerator, check_structure, eval_formula,
-                         eval_table)
+                         _max_numerator, _on_one_den, check_structure,
+                         eval_formula, eval_table)
 from .values import ONE, ZERO
 
 _SCAN_CAP = 5_000_000  # largest exhaustive assignment scan
@@ -601,15 +601,11 @@ def extract_premodel(run: GenericRun):
     if missing:
         raise ValueError(f"undecided pair in scope: d{missing[0][0]}, "
                          f"d{missing[0][1]}")
-    den = math.lcm(*(v.denominator for v in mids.values()))
-    n = len(scope)
-    dmat = np.zeros((n, n), dtype=np.int64)
-    for a, i in enumerate(scope):
-        for b, j in enumerate(scope):
-            dmat[a, b] = int(mids[(i, j)] * den)
     names = [f"d{i}" for i in scope]
     M = FiniteStructure.build(
-        {"H": names}, {"H": (den, dmat)}, {}, {}, {},
+        {"H": names},
+        {"H": _on_one_den(mids[(i, j)] for i in scope for j in scope)},
+        {}, {}, {},
         {"label": "premodel", "density": {"H": None},
          "radius": {f"d{i},d{j}": str(rads[(i, j)])
                     for i in scope for j in scope if i < j}})
@@ -624,41 +620,6 @@ def extract_premodel(run: GenericRun):
                         f"{mids[(a, b)]} > {mids[(a, c)]} + {mids[(c, b)]} "
                         f"+ {slackv} via d{c}")
     return M, report
-
-
-# --------------------------------------------------------------------------
-# Interval refinement
-
-def refine_theory(sentences, B: WitnessBank, steps: int,
-                  side=None) -> list[list[tuple]]:
-    """Per sentence, a chain of `steps` halvings of [0,1]: at each step keep
-    the first half (lower first) containing the value of some surviving bank
-    model; side(model_name) may veto models.  Final diameter 2^-steps."""
-    out = []
-    for theta in sentences:
-        vals = []
-        for name, M in B.items():
-            if side is not None and not side(name):
-                continue
-            v = eval_formula(theta, M, {})
-            vals.append(v)
-        if not vals:
-            raise ValueError("bank exhausted before refinement")
-        lo, hi = ZERO, ONE
-        chain = []
-        for _ in range(steps):
-            mid = (lo + hi) / 2
-            if any(lo <= v <= mid for v in vals):
-                hi = mid
-            elif any(mid <= v <= hi for v in vals):
-                lo = mid
-            else:
-                raise ValueError(
-                    f"no interval survivable at [{lo}, {hi}] for "
-                    f"{show(theta)} (bank exhausted)")
-            chain.append((lo, hi))
-        out.append(chain)
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .formulas import App, Dist, Formula, Var, ftsum
 from .moduli import Modulus
-from .structures import FiniteStructure
+from .structures import FiniteStructure, _on_one_den
 from .trees import (FiniteTree, PairTree, _alphabet_cut, _descending_box,
                     _letter_ints, _pair_cut, box_nodes, ell,
                     enumerate_pair_trees, enumerate_trees, node_key,
@@ -364,13 +364,10 @@ def build_Projection(depth: int, branch: int, pairs: PairTree | None = None,
     _cap_check(len(pts), cap, "projection box")
     names = [node_name(s) + "|" + node_name(t) for s, t in pts]
     enc = {s: enc_value(s) for s in dict.fromkeys(s for s, _ in pts)}
-    fden = math.lcm(*(q.denominator for q in enc.values()))
-    ftab = np.array([enc[s].numerator * (fden // enc[s].denominator)
-                     for s, _ in pts], dtype=np.int64)
     return FiniteStructure.build(
         {"D1": names},
         {"D1": _prefix_table([s for s, _ in pts], [t for _, t in pts])}, {},
-        {"f": (("D1",), (fden, ftab))},
+        {"f": (("D1",), _on_one_den(enc[s] for s, _ in pts))},
         {"f": Modulus.lipschitz(1)},
         {"label": f"Projection(depth={depth},branch={branch})",
          "depth": depth, "branch": branch, "density": {"D1": None}})

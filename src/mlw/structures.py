@@ -35,6 +35,31 @@ def _int_type(bound: int):
     return np.int64 if bound <= _INT64_MAX else object
 
 
+def _align(a, b):
+    """Two (den, value) pairs over their common denominator L: the one place
+    two tables meet on one exact scale.  A side whose den already is L is
+    returned as it is.  Past int64, arrays become object arrays of Python
+    ints; the type is picked from L alone, so it holds every value in
+    [-den, den] scaled to L (a wider table must come as Python ints)."""
+    (da, va), (db, vb) = a, b
+    if da == db:
+        return da, va, vb
+    L = math.lcm(da, db)
+    if _int_type(L) is object:
+        va, vb = (v.astype(object) if type(v) is np.ndarray else v
+                  for v in (va, vb))
+    return (L, va if L == da else va * (L // da),
+            vb if L == db else vb * (L // db))
+
+
+def _on_one_den(qs) -> tuple[int, list[int]]:
+    """Rationals as one table: (den, [q * den]), den the lcm of their
+    denominators (1 for none), the values Python ints."""
+    qs = list(qs)
+    den = math.lcm(*(q.denominator for q in qs))
+    return den, [q.numerator * (den // q.denominator) for q in qs]
+
+
 @dataclass(frozen=True)
 class SortData:
     points: tuple[str, ...]
@@ -113,12 +138,11 @@ class FiniteStructure:
             idx = {a: i for i, a in enumerate(names)}
             if len(idx) != len(names):
                 raise ValueError(f"duplicate point names in sort {s}")
-            spec, tree, n = metric[s], None, len(names)
+            spec, tree, n, top = metric[s], None, len(names), 0
             if not isinstance(spec, tuple):  # a callable
-                vals = [[spec(a, b) for b in names] for a in names]
-                den = math.lcm(*(q.denominator for row in vals for q in row))
-                spec = den, [[int(q * den) for q in row] for row in vals]
-            if _int_type(spec[0]) is object:
+                spec = _on_one_den(spec(a, b) for a in names for b in names)
+                top = max(map(abs, spec[1]), default=0)
+            if _int_type(max(spec[0], top)) is object:
                 raise ValueError(f"metric denominator too large for sort {s}")
             if len(spec) == 3:
                 den, dmat, tree, bounded = _id_metric(*spec, n)
@@ -151,16 +175,15 @@ class FiniteStructure:
             arg_sorts = tuple(arg_sorts)
             shape = tuple(sorts[s].size for s in arg_sorts)
             if not isinstance(fn, tuple):  # a callable
-                vals = np.empty(shape, dtype=object)
+                vals = []
                 for combo in product(*(range(k) for k in shape)):
                     names_in = tuple(sorts[s].points[i] for s, i in zip(arg_sorts, combo))
                     q = Fraction(fn(*names_in))
                     if not (0 <= q <= 1):
                         raise ValueError(f"predicate {name} value {q} outside [0,1]")
-                    vals[combo] = q
-                den = math.lcm(*(q.denominator for q in vals.flat))
-                fn = den, np.array([int(q * den) for q in vals.flat],
-                                   object).reshape(shape)
+                    vals.append(q)
+                den, vals = _on_one_den(vals)
+                fn = den, np.array(vals, object).reshape(shape)
             den, table = fn
             if _int_type(den) is object:
                 raise ValueError(f"predicate denominator too large for {name}")
@@ -347,10 +370,9 @@ def _lines(mod: Modulus, den: int, dden: int):
     lines = []
     for (r0, w0), (r1, w1) in zip(pts, pts[1:]):
         slope = (w1 - w0) / (r1 - r0)
-        a, b = slope * dden / den, (w0 - slope * r0) * dden
-        c = math.lcm(a.denominator, b.denominator)
-        lines.append((a.numerator * (c // a.denominator),
-                      b.numerator * (c // b.denominator), c))
+        c, (a, b) = _on_one_den((slope * dden / den,
+                                 (w0 - slope * r0) * dden))
+        lines.append((a, b, c))
     top = pts[-1][1] * dden
     lines.append((0, top.numerator // top.denominator, 1))  # past den
     return (ends, *zip(*lines))
@@ -716,21 +738,6 @@ def _read(T, args):
     for off, nxt in zip(offs, offs[1:] + [0]):
         idx += (slice(None),) + (None,) * (off - nxt - 1)
     return T[tuple(idx)]
-
-
-def _align(a, b):
-    """Two (den, value) pairs over their common denominator L; a side whose
-    den already is L is returned as it is.  Past int64, arrays become
-    object arrays of Python ints."""
-    (da, va), (db, vb) = a, b
-    if da == db:
-        return da, va, vb
-    L = math.lcm(da, db)
-    if _int_type(L) is object:
-        va, vb = (v.astype(object) if type(v) is np.ndarray else v
-                  for v in (va, vb))
-    return (L, va if L == da else va * (L // da),
-            vb if L == db else vb * (L // db))
 
 
 def _affine(a: Fraction, b: Fraction, den: int, v):
@@ -1232,11 +1239,10 @@ def load_structure(path: str, validate: bool = True) -> FiniteStructure:
         used = rows != cols  # a zero self-entry adds nothing
         texts = entries.values()
         values = {q: parse_value(q) for q in set(compress(texts, used))}
-        den = math.lcm(*(v.denominator for v in values.values()))
-        scaled = {q: v.numerator * (den // v.denominator)
-                  for q, v in values.items()}
-        if _int_type(max([den, *map(abs, scaled.values())])) is object:
+        den, ints = _on_one_den(values.values())
+        if _int_type(max([den, *map(abs, ints)])) is object:
             raise ValueError(f"metric denominator too large for sort {s}")
+        scaled = dict(zip(values, ints))
         vals = np.fromiter(map(scaled.get, texts, repeat(0)), np.int64, m)
         rows, cols, vals = rows[used], cols[used], vals[used]
         dmat = np.zeros((n, n), dtype=np.int64)

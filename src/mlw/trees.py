@@ -524,19 +524,6 @@ def well_founded(t: SymbolicTree | FiniteTree) -> bool:
 # --------------------------------------------------------------------------
 # Metrics and ℓ
 
-def baire_dist(s: Node, t: Node) -> Fraction:
-    """1/(Δ+1), Δ the longest common prefix length; 0 iff s = t."""
-    s, t = tuple(s), tuple(t)
-    if s == t:
-        return ZERO
-    delta = 0
-    for a, b in zip(s, t):
-        if a != b:
-            break
-        delta += 1
-    return Fraction(1, delta + 1)
-
-
 def _alphabet_cut(nodes, k: int):
     """Restriction to k^{≤k}: length ≤ k, integer components < k."""
     return frozenset(s for s in nodes

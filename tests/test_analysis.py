@@ -1066,6 +1066,51 @@ def test_ranks_match_fraction_ranks(dens, data):
         _fraction_ranks(ta, dens[0], tb, dens[1])
 
 
+# (2^64 + 9) / 5 over 3, scaled to 15, wraps around in int64 to 9: the
+# scaled value of 3 over 5
+WRAPS = (2**64 + 9) // 5
+
+
+@pytest.mark.parametrize("dens", [(3, 5), (3, 2**62 + 1),
+                                  (2**62 - 1, 2**62 + 1)])
+def test_tables_compare_exactly_at_coprime_dens(dens):
+    """verify_iso and _ranks at coprime dens whose lcm fits int64 or not
+    (Python ints), on tables inside and outside [0, den], against exact
+    Fractions: entries of equal value on both sides, some replaced by
+    values that match nothing, or by WRAPS against 3."""
+    da, db = dens
+    same = [(0, 0), (da, db), (-da, -db), (1 - 2**63, 1 - 2**63)]
+    same += [(da * c, db * c) for c in (2**30, -2**30)
+             if max(da, db) * 2**30 < 2**63]
+    odd = [1, da + 1, 3, WRAPS, 2**63 - 1, -2**63]
+    rng = random.Random(11)
+    verdicts = set()
+    for trial in range(120):
+        n = rng.randrange(1, 4)
+        pairs = [rng.choice(same) for _ in range(n * n + n)]
+        ta, tb = (np.array([p[k] for p in pairs], np.int64) for k in (0, 1))
+        for _ in range(rng.randrange(3)):
+            t = rng.choice((ta, tb))
+            t[rng.randrange(t.size)] = rng.choice(odd)
+        if rng.random() < 0.3:
+            k = rng.randrange(ta.size)
+            ta[k], tb[k] = WRAPS, 3
+        names = tuple(f"p{i}" for i in range(n))
+        index = {a: i for i, a in enumerate(names)}
+        A, B = (FiniteStructure(
+            {"S": SortData(names, d, t[:n * n].reshape(n, n), index)}, {},
+            {"P": PredTable(("S",), d, t[n * n:])})
+            for d, t in ((da, ta), (db, tb)))
+        w = IsoWitness({"S": {a: a for a in names}})
+        L0 = Sublanguage.full(A)
+        want = _verify_iso_loops(A, B, L0, w)
+        assert verify_iso(A, B, L0, w) == want, f"trial {trial}"
+        verdicts.add(bool(want))
+        ra, rb = analysis._ranks(ta, da, tb, db)
+        assert (ra.tolist(), rb.tolist()) == _fraction_ranks(ta, da, tb, db)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("spec, points", [("N3(depth=2,branch=2)", 160),
                                           ("N2(depth=4,branch=3)", 584)])
 def test_canonical_map_codes_a_sort_once_per_split(spec, points, searches,

@@ -1,7 +1,7 @@
 """Source checks over `mlw`: every public top-level function and class has
 a caller, every parameter is read, rationals are compared through one exact
-helper, and a first hit is taken, and an integer type chosen, through one
-helper each.
+helper, and a first hit is taken, an integer type chosen, and rationals
+brought to one denominator, through one helper each.
 
 A name counts as used when some code outside its own definition refers to
 it: a name, an attribute, an import or a string (the benchmark's tracer
@@ -103,6 +103,34 @@ def test_integer_types_are_chosen_by_one_helper():
             stack.extend(ast.iter_child_nodes(node))
     assert helpers == 1
     assert not found, "int64 bound read outside _int_type: " + \
+        ", ".join(found)
+
+
+def _lcm_of_denominators(node: ast.AST) -> bool:
+    """`math.lcm(...)` with some `.denominator` among its arguments."""
+    return isinstance(node, ast.Call) and \
+        ast.unparse(node.func) in ("math.lcm", "lcm") and \
+        any(isinstance(x, ast.Attribute) and x.attr == "denominator"
+            for a in node.args for x in ast.walk(a))
+
+
+def test_rationals_go_to_a_table_through_one_helper():
+    """`structures._on_one_den(qs)` alone brings rationals to their common
+    denominator: no other `math.lcm` reads a `.denominator`."""
+    found, helpers = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [ast.parse(path.read_text(), str(path))]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.FunctionDef) and \
+                    node.name == "_on_one_den":
+                helpers += 1
+                continue
+            if _lcm_of_denominators(node):
+                found.append(f"{path.name}:{node.lineno}")
+            stack.extend(ast.iter_child_nodes(node))
+    assert helpers == 1
+    assert not found, "lcm of denominators outside _on_one_den: " + \
         ", ".join(found)
 
 

@@ -1,4 +1,4 @@
-"""Forcing engine: conditions, extension, symmetry, runs, refinement."""
+"""Forcing engine: conditions, extension, symmetry, runs, premodels."""
 
 import random
 from fractions import Fraction
@@ -10,8 +10,8 @@ from mlw.forge import (TRIVIAL, BankRefusal, ForcingCondition, Permutation,
                        Witness, WitnessBank, bind_constants, build_generic,
                        compatible, cond_check, conjoin, constant_indices,
                        extends, extract_premodel, homogeneity_experiment,
-                       parse_schedule, permute_condition, refine_theory,
-                       rename_constants, transcript, verify_run)
+                       parse_schedule, permute_condition, rename_constants,
+                       transcript, verify_run)
 from mlw.formulas import parse_formula
 from mlw.models import build_N
 from mlw.structures import eval_table
@@ -207,14 +207,6 @@ def test_premodel_triangle(bank):
     M, report = extract_premodel(run)
     assert M.sorts["H"].size == 3
     assert report == []
-
-
-def test_refine_theory_halves(bank):
-    theta = parse_formula("inf x1 . d(x1, x1)")  # value 0 in every model
-    chains = refine_theory([theta], bank, steps=5)
-    (lo, hi) = chains[0][-1]
-    assert hi - lo == Fraction(1, 32)
-    assert lo == 0
 
 
 def test_homogeneity_experiment_deterministic(bank):

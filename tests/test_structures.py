@@ -1,6 +1,8 @@
 """Finite structures: evaluation, validity checking, persistence."""
 
+import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from hypothesis import strategies as st
 from mlw.formulas import Dist, Pred, Var, affine, parse_formula
 from mlw.moduli import Modulus
 from mlw.structures import (FiniteStructure, PredTable, SortData,
-                            _max_numerator, check_structure, eval_bounds,
-                            eval_formula, eval_table, load_structure,
-                            save_structure)
+                            _max_numerator, _on_one_den, check_structure,
+                            eval_bounds, eval_formula, eval_table,
+                            load_structure, save_structure)
 from mlw.values import ONE, ZERO
 
 
@@ -258,6 +260,24 @@ def test_build_takes_dens_up_to_int64():
             built = M.predicates["P"] if preds else M.sorts["A"]
             table = built.table if preds else built.dmat
             assert (built.den, table.dtype) == (den, np.int64)
+    # a den that fits, but a callable's value past int64 as well: refused
+    # as the .model loader refuses it
+    with pytest.raises(ValueError,
+                       match="metric denominator too large for sort A"):
+        FiniteStructure.build(pts, {"A": lambda x, y: Fraction(
+            0 if x == y else 2**70)})
+
+
+@given(st.lists(st.fractions(min_value=-2**70, max_value=2**70,
+                             max_denominator=2**70)))
+def test_rationals_go_to_one_den_exactly(qs):
+    """_on_one_den against Fractions: the least common den (1 for no
+    value), and each value, a Python int, times it back over it."""
+    den, ints = _on_one_den(iter(qs))
+    assert den == reduce(lambda d, q: d * q.denominator // math.gcd(
+        d, q.denominator), qs, 1)
+    assert all(type(v) is int for v in ints)
+    assert [Fraction(v, den) for v in ints] == qs
 
 
 def test_distances_outside_the_unit_interval_are_not_evaluated():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlw.trees import (FiniteTree, Ordinal, PairTree, baire_dist, build_tree,
-                       node_name, pair_tree_dist, parse_node, project, rank,
+from mlw.trees import (FiniteTree, Ordinal, PairTree, build_tree, node_name,
+                       pair_tree_dist, parse_node, project, rank,
                        rank_finite, sup_ordinal, tree_space_dist, truncate,
                        well_founded)
 
@@ -100,21 +100,12 @@ def test_pair_tree_dist_is_an_ultrametric(a, b, c):
     assert dac <= max(dab, dbc)
 
 
-@given(nodes, nodes, nodes)
-def test_baire_dist_is_an_ultrametric(s, t, u):
-    dst, dtu, dsu = baire_dist(s, t), baire_dist(t, u), baire_dist(s, u)
-    assert (dst == 0) == (s == t)
-    assert dsu <= max(dst, dtu)
-
-
 def test_distance_values():
     a = FiniteTree(frozenset({(), (0,), (1,)}))
     b = FiniteTree(frozenset({(), (0,)}))
     # the trees agree below alphabet/length cut 2 but not cut 3
     assert tree_space_dist(a, b) == Fraction(1, 3)
     assert tree_space_dist(FiniteTree(frozenset({()})), b) == Fraction(1, 2)
-    assert baire_dist((0, 1), (0, 2)) == Fraction(1, 2)
-    assert baire_dist((), (0,)) == Fraction(1)
 
 
 # -- rank laws (shadow of the acceptance criterion) ---------------------------
