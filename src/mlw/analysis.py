@@ -10,10 +10,10 @@ from fractions import Fraction
 import numpy as np
 
 from .formulas import Formula, Quant, _modulus_for_var, summary
-from .structures import (_CERT_CELLS, FiniteStructure, _align, _ball_merges,
-                         _bind_rows, _first_hit, _max_numerator,
-                         _sorted_agreement, _table, _table_env,
-                         _ultrametric_order, eval_table)
+from .structures import (_CERT_CELLS, _SLOTS, FiniteStructure, _align,
+                         _ball_merges, _bind_rows, _compile, _first_hit,
+                         _max_numerator, _sorted_agreement, _table,
+                         _table_env, _ultrametric_order, eval_table)
 from .values import ONE, ZERO
 
 
@@ -27,19 +27,21 @@ def _resolve_vars(t: "PartialType", M: FiniteStructure):
 def realizes(M: FiniteStructure, t: "PartialType", n: int | None = None,
              tol: Fraction = ZERO) -> list[tuple[str, ...]]:
     """All tuples whose every fragment condition evaluates ≤ tol, in
-    lexicographic point-index order.  Once fewer rows of the first
+    lexicographic point-index order.  The conditions are evaluated in
+    turn through one plan and one slot table, so a subterm they share is
+    evaluated once while the rows hold.  Once fewer rows of the first
     variable survive than are bound, each later condition is evaluated at
-    the surviving rows only."""
-    from .conditions import _closed_formula
+    the surviving rows only, and the shared values that read the first
+    variable are dropped."""
     variables = _resolve_vars(t, M)
-    conds = t.conds if n is None else t.fragment(n)
-    forms = [_closed_formula(c) for c in conds]
+    forms, roots, free = _conditions_plan(t, n)
     env, total = _table_env(forms, M, variables)
+    env[_SLOTS] = slots = {}
     # mask: the surviving tuples among the bound rows (rows None: all)
     mask = np.ones(tuple(M.sorts[s].size for _, s in variables), dtype=bool)
     later = tuple(range(1, mask.ndim))  # the axes after the first variable's
     rows = None
-    for f in forms:
+    for run in roots:
         keep = mask.any(axis=later)
         if not keep.all():
             if not keep.any():
@@ -47,13 +49,29 @@ def realizes(M: FiniteStructure, t: "PartialType", n: int | None = None,
             mask = mask[keep]
             rows = np.flatnonzero(keep) if rows is None else rows[keep]
             _bind_rows(env, variables, total, rows)
-        den, table = _table(f, M, env, variables, total)
+            for k in [k for k in slots if variables[0][0] in free[k]]:
+                del slots[k]
+        den, table = _table(run, M, env, variables, total)
         mask &= table <= _max_numerator(tol, den)
     hits = np.argwhere(mask)
     if rows is not None:
         hits[:, 0] = rows[hits[:, 0]]
     return [tuple(M.sorts[s].points[i] for (_, s), i in zip(variables, combo))
             for combo in hits]
+
+
+def _conditions_plan(t: "PartialType", n: int | None):
+    """(forms, roots, free): the closed forms of t's conditions (its first
+    n, or all of them when n is None) and their plan (structures._compile),
+    compiled once per type object and n and kept on t, as formulas keep
+    theirs."""
+    plans = t.__dict__.setdefault("_memo_conditions_plan", {})
+    if n not in plans:
+        from .conditions import _closed_formula
+        forms = [_closed_formula(c)
+                 for c in (t.conds if n is None else t.fragment(n))]
+        plans[n] = (forms, *_compile(forms))
+    return plans[n]
 
 
 @dataclass(frozen=True)

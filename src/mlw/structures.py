@@ -52,6 +52,15 @@ def _align(a, b):
             vb if L == db else vb * (L // db))
 
 
+def _int64(table, refusal: str) -> np.ndarray:
+    """table as an int64 array, refused with ValueError(refusal) when a
+    value does not fit (numpy raises a bare OverflowError)."""
+    try:
+        return np.asarray(table, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(refusal) from None
+
+
 def _on_one_den(qs) -> tuple[int, list[int]]:
     """Rationals as one table: (den, [q * den]), den the lcm of their
     denominators (1 for none), the values Python ints."""
@@ -147,8 +156,9 @@ class FiniteStructure:
             if len(spec) == 3:
                 den, dmat, tree, bounded = _id_metric(*spec, n)
             else:
-                den, dmat = spec[0], np.asarray(spec[1], np.int64).reshape(n, n)
-                bounded = None
+                den, bounded = spec[0], None
+                dmat = _int64(spec[1], f"metric value past int64 in sort {s}"
+                              ).reshape(n, n)
             sorts[s] = SortData(names, den, dmat, idx, tree, bounded)
 
         fns: dict[str, FnTable] = {}
@@ -187,7 +197,7 @@ class FiniteStructure:
             den, table = fn
             if _int_type(den) is object:
                 raise ValueError(f"predicate denominator too large for {name}")
-            table = np.asarray(table, dtype=np.int64)
+            table = _int64(table, f"predicate {name} value outside [0,1]")
             if table.shape != shape:
                 raise ValueError(f"predicate {name} table shape mismatch")
             if table.size and (table.min() < 0 or table.max() > den):
@@ -827,7 +837,7 @@ def _closure(g, kids, D: int, d: int):
             s = g.sort or M.only_sort()
             if not M.sorts[s].size:
                 raise ValueError(f"quantifier over empty sort {s}")
-            den, v = kids[0](M, {**env, g.var: (s, axis), _SLOTS: {}}) \
+            den, v = kids[0](M, {**env, g.var: (s, axis)}) \
                 if callable(kids[0]) else kids[0]
             if type(v) is np.ndarray:  # reduced along the axis
                 n = v.shape[-off] if v.ndim >= off else 1
@@ -857,46 +867,61 @@ def _closure(g, kids, D: int, d: int):
     return run
 
 
-def _shared(run):
-    """run, evaluated once per scope (a quantifier's body, or the plan's
-    call) and kept in the scope's env[_SLOTS]."""
+def _shared(run, k):
+    """run, evaluated once per plan call and kept as slot k of the call's
+    env[_SLOTS]."""
     def once(M, env):
         slots = env[_SLOTS]
-        if run not in slots:
-            slots[run] = run(M, env)
-        return slots[run]
+        if k not in slots:
+            slots[k] = run(M, env)
+        return slots[k]
     return once
 
 
-_SLOTS = "#slots"  # the env key of a scope's shared values
+def _apart(run):
+    """run, a plan compiled before, on slots of its own: they are numbered
+    apart from those of the plan it is one slot of."""
+    return lambda M, env: run(M, {**env, _SLOTS: {}})
 
 
-@_memo_on_formula
-def _plan(f: Formula):
-    """f compiled once per formula object into a closure (Feeley & Lapalme
-    1987), or a constant (den, value); nothing of a model is kept in it.
-    Structurally equal subterms are interned bottom-up into one slot
-    (hash-consing, Filliatre & Conchon 2006), keyed by kind, symbol,
-    parameters and children's slots, a variable by its binder's depth and
-    sort; a slot read twice is evaluated once per call and scope.  A
-    subformula evaluated before keeps its plan, one slot here: its
-    quantifiers' axes lie below those of the quantifiers around it."""
-    slots, nodes, reads = {}, [], []  # key -> slot; per slot (node,
-    # children, depth, plan compiled before) and its parents' reads
-    memo = _plan.key
+_SLOTS = "#slots"  # the env key of a plan call's shared values
+
+
+def _compile(fs):
+    """The formulas fs compiled into one plan of closures (Feeley &
+    Lapalme 1987) with a root each, keeping nothing of a model.
+    Structurally equal subterms, in one formula or across fs, are
+    interned bottom-up into one slot (hash-consing, Filliatre & Conchon
+    2006), keyed by kind, symbol, parameters and children's slots, a
+    variable by its binder's depth and sort.  A slot read twice is
+    evaluated once per plan call, quantifier bodies included: a bound
+    variable is the whole axis at offset D - d (d its binder's depth, D
+    the deepest of fs) over its binder's sort.  A subformula evaluated
+    before (not one of fs) keeps its plan, one slot here with slots of
+    its own; its quantifiers' axes lie below those around it.  Returns
+    (roots, free): per formula its closure, or a constant (den, value);
+    per slot the free variables it reads, whose slots a caller drops when
+    it rebinds one."""
+    slots, nodes, reads, free = {}, [], [], []  # key -> slot; per slot
+    # (node, children, depth, plan compiled before), its parents' reads
+    # and the free variables it reads
+    memo, roots = _plan.key, {id(f) for f in fs}
 
     def intern(g, scope, d):
-        kind, done = type(g), None
+        kind, done, names = type(g), None, ()
         if kind is Var:
             kids, key = (), (kind, g.name, scope.get(g.name))
+            names = () if key[2] else (g.name,)  # free, not bound in fs
         elif kind is Const:
             kids, key = (), (kind, g.name)
         elif kind is App:
             kids = tuple([intern(a, scope, d) for a in g.args])
             key = kind, g.fn, kids
-        elif g is not f and memo in g.__dict__:  # compiled before:
+        elif memo in g.__dict__ and id(g) not in roots:  # compiled before:
             done = g.__dict__[memo]  # one slot, as it is
-            kids, key = (), (id(g), *map(scope.get, summary(g).free))
+            names = summary(g).free
+            kids, key = (), (id(g), *map(scope.get, names))
+            names = [v for v in names if v not in scope]
         elif kind is Quant:
             kids = (intern(g.body, {**scope, g.var: (d, g.sort)}, d + 1),)
             key = kind, g.kind, g.var, g.sort, d, kids
@@ -915,26 +940,42 @@ def _plan(f: Formula):
             k = slots[key] = len(nodes)
             nodes.append((g, kids, d, done))
             reads.append(0)
+            names = free[kids[0]] if kids else frozenset(names)
             for j in kids:
                 reads[j] += 1
+                if not free[j] <= names:
+                    names |= free[j]
+            free.append(names)
         return k
 
-    root, D, built = intern(f, {}, 0), summary(f).depth, []
+    tops = [intern(f, {}, 0) for f in fs]
     del intern  # it refers to itself: free the cycle now, not at a collection
+    D, built = max([summary(f).depth for f in fs], default=0), []
     for k, (g, kids, d, run) in enumerate(nodes):  # children first
         if run is None:
             run = _closure(g, [built[j] for j in kids] if kids else kids,
                            D, d)
-        built.append(_shared(run) if reads[k] > 1 and callable(run)
+        elif callable(run):
+            run = _apart(run)
+        built.append(_shared(run, k) if reads[k] > 1 and callable(run)
                      else run)
-    return built[root]
+    return [built[k] for k in tops], free
+
+
+@_memo_on_formula
+def _plan(f: Formula):
+    """f compiled once per formula object into a closure, or a constant
+    (den, value): the one-root case of _compile, so a slot read twice is
+    evaluated once per call."""
+    return _compile((f,))[0][0]
 
 
 def eval_formula(f: Formula, M: FiniteStructure, assignment=None) -> Fraction:
     """Exact value of f on M.  assignment maps free variable names to point
     names (sort resolved from annotations, or the unique sort)."""
     info = summary(f)
-    den, v = _table(f, M, _bind(info.free, M, assignment), [], info.depth)
+    env = {**_bind(info.free, M, assignment), _SLOTS: {}}
+    den, v = _table(_plan(f), M, env, [], info.depth)
     return Fraction(int(v), den)
 
 
@@ -961,7 +1002,8 @@ def _eval_blocks(f: Formula, M: FiniteStructure, variables, assignment=None,
         if rows is not None:
             _bind_rows(env, variables, total, rows)
             shape[0] = len(rows)
-        den, v = _table(f, M, env, variables, total)
+        env[_SLOTS] = {}
+        den, v = _table(_plan(f), M, env, variables, total)
         if type(v) is np.ndarray and v.shape == tuple(shape):
             v.flags.writeable = False  # it may be a view of a table
         else:
@@ -1003,15 +1045,15 @@ def _bind_rows(env, variables, total: int, rows: np.ndarray):
     env[name] = (sort, rows.reshape((-1,) + (1,) * (total - 1)))
 
 
-def _table(f: Formula, M: FiniteStructure, env, variables, total: int):
-    """(den, value) of f over the points env binds the listed variables to,
-    unbroadcast: the value has at most one axis per listed variable, in
-    their order from the right, and broadcasts against the table.  Each
-    row is evaluated on its own, but den is that of the rows evaluated
-    (the affine connective divides out the gcd of their values), so
-    compare only through _max_numerator with this den."""
-    run = _plan(f)
-    den, v = run(M, {**env, _SLOTS: {}}) if callable(run) else run
+def _table(run, M: FiniteStructure, env, variables, total: int):
+    """(den, value) of a plan's root run (a closure, or a constant) over
+    the points env binds the listed variables to, its shared values kept
+    in env[_SLOTS], unbroadcast: the value has at most one axis per
+    listed variable, in their order from the right, and broadcasts
+    against the table.  Each row is evaluated on its own, but den is that
+    of the rows evaluated (the affine connective divides out the gcd of
+    their values), so compare only through _max_numerator with this den."""
+    den, v = run(M, env) if callable(run) else run
     if type(v) is np.ndarray:  # drop the quantifiers' axes, reduced to 1
         v = v.reshape(v.shape[:max(v.ndim - total + len(variables), 0)])
     return den, v
@@ -1095,6 +1137,9 @@ def eval_bounds(f: Formula, M: FiniteStructure, assignment=None) -> EvalResult:
 # --------------------------------------------------------------------------
 # Model file format
 
+# [meta] keys besides density whose value is a map, one line per item
+# (forge's premodel records each pair's decision radius)
+_META_MAPS = ("radius",)
 _SECTION = re.compile(r"^\[([a-zA-Z]+)(?:\s+([^\]:]+?))?(?:\s*:\s*([^\]]*))?\]$")
 
 
@@ -1129,10 +1174,13 @@ def save_structure(M: FiniteStructure, path: str):
         pts = " ".join(f"{show_rational(r)}:{show_rational(w)}" for r, w in mod.points)
         lines.append(f"{name} points {pts}")
     lines.append("[meta]")
-    for k, v in M.meta.items():
+    for k, v in M.meta.items():  # a map one line per item, as load reads it
         if k == "density":
-            for s, r in v.items():
-                lines.append(f"density {s} {'none' if r is None else show_rational(r)}")
+            lines.extend(f"density {s} "
+                         f"{'none' if r is None else show_rational(r)}"
+                         for s, r in v.items())
+        elif k in _META_MAPS:
+            lines.extend(f"{k} {item} {x}" for item, x in v.items())
         else:
             lines.append(f"{k} {v}")
     with open(path, "w") as fh:
@@ -1149,7 +1197,6 @@ def load_structure(path: str, validate: bool = True) -> FiniteStructure:
     pred_specs: dict[str, tuple] = {}
     moduli: dict[str, Modulus] = {}
     meta: dict = {}
-    density: dict[str, Fraction | None] = {}
     # tables repeat few distinct values: parse each text once
     parse_value = lru_cache(maxsize=None)(parse_rational)
 
@@ -1201,10 +1248,14 @@ def load_structure(path: str, validate: bool = True) -> FiniteStructure:
                         moduli[name] = Modulus(pts)
                     else:
                         raise ValueError(f"unknown modulus form {kind!r}")
-                elif section == "meta":
+                elif section == "meta":  # in the order of the lines
                     if toks[0] == "density":
-                        density[toks[1]] = (None if toks[2] == "none"
-                                            else parse_rational(toks[2]))
+                        meta.setdefault("density", {})[toks[1]] = (
+                            None if toks[2] == "none"
+                            else parse_rational(toks[2]))
+                    elif toks[0] in _META_MAPS:
+                        meta.setdefault(toks[0], {})[toks[1]] = \
+                            " ".join(toks[2:])
                     elif toks[0] in ("depth", "branch"):
                         meta[toks[0]] = int(toks[1])
                     else:
@@ -1213,8 +1264,6 @@ def load_structure(path: str, validate: bool = True) -> FiniteStructure:
                     raise ValueError("content before any section header")
             except (KeyError, IndexError, ValueError) as e:
                 raise ValueError(f"{path}:{lineno}: malformed line: {e}") from e
-    if density:
-        meta["density"] = density
 
     def metric_table(s):
         names = points[s]

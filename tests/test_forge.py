@@ -1,5 +1,6 @@
 """Forcing engine: conditions, extension, symmetry, runs, premodels."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from mlw.forge import (TRIVIAL, BankRefusal, ForcingCondition, Permutation,
                        transcript, verify_run)
 from mlw.formulas import parse_formula
 from mlw.models import build_N
-from mlw.structures import eval_table
+from mlw.structures import eval_table, load_structure, save_structure
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +208,24 @@ def test_premodel_triangle(bank):
     M, report = extract_premodel(run)
     assert M.sorts["H"].size == 3
     assert report == []
+
+
+def test_premodel_saves_round_trip(bank, tmp_path):
+    """save -> load -> save of a premodel is byte-identical: its radius
+    map comes back a map of the same strings, and [meta] keeps its order
+    (density before radius).  A premodel need not be a metric (here d1
+    and d2 lie at distance 0), so it is loaded unvalidated."""
+    sched = parse_schedule("metric 0 1 4\nmetric 0 2 4\nmetric 1 2 4")
+    M, _ = extract_premodel(build_generic(sched, bank))
+    first, second = tmp_path / "a.model", tmp_path / "b.model"
+    save_structure(M, str(first))
+    loaded = load_structure(str(first), validate=False)
+    save_structure(loaded, str(second))
+    digest = [hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in (first, second)]
+    assert digest[0] == digest[1]
+    assert loaded.meta == M.meta
+    assert list(loaded.meta) == ["label", "density", "radius"]
 
 
 def test_homogeneity_experiment_deterministic(bank):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from mlw.analysis import realizes
 from mlw.conditions import (PartialType, build_type, closed,
-                             normalize_condition)
+                             normalize_condition, type_and, type_or)
 from mlw.formulas import (App, Conn, Const, Dist, Pred, Quant, Rat, Var,
                           _modulus_for_var, affine, cut, fmax, fmin, fmonus,
                           inf, neg, summary, sup)
@@ -451,6 +451,74 @@ def test_realizes_compares_each_row_block_at_its_own_den():
     assert realizes(M, t, tol=Fraction(1, 4)) == []
 
 
+@given(st.data())
+def test_realizes_with_subterms_shared_across_conditions(data):
+    """Conditions that repeat a random subterm S under sibling quantifiers
+    of one variable y0 and sort (one slot across the conditions), some
+    of them under a further quantifier, where y0 runs along another axis
+    (another slot), and a random R on its own and under sup or inf over
+    x1, which the type binds: R's slots read x1 from the type's axis in
+    one place and from the quantifier's in the other.  R is compiled
+    before (one slot of its own) or not.  A condition P(x0) may sit
+    between two sharing ones, so the rows shrink there (tol is one of P's
+    values)."""
+    pool = data.draw(denominators())
+    M = data.draw(structures(pool, rows=2))
+    s = data.draw(st.sampled_from(("A", "B")))
+    scope = FREE + [("y0", s)]
+    S = formulas(data.draw, scope, data.draw(st.integers(1, 3)), pool)
+    R = formulas(data.draw, FREE, data.draw(st.integers(0, 3)), pool)
+    if data.draw(st.booleans()):
+        eval_table(R, M, FREE)
+    fs = [R, (sup if data.draw(st.booleans()) else inf)("x1", R, "B")]
+    for _ in range(data.draw(st.integers(2, 3))):
+        op = data.draw(st.sampled_from((fmax, fmin, fmonus)))
+        other = formulas(data.draw, scope, data.draw(st.integers(0, 2)), pool)
+        g = (sup if data.draw(st.booleans()) else inf)("y0", op(S, other), s)
+        if data.draw(st.booleans()):
+            g = (sup if data.draw(st.booleans()) else inf)(
+                "y1", g, data.draw(st.sampled_from(("A", "B"))))
+        fs.append(g)
+    fs = data.draw(st.permutations(fs))
+    den = data.draw(st.sampled_from(pool))
+    tol = Fraction(data.draw(st.integers(0, den)), den)
+    if data.draw(st.booleans()):
+        P = M.predicates["P"]
+        tol = Fraction(int(data.draw(st.sampled_from(P.table.tolist()))),
+                       P.den)
+        fs.insert(data.draw(st.integers(1, len(fs) - 1)),
+                  Pred("P", (Var("x0", "A"),)))
+    t = PartialType(tuple(FREE), tuple(closed(f) for f in fs))
+    n = data.draw(st.sampled_from((None, len(fs) - 1, 2)))
+    assert realizes(M, t, n, tol) == ref_realizes(M, t, n, tol)
+    assert realizes(M, t, n, tol) == ref_realizes(M, t, n, tol)  # kept plan
+
+
+@given(st.data())
+def test_realizes_of_pairings_of_types_realized_before(data):
+    """type_or and type_and of a type t in x0 and a type s in x1, each
+    realized first, some of their conditions also evaluated before (each
+    then one slot of the pairings' conditions, and type_and repeats it
+    from its condition on)."""
+    pool = data.draw(denominators())
+    M = data.draw(structures(pool, rows=2))
+    den = data.draw(st.sampled_from(pool))
+    tol = Fraction(data.draw(st.integers(0, den)), den)
+    types = []
+    for v in FREE:
+        fs = [formulas(data.draw, [v], data.draw(st.integers(0, 3)), pool)
+              for _ in range(data.draw(st.integers(1, 3)))]
+        for f in fs:
+            if data.draw(st.booleans()):
+                eval_table(f, M, [v])
+        t = PartialType((v,), tuple(closed(f) for f in fs))
+        assert realizes(M, t, tol=tol) == ref_realizes(M, t, tol=tol)
+        types.append(t)
+    for pair in (type_or(*types), type_and(*types)):
+        n = data.draw(st.sampled_from((None, 1, 2)))
+        assert realizes(M, pair, n, tol) == ref_realizes(M, pair, n, tol)
+
+
 @st.composite
 def prenex(draw, pool):
     """A random prenex formula over FREE: up to three quantifiers whose
@@ -680,3 +748,55 @@ def test_plans_reuse_subformulas_compiled_before(monkeypatch):
             ref_eval(chain, M, {v: ("A", 3) for v in free})
         steps.append(len(built))
     assert max(steps) <= 8  # of the 40 slots of the last chain
+
+
+def test_realizes_evaluates_a_shared_subterm_once_per_survivor_step(
+        monkeypatch):
+    """d(f(x1), x0) under sup or inf over x1 in three conditions reads the
+    distance table once while the rows hold, and once more after P(x0)
+    drops rows a0 and a3; f(x1), read twice and not reading x0, reads f's
+    table once in both."""
+    reads = []
+    read = mlw.structures._read
+    monkeypatch.setattr(mlw.structures, "_read",
+                        lambda T, args: reads.append(T) or read(T, args))
+    M = _plan_structure(6)
+    assert M.predicates["P"].table.tolist() == [4, 3, 3, 6]
+    x0, x1 = Var("x0", "A"), Var("x1", "A")
+    fx1 = lambda: App("f", (x1,))  # noqa: E731
+    T = lambda: Dist(fx1(), x0)  # noqa: E731
+    half = lambda g: affine(Fraction(1, 2), ZERO, g)  # noqa: E731
+    shared = [half(sup("x1", fmin(T(), Pred("P", (fx1(),))), "A")),
+              half(inf("x1", fmonus(T(), Rat(Fraction(1, 3))), "A")),
+              half(sup("x1", fmax(T(), Pred("R", (x1, x1, x0))), "A"))]
+    kill = Pred("P", (x0,))
+    for fs, want in ((shared, 1), (shared[:1] + [kill] + shared[1:], 2)):
+        t = PartialType((("x0", "A"),), tuple(closed(f) for f in fs))
+        reads.clear()
+        got = realizes(M, t, tol=Fraction(1, 2))
+        assert [r is M.sorts["A"].dmat for r in reads].count(True) == want
+        assert [r is M.functions["f"].table for r in reads].count(True) == 1
+        assert got == ref_realizes(M, t, tol=Fraction(1, 2))
+    assert got == [("a1",), ("a2",)]
+
+
+def test_one_name_bound_at_two_depths_is_two_slots():
+    """y bound at depth 0 in one place and at depth 1 in another runs
+    along two axes, so P(y) and d(x0, y) are two slots each, in one
+    formula and across the conditions of a type."""
+    y, z, x0 = Var("y", "A"), Var("z", "A"), Var("x0", "A")
+    P = lambda t: Pred("P", (t,))  # noqa: E731
+    pairs = [(inf("y", P(y), "A"),
+              sup("z", inf("y", fmax(P(y), Dist(z, y)), "A"), "A")),
+             (sup("y", Dist(x0, y), "A"),
+              inf("z", sup("y", fmonus(Dist(x0, y), Dist(z, y)), "A"), "A"))]
+    for seed in range(3):
+        M = _plan_structure(6, seed)
+        for f, g in pairs:
+            for h in (fmax(f, g), fmin(f, g)):
+                den, table = eval_table(h, M, [("x0", "A")])
+                assert [Fraction(int(v), den) for v in table] == \
+                    [ref_eval(h, M, {"x0": ("A", i)}) for i in range(4)]
+            t = PartialType((("x0", "A"),), (closed(f), closed(g)))
+            for tol in (Fraction(k, 6) for k in range(7)):
+                assert realizes(M, t, tol=tol) == ref_realizes(M, t, tol=tol)

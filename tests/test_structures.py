@@ -268,6 +268,18 @@ def test_build_takes_dens_up_to_int64():
             0 if x == y else 2**70)})
 
 
+def test_build_refuses_table_values_past_int64():
+    """A table whose den fits but whose values do not is refused with a
+    ValueError naming the sort or the predicate, for a metric and for a
+    predicate given as (den, list)."""
+    pts = {"A": ["a", "b"]}
+    with pytest.raises(ValueError, match="metric value past int64 in sort A"):
+        FiniteStructure.build(pts, {"A": (3, [[0, 2**70], [2**70, 0]])})
+    with pytest.raises(ValueError, match="predicate P value outside"):
+        FiniteStructure.build(pts, {"A": (3, [[0, 1], [1, 0]])}, None,
+                              {"P": (("A",), (3, [0, 2**70]))})
+
+
 @given(st.lists(st.fractions(min_value=-2**70, max_value=2**70,
                              max_denominator=2**70)))
 def test_rationals_go_to_one_den_exactly(qs):
