@@ -10,10 +10,9 @@ from fractions import Fraction
 import numpy as np
 
 from .formulas import Formula, Quant, _modulus_for_var, summary
-from .structures import (_CERT_CELLS, _SLOTS, FiniteStructure, _align,
-                         _ball_merges, _bind_rows, _compile, _first_hit,
-                         _max_numerator, _sorted_agreement, _table,
-                         _table_env, _ultrametric_order, eval_table)
+from .structures import (_CERT_CELLS, FiniteStructure, _align, _ball_merges,
+                         _compile, _first_hit, _max_numerator, _satisfying,
+                         _sorted_agreement, _ultrametric_order, eval_table)
 from .values import ONE, ZERO
 
 
@@ -28,31 +27,12 @@ def realizes(M: FiniteStructure, t: "PartialType", n: int | None = None,
              tol: Fraction = ZERO) -> list[tuple[str, ...]]:
     """All tuples whose every fragment condition evaluates ≤ tol, in
     lexicographic point-index order.  The conditions are evaluated in
-    turn through one plan and one slot table, so a subterm they share is
-    evaluated once while the rows hold.  Once fewer rows of the first
-    variable survive than are bound, each later condition is evaluated at
-    the surviving rows only, and the shared values that read the first
-    variable are dropped."""
+    turn through one plan (see structures._satisfying), each later one at
+    the rows of the first variable that the earlier ones leave only."""
     variables = _resolve_vars(t, M)
-    forms, roots, free = _conditions_plan(t, n)
-    env, total = _table_env(forms, M, variables)
-    env[_SLOTS] = slots = {}
-    # mask: the surviving tuples among the bound rows (rows None: all)
-    mask = np.ones(tuple(M.sorts[s].size for _, s in variables), dtype=bool)
-    later = tuple(range(1, mask.ndim))  # the axes after the first variable's
-    rows = None
-    for run in roots:
-        keep = mask.any(axis=later)
-        if not keep.all():
-            if not keep.any():
-                break
-            mask = mask[keep]
-            rows = np.flatnonzero(keep) if rows is None else rows[keep]
-            _bind_rows(env, variables, total, rows)
-            for k in [k for k in slots if variables[0][0] in free[k]]:
-                del slots[k]
-        den, table = _table(run, M, env, variables, total)
-        mask &= table <= _max_numerator(tol, den)
+    forms, *plan = _conditions_plan(t, n)
+    ((rows, mask),) = _satisfying(plan, forms, M, variables,
+                                  [(tol, False)] * len(forms))
     hits = np.argwhere(mask)
     if rows is not None:
         hits[:, 0] = rows[hits[:, 0]]
@@ -229,11 +209,10 @@ def verify_iso(A: FiniteStructure, B: FiniteStructure, L0: Sublanguage,
     return out
 
 
-def find_iso(A: FiniteStructure, B: FiniteStructure,
-             L0: Sublanguage | None = None):
-    """Isomorphism search, canonical form first.  Returns an IsoWitness
-    that verify_iso accepts, or a Refusal, which means that no isomorphism
-    exists.
+def find_iso(A: FiniteStructure, B: FiniteStructure):
+    """Isomorphism search, canonical form first, over the symbols A and B
+    share.  Returns an IsoWitness that verify_iso accepts, or a Refusal,
+    which means that no isomorphism exists.
 
     Colour refinement of the joint point classes of A and B (McKay &
     Piperno, "Practical graph isomorphism, II", 2014) splits them by the
@@ -247,9 +226,8 @@ def find_iso(A: FiniteStructure, B: FiniteStructure,
     checks it.  Otherwise, or when the codes differ or the check fails,
     the complete search decides (see _search), starting from the classes
     already refined: verify_iso and _search carry exactness."""
-    if L0 is None:
-        L0 = Sublanguage(frozenset(A.functions) & frozenset(B.functions),
-                         frozenset(A.predicates) & frozenset(B.predicates))
+    L0 = Sublanguage(frozenset(A.functions) & frozenset(B.functions),
+                     frozenset(A.predicates) & frozenset(B.predicates))
     if set(A.sorts) != set(B.sorts):
         return Refusal("sort mismatch", f"{sorted(A.sorts)} vs {sorted(B.sorts)}")
     for s in A.sorts:

@@ -222,47 +222,31 @@ def omega_type(t: PartialType, n: int) -> PartialType:
 
 @dataclass(frozen=True)
 class UniformSequence:
-    """Formulas in m free variables sharing one modulus of uniform
-    continuity; an optional generator extends the explicit list."""
+    """Formulas sharing one modulus of uniform continuity."""
     modulus: Modulus
     formulas: tuple[Formula, ...]
-    arity: int
-    generator: Callable[[int], Formula] | None = None
 
-    def formula(self, i: int) -> Formula:
-        if self.generator is not None and i >= len(self.formulas):
-            return self.generator(i)
-        return self.formulas[i]
-
-    def member(self, n: int, count: int | None = None) -> PartialType:
+    def member(self, n: int) -> PartialType:
         """Type t_n = { φ_i ≥ 2^{-n} } rendered as 2^{-n} ∸ φ_i = 0."""
-        k = len(self.formulas) if count is None else count
         thr = Rat(Fraction(1, 2**n))
         sorts: dict[str, str | None] = {}  # a later formula's sort wins
         conds = []
-        for i in range(k):
-            phi = self.formula(i)
+        for phi in self.formulas:
             sorts.update(var_sorts(phi))
             conds.append(closed(fmonus(thr, phi)))
         variables = tuple((v, sorts[v]) for v in sorted(sorts))
         return PartialType(variables, tuple(conds), None, f"uniform-member({n})")
 
 
-def make_uniform(formulas, modulus: Modulus, sym=None,
-                 generator=None, arity: int | None = None) -> UniformSequence:
+def make_uniform(formulas, modulus: Modulus) -> UniformSequence:
     """Bundle formulas under a shared modulus; rejects (naming the offender)
     any formula whose derived modulus fails to dominate the shared one."""
     formulas = tuple(formulas)
     for i, phi in enumerate(formulas):
-        if not formula_modulus(phi, sym).dominates(modulus):
+        if not formula_modulus(phi).dominates(modulus):
             raise ValueError(
                 f"formula {i} ({show(phi)}) violates the shared modulus")
-    if arity is None:
-        names: set[str] = set()
-        for phi in formulas:
-            names |= free_vars(phi)
-        arity = len(names)
-    return UniformSequence(modulus, formulas, arity, generator)
+    return UniformSequence(modulus, formulas)
 
 
 # --------------------------------------------------------------------------

@@ -18,16 +18,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conditions import PartialType, type_from_spec
+from .conditions import (PartialType, normalize_condition, open_cond,
+                         type_from_spec)
 from .formulas import (Conn, Const, Dist, Formula, Quant, Rat, Var,
-                       _memo_on_formula, absdiff, affine, fmax, fmonus,
-                       free_vars, map_terms, show, subst)
-from .structures import (FiniteStructure, _eval_blocks, _first_hit,
-                         _max_numerator, _on_one_den, check_structure,
-                         eval_formula, eval_table)
+                       _memo_on_formula, absdiff, fmax, fmonus, free_vars,
+                       map_terms, show, subst)
+from .structures import (FiniteStructure, _compile, _first_hit, _on_one_den,
+                         _plan, _satisfying, check_structure, eval_formula,
+                         eval_table)
 from .values import ONE, ZERO
 
 _SCAN_CAP = 5_000_000  # largest exhaustive assignment scan
+_MAX_CONSTANTS = 64  # Henkin constants a generic run may assign
 
 
 # --------------------------------------------------------------------------
@@ -88,11 +90,9 @@ TRIVIAL = ForcingCondition(Rat(ZERO))
 
 def _normalized(f: Formula, eps: Fraction) -> Formula:
     """Rescale so that (result < 1) iff (f < eps), exactly."""
-    eps = Fraction(eps)
     if eps >= 1:
         return f
-    eta = eps / 2
-    return affine(1 / eta, (eta - eps) / eta, f)
+    return normalize_condition(open_cond(f, eps)).formula
 
 
 def conjoin(p: ForcingCondition, f: Formula, eps) -> ForcingCondition:
@@ -144,36 +144,46 @@ class BankRefusal:
     detail: str = ""
 
 
-def _var_list(M: FiniteStructure, idxs):
+def _first_assignment(M: FiniteStructure, demands, idxs, fixed=None):
+    """The first assignment of the constants idxs (point indices, in C
+    order; the other constants at the points `fixed` names) at which each
+    (formula, q, strict) of demands has its value at most q (below q when
+    strict), or None.  The scan runs in blocks of the first constant's
+    points, of sizes 1, 1, 2, 4, ..., and stops at the first block with a
+    hit, so a model without one costs ⌈log₂ n⌉ + 1 evaluations of the
+    cells that one full-table scan would evaluate.  One formula keeps its
+    own plan; several are compiled together, so a subterm they share is
+    evaluated once (see structures._satisfying)."""
     sort = M.only_sort()
-    return [(f"x{i}", sort) for i in idxs]
-
-
-def _scan(M: FiniteStructure, f: Formula, idxs, fixed=None, blocks=None):
-    """Exhaustive scan over assignments of the given constant indices (other
-    constants bound by `fixed`), in blocks of the first index's points
-    (see structures._eval_blocks); yields (points, den, table) per
-    block."""
     size = M.total_points() ** len(idxs)
     if size > _SCAN_CAP:
         raise ValueError(f"assignment scan too large ({size} combinations)")
-    fixed = {f"x{i}": p for i, p in (fixed or {}).items()}
-    yield from _eval_blocks(bind_constants(f), M, _var_list(M, idxs), fixed,
-                            blocks)
+    n = M.sorts[sort].size
+    # blocks of 1, 1, 2, 4, ... points end at 1, 2, 4, ..., n
+    stops = sorted({min(2 ** k, n) for k in range(n.bit_length() + 1)})
+    blocks = map(np.arange, [0] + stops, stops)
+    fs = [bind_constants(f) for f, _, _ in demands]
+    plan = _compile(fs) if len(fs) > 1 else ([_plan(fs[0])], None)
+    for rows, mask in _satisfying(
+            plan, fs, M, [(f"x{i}", sort) for i in idxs],
+            [bound for _, *bound in demands],
+            {f"x{i}": p for i, p in (fixed or {}).items()}, blocks):
+        hit = _first_hit(mask)
+        if hit is not None:
+            return (rows[hit[0]], *hit[1:]) if idxs else ()
+    return None
 
 
 def cond_check(p: ForcingCondition, B: WitnessBank,
                fixed: dict | None = None) -> Witness | BankRefusal:
     """First bank witness for p, models in declaration order, assignments in
     point order (C order over the free constants); bank-relative refusal
-    otherwise.  A model is scanned in blocks of the first free constant's
-    points, of sizes 1, 1, 2, 4, ..., and the scan stops at the first
-    block with a hit, so a model without one costs ⌈log₂ n⌉ + 1
-    evaluations of the cells that one full-table scan would evaluate."""
+    otherwise (see _first_assignment)."""
     free = [i for i in p.F if not (fixed and i in fixed)]
     for name, M in B.items():
         try:
-            hit = _first_satisfying(M, p, free, fixed)
+            hit = _first_assignment(M, [(p.formula, p.eps, True)], free,
+                                    fixed)
         except KeyError:
             continue  # formula mentions symbols this model lacks
         if hit is not None:
@@ -185,33 +195,19 @@ def cond_check(p: ForcingCondition, B: WitnessBank,
                        "no assignment in any bank model satisfies the demand")
 
 
-def _first_satisfying(M: FiniteStructure, p: ForcingCondition, free, fixed):
-    """The first assignment of the free constants (point indices, in C
-    order) that satisfies p in M, or None; see cond_check."""
-    n = M.sorts[M.only_sort()].size
-    # blocks of 1, 1, 2, 4, ... points end at 1, 2, 4, ..., n
-    stops = sorted({min(2 ** k, n) for k in range(n.bit_length() + 1)})
-    blocks = [np.arange(lo, hi) for lo, hi in zip([0] + stops, stops)]
-    for rows, den, tab in _scan(M, p.formula, free, fixed, blocks):
-        hit = _first_hit(tab <= _max_numerator(p.eps, den, strict=True))
-        if hit is not None:
-            return (rows[hit[0]], *hit[1:]) if free else ()
-    return None
-
-
 def extends(p: ForcingCondition, q: ForcingCondition, B: WitnessBank) -> bool:
     """q extends p: F^p ⊆ F^q and, in every bank model, every assignment
-    with ψ^q < ε^q also has ψ^p < ε^p (bank-relative entailment)."""
+    with ψ^q < ε^q also has ψ^p < ε^p (bank-relative entailment): none
+    has ε^p ∸ ψ^p = 0 as well.  ψ^p lies in [0, 1], so an ε^p past 1
+    holds everywhere."""
     if not set(p.F) <= set(q.F):
         return False
-    for name, M in B.items():
-        _, denq, tabq = next(_scan(M, q.formula, q.F))
-        _, denp, tabp = next(_scan(M, p.formula, q.F))
-        sat_q = tabq <= _max_numerator(q.eps, denq, strict=True)
-        sat_p = tabp <= _max_numerator(p.eps, denp, strict=True)
-        if np.any(sat_q & ~sat_p):
-            return False
-    return True
+    if p.eps > 1:
+        return True
+    escape = [(q.formula, q.eps, True), (fmonus(Rat(p.eps), p.formula),
+                                         ZERO, False)]
+    return all(_first_assignment(M, escape, q.F) is None
+               for _, M in B.items())
 
 
 def permute_condition(h, p: ForcingCondition) -> ForcingCondition:
@@ -350,13 +346,12 @@ class GenericRun:
 
 
 class _Engine:
-    def __init__(self, B: WitnessBank, max_constants: int):
+    def __init__(self, B: WitnessBank):
         self.B = B
         self.model_name = B.names()[0]
         self.M = B[self.model_name]
         self.assign: dict = {}
         self.cond = TRIVIAL
-        self.max_constants = max_constants
         self.visits: dict = {}
         self.decided_pairs: dict = {}
         self.decided_values: dict = {}
@@ -373,7 +368,7 @@ class _Engine:
         i = 0
         while i in self.assign or i in self.cond.F:
             i += 1
-        if len(self.assign) >= self.max_constants:
+        if len(self.assign) >= _MAX_CONSTANTS:
             raise ValueError("constant budget exhausted")
         return i
 
@@ -539,11 +534,9 @@ class _Engine:
         block = fmonus(Rat(spec.eps), phi)
         probe = conjoin(self.cond, block, spec.eps / 2)
         fixed = {i: p for i, p in self.assign.items() if i not in spec.F}
-        _, den, tab = next(_scan(self.M, probe.formula, list(spec.F), fixed))
-        _, denb, tabb = next(_scan(self.M, block, list(spec.F), fixed))
-        good = (tab <= _max_numerator(probe.eps, den, strict=True)) \
-            & (tabb == 0)
-        hit = _first_hit(good)
+        hit = _first_assignment(self.M, [(probe.formula, probe.eps, True),
+                                         (block, ZERO, False)],
+                                spec.F, fixed)
         if hit is None:
             return None
         pts = self.M.sorts[self.M.only_sort()].points
@@ -556,10 +549,10 @@ class _Engine:
         return delta, "pushed to >= " + str(spec.eps)
 
 
-def build_generic(schedule, B: WitnessBank, max_constants: int = 64) -> GenericRun:
+def build_generic(schedule, B: WitnessBank) -> GenericRun:
     """Fold the dense-set schedule from the trivial condition; deterministic;
     stops folding on a hard failure, records blocking failures and goes on."""
-    eng = _Engine(B, max_constants)
+    eng = _Engine(B)
     steps = []
     ok = True
     diagnosis = ""

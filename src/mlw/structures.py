@@ -986,48 +986,85 @@ def eval_table(f: Formula, M: FiniteStructure, variables,
     order; remaining free variables come from assignment.  Returns
     (den, table) with table integer-valued, scaled by den, and read-only
     (it may be a view of the structure's own tables)."""
-    return next(_eval_blocks(f, M, variables, assignment))[1:]
-
-
-def _eval_blocks(f: Formula, M: FiniteStructure, variables, assignment=None,
-                 blocks=None):
-    """eval_table a block of rows at a time: each block is an index array
-    of rows along the first variable's axis, and its table holds those
-    rows only.  Yields (rows, den, table) per block; with blocks None (or
-    no listed variable), one block of every row, with rows None."""
     variables = [(v, s or M.only_sort()) for v, s in variables]
     env, total = _table_env([f], M, variables, assignment)
-    shape = [M.sorts[s].size for _, s in variables]
+    den, v = _table(_plan(f), M, env, variables, total)
+    shape = tuple(M.sorts[s].size for _, s in variables)
+    if type(v) is np.ndarray and v.shape == shape:
+        v.flags.writeable = False  # it may be a view of a table
+    else:
+        v = np.broadcast_to(v, shape)
+    return den, v
+
+
+def _satisfying(plan, fs, M: FiniteStructure, variables, bounds,
+                assignment=None, blocks=None):
+    """The tuples of the listed (name, sort) variables (the other free
+    variables at the points assignment names) at which every formula of
+    fs is within its bound, (q, strict) per formula: its value at most q,
+    or below q when strict.  plan is fs's (roots, free) as _compile
+    returns them; free may be None when there is one root.
+
+    blocks holds index arrays of rows of the first variable; with blocks
+    None, or no listed variable, there is one block of every row.  Per
+    block, yields (rows, mask): the rows left (None: every row) and the
+    satisfying tuples among them.  The roots are evaluated in turn
+    through one slot table, so a subterm they share is evaluated once
+    while the rows hold.  Once fewer rows satisfy the roots so far than
+    are bound, the later roots are evaluated at those rows only, and the
+    shared values that read the first variable are dropped; once no row
+    is left, no later root is evaluated."""
+    roots, free = plan
+    env, total = _table_env(fs, M, variables, assignment)
+    shape = tuple(M.sorts[s].size for _, s in variables)
+    later = tuple(range(1, len(shape)))  # the axes after the first variable's
     for rows in (blocks if variables and blocks is not None else [None]):
         if rows is not None:
             _bind_rows(env, variables, total, rows)
-            shape[0] = len(rows)
-        env[_SLOTS] = {}
-        den, v = _table(_plan(f), M, env, variables, total)
-        if type(v) is np.ndarray and v.shape == tuple(shape):
-            v.flags.writeable = False  # it may be a view of a table
-        else:
-            v = np.broadcast_to(v, tuple(shape))
-        yield rows, den, v
+        env[_SLOTS] = slots = {}
+        here = shape if rows is None else (len(rows),) + shape[1:]
+        mask = None
+        for run, (q, strict) in zip(roots, bounds):
+            if mask is not None:
+                keep = mask.any(axis=later)
+                if not keep.all():
+                    if not keep.any():
+                        break
+                    mask = mask[keep]
+                    rows = np.flatnonzero(keep) if rows is None else rows[keep]
+                    _bind_rows(env, variables, total, rows)
+                    for k in [k for k in slots if variables[0][0] in free[k]]:
+                        del slots[k]
+            den, table = _table(run, M, env, variables, total)
+            sat = table <= _max_numerator(q, den, strict)
+            if mask is not None:
+                mask &= sat
+            elif type(sat) is np.ndarray and sat.shape == here:
+                mask = sat  # the first root's comparison is the mask
+            else:
+                mask = np.broadcast_to(sat, here).copy()
+        yield rows, np.ones(here, dtype=bool) if mask is None else mask
 
 
 def _table_env(fs, M: FiniteStructure, variables, assignment=None):
-    """The environment eval_table evaluates the formulas fs in: variable j
-    of the listed (name, sort) pairs along the axis at offset total - j,
-    where total leaves room for the deepest of fs's quantifiers, and the
-    other free variables at the points assignment names.  Returns (env,
-    total)."""
+    """The environment eval_table evaluates the formulas fs in, with an
+    empty slot table: variable j of the listed (name, sort) pairs along
+    the axis at offset total - j, where total leaves room for the deepest
+    of fs's quantifiers, and the other free variables of fs at the points
+    assignment names (the first sort annotation of a variable in fs
+    wins); an entry for a variable fs does not read is not bound.
+    Returns (env, total)."""
     free, depth = {}, 0
     for f in fs:
         info = summary(f)
         depth = max(depth, info.depth)
         for v, s in info.free.items():
             free[v] = free.get(v) or s
-    env = {}
+    env = {_SLOTS: {}}
     listed = {v for v, _ in variables}
     for v, name in (assignment or {}).items():
-        if v not in listed:
-            s = free.get(v) or M.only_sort()
+        if v in free and v not in listed:
+            s = free[v] or M.only_sort()
             env[v] = (s, M.point(s, name))
     missing = set(free) - listed - set(env)
     if missing:

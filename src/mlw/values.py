@@ -8,8 +8,8 @@ ONE = Fraction(1)
 
 def as_value(x) -> Fraction:
     """Coerce to a Fraction and check it lies in [0,1]."""
-    q = Fraction(x)
-    if not (0 <= q <= 1):
+    q = x if type(x) is Fraction else Fraction(x)
+    if not 0 <= q.numerator <= q.denominator:  # the denominator is positive
         raise ValueError(f"value {q} outside [0,1]")
     return q
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mlw.structures
 from mlw import analysis
 from mlw.analysis import (IsoWitness, Refusal, Sublanguage, eq_evidence,
                           find_iso, realization_tree, realizes, verify_iso,
@@ -672,11 +673,11 @@ def test_realizes_evaluates_later_conditions_at_surviving_rows(monkeypatch):
     """The shortcut is taken: rows are bound once the first axis shrinks,
     and nothing is evaluated after every row is dead."""
     bound, tables = [], []
-    bind, table = analysis._bind_rows, analysis._table
-    monkeypatch.setattr(analysis, "_bind_rows",
+    bind, table = mlw.structures._bind_rows, mlw.structures._table
+    monkeypatch.setattr(mlw.structures, "_bind_rows",
                         lambda env, v, total, rows: bound.append(rows.size)
                         or bind(env, v, total, rows))
-    monkeypatch.setattr(analysis, "_table",
+    monkeypatch.setattr(mlw.structures, "_table",
                         lambda *a: tables.append(a[0]) or table(*a))
     M, t = _first_axis_only()
     hits = realizes(M, t)

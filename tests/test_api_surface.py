@@ -1,7 +1,8 @@
 """Source checks over `mlw`: every public top-level function and class has
 a caller, every parameter is read, rationals are compared through one exact
-helper, and a first hit is taken, an integer type chosen, and rationals
-brought to one denominator, through one helper each.
+helper, a first hit is taken, an integer type chosen, and rationals
+brought to one denominator, through one helper each, and only `structures`
+evaluates a plan over bound rows.
 
 A name counts as used when some code outside its own definition refers to
 it: a name, an attribute, an import or a string (the benchmark's tracer
@@ -131,6 +132,24 @@ def test_rationals_go_to_a_table_through_one_helper():
             stack.extend(ast.iter_child_nodes(node))
     assert helpers == 1
     assert not found, "lcm of denominators outside _on_one_den: " + \
+        ", ".join(found)
+
+
+def test_rows_are_evaluated_in_one_module():
+    """A plan's roots are read over bound rows only in `structures`
+    (`_satisfying`, `eval_table`): no other module imports `_table` or
+    `_bind_rows`, or reads them off the module."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "structures.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [a.name for a in node.names] \
+                if isinstance(node, ast.ImportFrom) else \
+                [node.attr] if isinstance(node, ast.Attribute) else []
+            found += [f"{path.name}:{node.lineno} {n}" for n in names
+                      if n in ("_table", "_bind_rows")]
+    assert not found, "row evaluation outside structures: " + \
         ", ".join(found)
 
 

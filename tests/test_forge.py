@@ -7,15 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mlw import forge
 from mlw.forge import (TRIVIAL, BankRefusal, ForcingCondition, Permutation,
                        Witness, WitnessBank, bind_constants, build_generic,
                        compatible, cond_check, conjoin, constant_indices,
                        extends, extract_premodel, homogeneity_experiment,
                        parse_schedule, permute_condition, rename_constants,
                        transcript, verify_run)
-from mlw.formulas import parse_formula
+from mlw.formulas import Rat, fmonus, parse_formula
 from mlw.models import build_N
 from mlw.structures import eval_table, load_structure, save_structure
+from mlw.values import ONE
 
 
 @pytest.fixture(scope="module")
@@ -61,19 +63,27 @@ def test_cond_check_refuses_impossible(bank):
     assert "bank" in r.reason
 
 
+def _holds(p, M, idxs, fixed=None):
+    """The full table of p's demand ψ < ε over the constants idxs (the
+    others at the points fixed names), compared in Python ints."""
+    sort = M.only_sort()
+    den, tab = eval_table(bind_constants(p.formula), M,
+                          [(f"x{i}", sort) for i in idxs],
+                          {f"x{i}": q for i, q in (fixed or {}).items()})
+    return np.asarray(tab.astype(object) * p.eps.denominator
+                      < p.eps.numerator * den, dtype=bool)
+
+
 def _cond_check_full_table(p, B, fixed=None):
-    """cond_check as one full-table scan per model, compared in Python
-    ints, first hit by np.argwhere."""
+    """cond_check as one full-table scan per model, first hit by
+    np.argwhere."""
     for name, M in B.items():
         free = [i for i in p.F if not (fixed and i in fixed)]
         sort = M.only_sort()
         try:
-            den, tab = eval_table(bind_constants(p.formula), M,
-                                  [(f"x{i}", sort) for i in free],
-                                  {f"x{i}": q for i, q in (fixed or {}).items()})
+            sat = _holds(p, M, free, fixed)
         except KeyError:
             continue
-        sat = tab.astype(object) * p.eps.denominator < p.eps.numerator * den
         hits = np.argwhere(sat)
         if len(hits):
             assign = dict(fixed or {})
@@ -138,6 +148,37 @@ def _demand(rng):
     i, j = rng.sample(range(3), 2)
     return (parse_formula(f"monus(d(d{i}, d{j}), {rng.randrange(1, 3)}/3)"),
             Fraction(1, 2))
+
+
+def _extends_full_table(p, q, B):
+    """extends as two full-table scans per model: no assignment of q's
+    constants satisfies q but not p."""
+    if not set(p.F) <= set(q.F):
+        return False
+    return not any((_holds(q, M, q.F) & ~_holds(p, M, q.F)).any()
+                   for _, M in B.items())
+
+
+def test_extends_matches_a_full_table_scan(bank):
+    """Random chains: a start that is trivial or a raw demand (its ε below
+    1, at 1 or past it, so not in normal form), then three conjoined
+    demands; extends both ways between every two links."""
+    rng = random.Random(23)
+    seen = set()
+    for trial in range(20):
+        start = _random_demand(rng)
+        start = rng.choice([TRIVIAL, start, ForcingCondition(
+            start.formula, start.F, rng.choice([ONE, Fraction(3, 2)]))])
+        chain = [start]
+        for _ in range(3):
+            p = _random_demand(rng)
+            chain.append(conjoin(chain[-1], p.formula, p.eps))
+        for p in chain:
+            for q in chain:
+                got = extends(p, q, bank)
+                assert got == _extends_full_table(p, q, bank), f"trial {trial}"
+                seen.add(got)
+    assert seen == {True, False}
 
 
 def test_extends_requires_constant_containment(bank):
@@ -226,6 +267,78 @@ def test_premodel_saves_round_trip(bank, tmp_path):
     assert digest[0] == digest[1]
     assert loaded.meta == M.meta
     assert list(loaded.meta) == ["label", "density", "radius"]
+
+
+# --------------------------------------------------------------------------
+# omit steps
+
+def _block_full_table(eng, phi, spec):
+    """The first reassignment of d̄_F (point indices, in C order; the other
+    constants as eng assigns them) with probe < 1, the probe being eng's
+    condition conjoined with ε ∸ φ < ε/2, and ε ∸ φ = 0: two full tables
+    from eval_table, first hit by np.argwhere; or None."""
+    block = fmonus(Rat(spec.eps), phi)
+    probe = conjoin(eng.cond, block, spec.eps / 2)
+    fixed = {i: q for i, q in eng.assign.items() if i not in spec.F}
+    sort = eng.M.only_sort()
+    den, tab = eval_table(bind_constants(block), eng.M,
+                          [(f"x{i}", sort) for i in spec.F],
+                          {f"x{i}": q for i, q in fixed.items()})
+    hits = np.argwhere(_holds(probe, eng.M, spec.F, fixed) & (tab == 0))
+    return tuple(int(j) for j in hits[0]) if len(hits) else None
+
+
+def _random_omit_schedule(rng):
+    lines = [f"metric 0 {j} {rng.choice([4, 8])}"
+             for j in range(1, rng.randrange(1, 4))]
+    for _ in range(rng.randrange(1, 4)):
+        spec = rng.choice(["s0_escape", "s0_branch"])
+        lines.append(f"omit {spec} F=<{rng.randrange(3)}> "
+                     f"n={rng.randrange(1, 4)} "
+                     f"eps={rng.choice(['1/8', '1/3', '1/2', '3/4', '1'])}")
+        if rng.random() < 0.5:
+            lines.append(f"metric {rng.randrange(3)} 3 4")
+    return "\n".join(lines)
+
+
+def test_omit_steps_match_a_full_table_scan(bank, monkeypatch):
+    """Each omit step's search, checked against _block_full_table: the
+    step blocks a condition exactly when the reference finds a
+    reassignment, and then assigns d̄_F its points."""
+    block = forge._Engine._try_block
+    outcomes = []
+
+    def checked(eng, phi, spec):
+        want = _block_full_table(eng, phi, spec)
+        got = block(eng, phi, spec)
+        assert (got is None) == (want is None)
+        if want is not None:
+            pts = eng.M.sorts[eng.M.only_sort()].points
+            assert [eng.assign[i] for i in spec.F] == [pts[j] for j in want]
+        outcomes.append(want is not None)
+        return got
+
+    monkeypatch.setattr(forge._Engine, "_try_block", checked)
+    rng = random.Random(31)
+    for _ in range(40):
+        run = build_generic(parse_schedule(_random_omit_schedule(rng)), bank)
+        assert verify_run(run, bank) == []
+    assert set(outcomes) == {True, False}
+
+
+def test_a_failed_omit_step_leaves_the_run_partial(bank):
+    """An omit step that blocks none of its conditions fails on its own:
+    the run goes on past it and ends partial, without a diagnosis."""
+    run = build_generic(parse_schedule(
+        "metric 0 1 8\nomit s0_escape F=<0> n=1 eps=1/2\nmetric 0 2 4"), bank)
+    assert [s.ok for s in run.steps] == [True, False, True]
+    assert run.steps[1].note == (
+        "failed to block any of the first 1 fragment conditions at "
+        "threshold 1/2 (bank-relative)")
+    assert not run.ok and run.diagnosis == ""
+    assert transcript(run).splitlines()[-1] == \
+        "met=2/3 verdict=partial (bank-relative)"
+    assert verify_run(run, bank) == []
 
 
 def test_homogeneity_experiment_deterministic(bank):

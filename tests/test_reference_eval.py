@@ -23,8 +23,8 @@ from mlw.formulas import (App, Conn, Const, Dist, Pred, Quant, Rat, Var,
 from mlw.moduli import Modulus
 import mlw.structures
 from mlw.structures import (FiniteStructure, FnTable, PredTable, SortData,
-                            _eval_blocks, eval_bounds, eval_formula,
-                            eval_table)
+                            _bind_rows, _plan, _table, _table_env,
+                            eval_bounds, eval_formula, eval_table)
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -357,6 +357,17 @@ def test_quantifiers_over_a_one_point_sort():
                         ref_eval(f, M, env)
 
 
+def _rows_table(f, M, variables, rows):
+    """(den, table) of f with the first listed variable bound to rows, an
+    index array, as structures._satisfying evaluates a block of rows."""
+    variables = [(v, s or M.only_sort()) for v, s in variables]
+    env, total = _table_env([f], M, variables)
+    _bind_rows(env, variables, total, rows)
+    den, table = _table(_plan(f), M, env, variables, total)
+    shape = [M.sorts[s].size for _, s in variables]
+    return den, np.broadcast_to(table, (len(rows), *shape[1:]))
+
+
 @given(st.data())
 def test_single_surviving_row_matches_the_gather_and_the_reference(data):
     """_table over one row of the first variable, as realizes evaluates
@@ -368,8 +379,7 @@ def test_single_surviving_row_matches_the_gather_and_the_reference(data):
     f = formulas(data.draw, variables, data.draw(st.integers(0, 3)), pool)
     full_den, full = eval_table(f, M, variables)
     for i in range(M.sorts["A"].size):
-        ((rows, den, table),) = _eval_blocks(f, M, variables,
-                                             blocks=[np.array([i])])
+        den, table = _rows_table(f, M, variables, np.array([i]))
         assert table.shape == (1,) + full.shape[1:]
         for idx in np.ndindex(table.shape):
             want = Fraction(int(full[(i,) + idx[1:]]), full_den)
@@ -442,8 +452,7 @@ def test_realizes_compares_each_row_block_at_its_own_den():
     second = affine(1, 0, Pred("P", (x,)))
     t = PartialType((("x0", None),), (closed(Pred("R", (x,))),
                                       closed(second)))
-    dens = [den for _, den, _ in _eval_blocks(second, M, [("x0", None)],
-                                              blocks=[np.array([1, 3])])]
+    dens = [_rows_table(second, M, [("x0", None)], np.array([1, 3]))[0]]
     assert (eval_table(second, M, [("x0", None)])[0], dens) == (4, [2])
     for tol in (ZERO, Fraction(1, 4), Fraction(1, 2)):
         assert realizes(M, t, tol=tol) == ref_realizes(M, t, tol=tol)
@@ -674,8 +683,7 @@ def test_plans_match_the_reference_on_views_and_gathers(den):
                     assert eval_formula(f, M, names) == want
                 if order:
                     rows = np.array([3, 1])
-                    ((_, rden, part),) = _eval_blocks(f, M, variables,
-                                                      blocks=[rows])
+                    rden, part = _rows_table(f, M, variables, rows)
                     for idx in np.ndindex(part.shape):
                         full = (int(rows[idx[0]]),) + idx[1:]
                         assert Fraction(int(part[idx]), rden) == \

@@ -65,6 +65,27 @@ def test_check_structure_catches_triangle_violation():
     assert any("triangle" in line for line in check_structure(M))
 
 
+def test_evaluators_ignore_entries_for_variables_f_does_not_read(n2_small):
+    """eval_table and eval_formula bind only f's free variables: an entry
+    for another variable, whose sort a multi-sort structure cannot
+    resolve or whose point does not exist, changes nothing; a free
+    variable with no entry is still an error."""
+    M = n2_small
+    f = parse_formula("max(d(x1, <0>), d(x0:D1, x1:D1))")
+    pts = M.sorts["D1"].points
+    extra = {"x7": "<0>", "x8": "no such point", "x1": pts[2]}
+    den, table = eval_table(f, M, [("x0", "D1")], extra)
+    assert table.shape == (len(pts),)
+    for i, a in enumerate(pts):
+        assert Fraction(int(table[i]), den) == \
+            eval_formula(f, M, {**extra, "x0": a})
+    del extra["x1"]
+    with pytest.raises(ValueError, match=r"unbound variables \['x1'\]"):
+        eval_table(f, M, [("x0", "D1")], extra)
+    with pytest.raises(ValueError, match="unbound variable x1"):
+        eval_formula(f, M, {**extra, "x0": "<>"})
+
+
 def test_eval_bounds_brackets_value(n33):
     f = parse_formula("inf x1 . d(x0, x1)")
     res = eval_bounds(f, n33, {"x0": "<>"})
