@@ -36,8 +36,9 @@ def realizes(M: FiniteStructure, t: "PartialType", n: int | None = None,
     hits = np.argwhere(mask)
     if rows is not None:
         hits[:, 0] = rows[hits[:, 0]]
-    return [tuple(M.sorts[s].points[i] for (_, s), i in zip(variables, combo))
-            for combo in hits]
+    cols = [map(M.sorts[s].points.__getitem__, hits[:, j].tolist())
+            for j, (_, s) in enumerate(variables)]
+    return list(zip(*cols)) if cols else [()] * len(hits)
 
 
 def _conditions_plan(t: "PartialType", n: int | None):

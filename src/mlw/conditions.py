@@ -64,13 +64,20 @@ def normalize_condition(c: Condition, eta: Fraction | None = None) -> Condition:
         if c.bound == 0:
             return closed(c.formula)
         return closed(fmonus(c.formula, Rat(c.bound)))
-    eps = c.bound
+    return open_cond(below_one(c.formula, c.bound, eta), ONE)
+
+
+def below_one(f: Formula, eps: Fraction, eta: Fraction | None = None
+              ) -> Formula:
+    """affine(1/η, (η-ε)/η, f) = clamp01((f - ε + η)/η), which reaches 1
+    exactly when f ≥ ε: below 1 iff f < ε.  η is ε/2 unless given."""
+    if eps <= 0:
+        raise ValueError("open condition needs a positive bound")
     if eta is None:
         eta = eps / 2
     if not (0 < eta <= eps):
         raise ValueError("eta must satisfy 0 < eta <= bound")
-    # affine(1/η, (η-ε)/η, φ) = clamp01((φ - ε + η)/η)
-    return open_cond(affine(1 / eta, (eta - eps) / eta, c.formula), ONE)
+    return affine(1 / eta, (eta - eps) / eta, f)
 
 
 # --------------------------------------------------------------------------

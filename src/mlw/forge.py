@@ -18,8 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conditions import (PartialType, normalize_condition, open_cond,
-                         type_from_spec)
+from .conditions import PartialType, below_one, type_from_spec
 from .formulas import (Conn, Const, Dist, Formula, Quant, Rat, Var,
                        _memo_on_formula, absdiff, fmax, fmonus, free_vars,
                        map_terms, show, subst)
@@ -92,7 +91,7 @@ def _normalized(f: Formula, eps: Fraction) -> Formula:
     """Rescale so that (result < 1) iff (f < eps), exactly."""
     if eps >= 1:
         return f
-    return normalize_condition(open_cond(f, eps)).formula
+    return below_one(f, eps)
 
 
 def conjoin(p: ForcingCondition, f: Formula, eps) -> ForcingCondition:

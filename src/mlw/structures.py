@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -154,7 +155,7 @@ class FiniteStructure:
             if _int_type(max(spec[0], top)) is object:
                 raise ValueError(f"metric denominator too large for sort {s}")
             if len(spec) == 3:
-                den, dmat, tree, bounded = _id_metric(*spec, n)
+                den, dmat, tree, bounded = _id_metric(*spec, n, s)
             else:
                 den, bounded = spec[0], None
                 dmat = _int64(spec[1], f"metric value past int64 in sort {s}"
@@ -266,7 +267,12 @@ def _sorted_agreement(levels):
                                             axis=0).sum(axis=0)
 
 
-def _id_metric(den: int, dist, levels, n: int):
+# The tables of _id_metric by their ids, each held only while a structure
+# holds it: equal ids give equal tables, whatever the den.
+_ID_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _id_metric(den: int, dist, levels, n: int, sort: str):
     """The read-only distance table of a (den, dist, levels) metric, when
     it is an ultrametric with values in [0, 1] its certificate, and True
     when its values lie in [0, 1] (else None, for SortData.in_range).
@@ -282,12 +288,30 @@ def _id_metric(den: int, dist, levels, n: int):
     JMLR 2010), the (order, join) certificate of _ultrametric_order, in
     O(n * levels) instead of from the n^2 table.  The certificate is None,
     and the table is checked as any other, when dist increases or leaves
-    [0, den], or two points agree on every level or sit at distance 0."""
-    dist = np.asarray(dist, dtype=np.int64)
-    levels = np.asarray(levels, dtype=np.int64).reshape(len(levels), n)
-    dmat = dist[_agreement(levels)]
-    np.fill_diagonal(dmat, 0)
-    dmat.flags.writeable = False
+    [0, den], or two points agree on every level or sit at distance 0.
+
+    The table is built once for equal ids (hash-consing, Filliatre &
+    Conchon, ML Workshop 2006): its entries do not depend on den, and it
+    is shared through _ID_TABLES by every structure built from them."""
+    try:
+        dist, levels = np.asarray(dist, np.int64), np.asarray(levels, np.int64)
+    except (OverflowError, ValueError) as e:  # past int64, or ragged
+        raise ValueError(f"level ids of sort {sort} are no int64 arrays: {e}"
+                         ) from None
+    if levels.ndim < 1 or levels.size != len(levels) * n:
+        raise ValueError(f"level ids of shape {levels.shape} do not fit the "
+                         f"{n} points of sort {sort}")
+    if dist.ndim != 1 or len(dist) <= len(levels):
+        raise ValueError(f"{len(levels)} levels need a vector of "
+                         f"{len(levels) + 1} distances, got shape "
+                         f"{dist.shape} in sort {sort}")
+    levels = levels.reshape(len(levels), n)
+    key = (levels.shape, dist.tobytes(), levels.tobytes())
+    dmat = _ID_TABLES.get(key)
+    if dmat is None:
+        dmat = _ID_TABLES[key] = dist[_agreement(levels)]
+        np.fill_diagonal(dmat, 0)
+        dmat.flags.writeable = False
     order, agree = _sorted_agreement(levels)
     join = np.zeros(n, dtype=np.int64)
     join[1:] = dist[agree]

@@ -14,6 +14,7 @@ from mlw.forge import (TRIVIAL, BankRefusal, ForcingCondition, Permutation,
                        extends, extract_premodel, homogeneity_experiment,
                        parse_schedule, permute_condition, rename_constants,
                        transcript, verify_run)
+from mlw.conditions import normalize_condition, open_cond
 from mlw.formulas import Rat, fmonus, parse_formula
 from mlw.models import build_N
 from mlw.structures import eval_table, load_structure, save_structure
@@ -142,6 +143,20 @@ def test_conjoin_extends_and_is_transitive(bank):
         assert extends(q, r, bank)
         assert extends(p, r, bank)  # transitivity along the chain
         assert extends(q, q, bank)  # reflexivity
+
+
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1, 2)])
+def test_a_demand_below_no_positive_bound_is_refused(eps):
+    with pytest.raises(ValueError, match="open condition needs a positive "
+                                         "bound"):
+        conjoin(TRIVIAL, parse_formula("d(d0, d1)"), eps)
+
+
+def test_a_demand_is_rescaled_as_its_normal_form():
+    f = parse_formula("d(d0, d1)")
+    for eps in (Fraction(1, 3), Fraction(1, 2), Fraction(7, 8)):
+        assert conjoin(TRIVIAL, f, eps).formula == \
+            normalize_condition(open_cond(f, eps)).formula
 
 
 def _demand(rng):

@@ -3,21 +3,33 @@ level ids, from which it derives the distance table and the sort's ball
 order.  Checked against dense reference tables, the Prim pass and the
 exhaustive checks; sorts that lose their tree report as dense builds."""
 
+import gc
 import math
+import os
+import subprocess
+import sys
+import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import mlw.analysis as analysis_mod
 import mlw.structures as structures_mod
-from mlw.analysis import Refusal, Sublanguage, find_iso, verify_iso
+from mlw.analysis import (Refusal, Sublanguage, find_iso, realizes,
+                          verify_iso)
+from mlw.conditions import build_type
 from mlw.models import (build_M, build_M4, build_M_l, build_N, build_N2,
                         build_N3, build_Projection, canonical_truncation,
                         default_kfamily)
 from mlw.structures import (FiniteStructure, FnTable, SortData, _ball_merges,
                             _check, _ultrametric_order, check_structure)
-from mlw.trees import (_alphabet_cut, _letter_ints, _pair_cut,
-                       enumerate_pair_trees, enumerate_trees, parse_node)
+from mlw.trees import (_alphabet_cut, _letter_ints, _pair_cut, build_tree,
+                       enumerate_pair_trees, enumerate_trees, parse_node,
+                       relabel, truncate)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 # --------------------------------------------------------------------------
 # The dense tables as the constructors built them before they passed ids
@@ -336,3 +348,138 @@ def test_find_iso_between_constructed_structures(name, monkeypatch):
         assert isinstance(w, Refusal)
     else:
         assert verify_iso(A, B, Sublanguage.full(A), w) == []
+
+
+# --------------------------------------------------------------------------
+# Equal level ids share one table
+
+
+def _tree(text):
+    return relabel(truncate(build_tree(text), 4, 2), 3, 4)
+
+
+def test_boxes_over_different_trees_share_the_node_table():
+    A = build_N2(4, 3, extra_trees=[_tree("chain(3)")])
+    B = build_N2(4, 3, extra_trees=[_tree("comb")])
+    assert A.sorts["D1"].dmat is B.sorts["D1"].dmat
+    assert A.sorts["D1"].tree is not B.sorts["D1"].tree
+    assert not np.array_equal(A.predicates["ee"].table,
+                              B.predicates["ee"].table)
+    assert build_N(3, 3).sorts["D1"].dmat is build_N(3, 3).sorts["D1"].dmat
+
+
+def test_ids_that_differ_share_no_table():
+    a = FiniteStructure.build({"S": list("abc")},
+                              {"S": (2, (2, 1, 0), [[0, 0, 1], [0, 1, 2]])})
+    b = FiniteStructure.build({"S": list("abc")},
+                              {"S": (2, (2, 1, 0), [[0, 0, 1], [0, 1, 1]])})
+    c = FiniteStructure.build({"S": list("abc")},
+                              {"S": (2, (2, 0, 0), [[0, 0, 1], [0, 1, 2]])})
+    assert len({id(M.sorts["S"].dmat) for M in (a, b, c)}) == 3
+    # the same dist and the same id bytes, as two levels over three points
+    # and as three levels over two points
+    ids23, ids32 = [[0, 0, 1], [0, 1, 2]], [[0, 0], [1, 0], [1, 2]]
+    assert np.asarray(ids23).tobytes() == np.asarray(ids32).tobytes()
+    e = FiniteStructure.build({"S": list("abc")}, {"S": (2, (2, 1, 0, 0),
+                                                         ids23)})
+    d = FiniteStructure.build({"S": list("ab")}, {"S": (2, (2, 1, 0, 0),
+                                                        ids32)})
+    assert e.sorts["S"].dmat.shape == (3, 3)
+    assert d.sorts["S"].dmat.shape == (2, 2)
+    assert np.array_equal(e.sorts["S"].dmat, a.sorts["S"].dmat)
+
+
+def test_one_table_at_two_dens_keeps_each_den_and_range():
+    ids = [[0, 0, 1], [0, 1, 2]]
+    M2 = FiniteStructure.build({"S": list("abc")}, {"S": (2, (3, 1, 0), ids)})
+    M4 = FiniteStructure.build({"S": list("abc")}, {"S": (4, (3, 1, 0), ids)})
+    s2, s4 = M2.sorts["S"], M4.sorts["S"]
+    assert s2.dmat is s4.dmat
+    assert (s2.den, s4.den) == (2, 4)
+    assert (s2.bounded, s4.bounded) == (None, True)
+    assert s2.tree is None and s4.tree is not None
+    assert check_structure(M2) == ["metric: entry outside [0,1] in sort S"]
+    assert check_structure(M4) == []
+    assert s4.dist(0, 2) == Fraction(3, 4)
+
+
+def test_a_table_is_held_only_while_a_structure_holds_it():
+    A = build_N2(2, 2, extra_trees=[_tree("chain(3)")])
+    B = build_N2(2, 2, extra_trees=[_tree("comb")])
+    own, shared = (weakref.ref(A.sorts[s].dmat) for s in ("D2", "D1"))
+    held = list(structures_mod._ID_TABLES.values())
+    assert any(t is own() for t in held) and any(t is shared() for t in held)
+    del A, held
+    gc.collect()
+    assert own() is None  # only A held it
+    assert shared() is B.sorts["D1"].dmat
+    assert any(t is shared() for t in structures_mod._ID_TABLES.values())
+
+
+def test_nothing_is_held_once_every_holder_is_gone():
+    """In a fresh process, so no other test's structure holds a table."""
+    code = """if True:
+        import gc
+        from mlw import structures
+        from mlw.models import build_N, build_N2, build_N3
+        Ms = [build_N(3, 3), build_N2(3, 3), build_N3(2, 2)]
+        assert len(structures._ID_TABLES) == 4
+        del Ms
+        gc.collect()
+        print(len(structures._ID_TABLES))"""
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": SRC}).stdout
+    assert out == "0\n"
+
+
+def as_dense(M):
+    """M built again with each sort's table passed as (den, copy)."""
+    return FiniteStructure.build(
+        {s: sd.points for s, sd in M.sorts.items()},
+        {s: (sd.den, sd.dmat.copy()) for s, sd in M.sorts.items()},
+        {n: (f.arg_sorts, f.out_sort, f.table)
+         for n, f in M.functions.items()},
+        {n: (p.arg_sorts, (p.den, p.table))
+         for n, p in M.predicates.items()}, M.moduli, M.meta)
+
+
+@pytest.mark.parametrize("text", ["chain(3)", "comb", "graft(chain(1),chain(1))",
+                                  "dsum(chain(2),T1)"])
+def test_shared_builds_answer_as_dense_ones(text):
+    S, other = _tree(text), _tree("chain(2)")
+    A = build_N2(4, 3, extra_trees=[S])
+    B = build_N2(4, 3, extra_trees=[other])
+    A2 = build_N2(4, 3, extra_trees=[S])
+    assert A.sorts["D1"].dmat is B.sorts["D1"].dmat is A2.sorts["D1"].dmat
+    dA, dB, dA2 = as_dense(A), as_dense(B), as_dense(A2)
+    assert dA.sorts["D1"].dmat is not A.sorts["D1"].dmat
+    assert check_structure(A) == check_structure(dA) == []
+    t = build_type("tS", S, 3)
+    assert realizes(A, t) == realizes(dA, t)
+    assert realizes(B, t) == realizes(dB, t)
+    for X, Y, dX, dY in ((A, A2, dA, dA2), (A, B, dA, dB)):
+        w, dw = find_iso(X, Y), find_iso(dX, dY)
+        assert type(w) is type(dw)
+        if isinstance(w, Refusal):
+            assert w == dw
+        else:
+            assert verify_iso(X, Y, Sublanguage.full(X), w) == []
+            assert verify_iso(dX, dY, Sublanguage.full(dX), dw) == []
+
+
+@pytest.mark.parametrize("spec,message", [
+    # two levels but two distances: dist[2] is missing
+    ((2, [2, 1], [[0, 0, 1], [0, 1, 1]]),
+     "2 levels need a vector of 3 distances, got shape (2,) in sort S"),
+    # four ids for three points
+    ((2, [2, 1, 0], [[0, 0, 1, 1]]),
+     "level ids of shape (1, 4) do not fit the 3 points of sort S"),
+    ((2, [2, 1, 0], [[0, 0], [0, 1, 2]]), "level ids of sort S are no int64"),
+    ((2, [2, 1, 0], [[0, 1, 2**70]]), "level ids of sort S are no int64"),
+    ((2, [[2, 1, 0]], [[0, 1, 2]]), "1 levels need a vector of 2 distances"),
+])
+def test_malformed_level_ids_are_refused_naming_the_sort(spec, message):
+    with pytest.raises(ValueError) as e:
+        FiniteStructure.build({"S": ["a", "b", "c"]}, {"S": spec})
+    assert str(e.value).startswith(message)
